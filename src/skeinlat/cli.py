@@ -48,7 +48,7 @@ from .torus import (
 
 OUT_ENV = "SKEINLAT_OUT"
 
-BASES_G1 = ("e", "omega", "v")
+BASES_G1 = {"e": basis_e, "omega": basis_omega, "v": basis_v}
 BASES_G2 = ("G", "A", "Av")
 VARIANTS = ("z+2", "z+[2]")
 
@@ -60,7 +60,6 @@ class RunConfig:
     p_list: tuple[int, ...] = (5, 7)
     genus_list: tuple[int, ...] = (1, 2, 3)
     cap_crossings: int = 16
-    cap_cable: int = 8
     cap_iter: int = 32
     corpus: str | None = None
     out_dir: str | None = None
@@ -78,7 +77,7 @@ class RunConfig:
             low = [p for p in self.p_list if p < 5]
             if low:
                 raise ValueError(f"genus >= 2 claims need p >= 5, got {low}")
-        if min(self.cap_crossings, self.cap_cable, self.cap_iter) < 1:
+        if min(self.cap_crossings, self.cap_iter) < 1:
             raise ValueError("caps must be positive")
         if self.emit not in ("json", "table"):
             raise ValueError(f"emit must be json or table, got {self.emit!r}")
@@ -127,7 +126,7 @@ def _twist_op(params: TQFTParams):
 
 
 def _basis_vectors(params: TQFTParams, name: str):
-    return [x.coords for x in {"e": basis_e, "omega": basis_omega, "v": basis_v}[name](params)]
+    return [x.coords for x in BASES_G1[name](params)]
 
 
 def _v_lattice(params: TQFTParams) -> OLattice:
@@ -175,8 +174,7 @@ def polynomial_certs() -> list[dict]:
 def genus1_certs(params: TQFTParams) -> list[dict]:
     d, p = params.d, params.p
     certs = []
-    grams = {name: gram(list({"e": basis_e, "omega": basis_omega, "v": basis_v}[name](params)))
-             for name in BASES_G1}
+    grams = {name: gram(build(params)) for name, build in BASES_G1.items()}
     want = {"e": d * (d - 1), "omega": 0, "v": 0}
     for name in BASES_G1:
         cert = _guarded(
@@ -271,6 +269,20 @@ def rank_certs(p: int, genus_list) -> list[dict]:
     return certs
 
 
+def genus2_ok(rep) -> bool:
+    """The genus-2 claim: the determinant is associate to the expected power
+    of 1-q, and it is a unit exactly for the v-colored arrangements."""
+    return (rep.unit_cofactor and rep.associate_exponent == rep.expected_exponent
+            and rep.unimodular == (rep.basis == "Av"))
+
+
+def genus3_ok(rep, witness: dict | None) -> bool:
+    """The genus-3 claim: valuation one over the real subring, with the
+    parity witness that no basis is unimodular."""
+    return (rep.associate_exponent == 1 and rep.unit_cofactor
+            and rep.plus_subring is True and witness is not None)
+
+
 def genus2_certs(p: int) -> list[dict]:
     certs = []
     for basis in BASES_G2:
@@ -283,11 +295,7 @@ def genus2_certs(p: int) -> list[dict]:
                 f"genus-2 {basis}-basis gram determinant is associate to "
                 f"(1-q)^{rep.expected_exponent}"
             )
-            cert["ok"] = (
-                rep.unit_cofactor
-                and rep.associate_exponent == rep.expected_exponent
-                and rep.unimodular == (basis == "Av")
-            )
+            cert["ok"] = genus2_ok(rep)
             return cert
 
         certs.append(_guarded(claim, p, build))
@@ -308,12 +316,7 @@ def genus3_certs() -> list[dict]:
                 f"genus-3 {color}-recolored gram determinant has valuation "
                 "one over the real subring"
             )
-            cert["ok"] = (
-                rep.associate_exponent == 1
-                and rep.unit_cofactor
-                and rep.plus_subring is True
-                and wit is not None
-            )
+            cert["ok"] = genus3_ok(rep, wit)
             return cert
 
         certs.append(_guarded(claim, 5, build))
@@ -345,7 +348,7 @@ def corpus_certs(corpus: str | None, cap_crossings: int) -> list[dict]:
 def bundle(config: RunConfig) -> list[dict]:
     certs = polynomial_certs()
     for p in config.p_list:
-        params = TQFTParams(p)
+        params = TQFTParams.for_prime(p)
         if 1 in config.genus_list:
             certs.extend(genus1_certs(params))
             certs.extend(lattice_certs(params, config.cap_iter))
@@ -363,9 +366,8 @@ def bundle(config: RunConfig) -> list[dict]:
 
 def cmd_genus1(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(1,))
-    params = TQFTParams(args.p)
-    basis = {"e": basis_e, "omega": basis_omega, "v": basis_v}[args.basis](params)
-    g = gram(list(basis))
+    params = TQFTParams.for_prime(args.p)
+    g = gram(BASES_G1[args.basis](params))
     if args.emit == "gram":
         return 0, {"p": args.p, "basis": args.basis,
                    "gram": [[x.to_json() for x in row] for row in g]}
@@ -380,14 +382,14 @@ def cmd_genus2(args) -> tuple[int, object]:
     wit = non_unimodular_witness(args.p, 2, rep)
     if wit is not None:
         out["witness"] = wit
-    return (0 if rep.unit_cofactor else 1), out
+    return (0 if genus2_ok(rep) else 1), out
 
 
 def cmd_genus3p5(args) -> tuple[int, object]:
     rep = genus3_p5_report(args.color)
     out = rep.to_json()
     out["witness"] = non_unimodular_witness(5, 3, rep)
-    return (0 if rep.unit_cofactor else 1), out
+    return (0 if genus3_ok(rep, out["witness"]) else 1), out
 
 
 def cmd_rank(args) -> tuple[int, object]:
@@ -407,7 +409,7 @@ def cmd_bracket(args) -> tuple[int, object]:
 
 def cmd_stabilize(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(1,), cap_iter=args.cap_iter)
-    params = TQFTParams(args.p)
+    params = TQFTParams.for_prime(args.p)
     ctx = params.ctx
     if args.seed == "omega":
         seed = [omega(params).coords]

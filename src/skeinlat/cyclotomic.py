@@ -23,15 +23,6 @@ def _poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _poly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
 def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
     num = list(num)
     dd = len(den) - 1
@@ -109,6 +100,11 @@ def _is_odd_prime(p: int) -> bool:
             return False
         k += 2
     return True
+
+
+def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
+    """The error for an operation whose operands live in different rings."""
+    return ValueError(f"cannot mix elements of {a} and {b}")
 
 
 class CycContext:
@@ -197,6 +193,8 @@ class CycContext:
         """Cached field inverse via the product of Galois conjugates."""
         got = self._inv_cache.get(x)
         if got is None:
+            if x.ctx is not self and x.ctx.n != self.n:
+                raise mixed_rings(self, x.ctx)
             got = x.inverse()
             self._inv_cache[x] = got
         return got
@@ -259,6 +257,8 @@ class CycNum:
             other = self.ctx.from_int(other)
         if not isinstance(other, CycNum):
             return NotImplemented
+        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
+            raise mixed_rings(self.ctx, other.ctx)
         da, db = self.den, other.den
         vec = tuple(a * db + b * da for a, b in zip(self.vec, other.vec))
         return CycNum(self.ctx, vec, da * db)
@@ -281,6 +281,8 @@ class CycNum:
             return CycNum(self.ctx, tuple(v * other for v in self.vec), self.den)
         if not isinstance(other, CycNum):
             return NotImplemented
+        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
+            raise mixed_rings(self.ctx, other.ctx)
         phi = self.ctx.phi
         conv = [0] * (2 * phi - 1)
         for i, a in enumerate(self.vec):
@@ -386,10 +388,6 @@ class CycNum:
             return self.is_zero() and other.is_zero()
         z = self / other
         return z.den == 1 and abs(z.norm()) == 1
-
-    def try_div_integral(self, other: "CycNum") -> "CycNum | None":
-        z = self / other
-        return z if z.den == 1 else None
 
     def valuation_one_minus_q(self) -> tuple[int, "CycNum"]:
         """Largest k with (1-q)^k dividing self in O, plus the cofactor.

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
 from .cyclotomic import CycNum
-from .matrices import Matrix, determinant, ldl_decomposition, map_entries, mat_eq
+from .matrices import Matrix, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import DegeneracyError, RefutationError, TQFTParams, associate_certificate, omega
+from .torus import DegeneracyError, RefutationError, TQFTParams, _det, associate_certificate, omega
 
 Coloring2 = tuple[int, int, int]
 Coloring3 = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -320,20 +320,15 @@ def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
     return [c.conj() for c in cable]
 
 
-_split_cache: dict[tuple[int, int, int], CycNum] = {}
-_fusion_cache: dict[tuple[int, int, int, int, int], CycNum] = {}
-
-
 def _arm_split(params: TQFTParams, m: int, c: int) -> CycNum:
     """Two parallel m-strands along an arm: channel c carries <c>/theta(m,m,c).
 
     The top channel c = 2m has weight exactly one."""
-    key = (params.p, m, c)
-    got = _split_cache.get(key)
+    got = params.split_table.get((m, c))
     if got is None:
         ctx = params.ctx
         got = quantum_dim_at(ctx, c) * ctx.inv(theta_at(ctx, m, m, c))
-        _split_cache[key] = got
+        params.split_table[(m, c)] = got
     return got
 
 
@@ -344,14 +339,14 @@ def _loop_fusion(params: TQFTParams, a: int, m: int, c: int, s: int) -> CycNum:
     slides the arm across and theta(s,s,c) renormalizes its attachment.  With
     no arm (c = 0) the tetrahedron degenerates to theta(a,m,s) and the weight
     is 1, matching plain annulus fusion."""
-    key = (params.p, a, m, c, s)
-    got = _fusion_cache.get(key)
+    key = (a, m, c, s)
+    got = params.fusion_table.get(key)
     if got is None:
         ctx = params.ctx
         num = quantum_dim_at(ctx, s) * tet_at(ctx, a, s, m, c, m, s)
         den = theta_at(ctx, a, m, s) * theta_at(ctx, s, s, c)
         got = num * ctx.inv(den)
-        _fusion_cache[key] = got
+        params.fusion_table[key] = got
     return got
 
 
@@ -671,11 +666,6 @@ class HigherGramReport:
         return out
 
 
-def _det_at(params: TQFTParams, mat: Matrix) -> CycNum:
-    ctx = params.ctx
-    return determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
-
-
 def _certified_report(
     params: TQFTParams,
     genus: int,
@@ -687,7 +677,7 @@ def _certified_report(
     base_change_valuation: int,
     plus_subring: bool | None,
 ) -> HigherGramReport:
-    det = _det_at(params, gram)
+    det = _det(params, gram)
     if det.is_zero():
         raise DegeneracyError(f"singular Gram matrix for basis {basis}")
     cert = associate_certificate(
@@ -726,7 +716,7 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     determinant is a unit).  For A and Av the expansion route through the
     graph basis must agree entrywise with the projection closed form.
     """
-    params = TQFTParams(p)
+    params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
     cols = graph_colorings_genus2(p)
     rank = len(arrs)
@@ -805,7 +795,7 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     """
     if color not in ("v", "omega"):
         raise ValueError(f"recoloring needs v or omega, got {color!r}")
-    params = TQFTParams(5)
+    params = TQFTParams.for_prime(5)
     ctx = params.ctx
     arrs = arrangement_set_genus3()
     curve_total = sum(arr.curve_count for arr in arrs)
@@ -817,36 +807,20 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
             "genus-3 gram: Cholesky diagonal disagrees with the wheel norms"
         )
     trans = _subset_transform(params, arrs, color)
-    n = len(arrs)
-    half = [[_dot_row(ctx, trans[i], gram_plain, k) for k in range(n)] for i in range(n)]
-    gram_col = [
-        [_dot_conj(ctx, half[i], trans[j]) for j in range(n)] for i in range(n)
-    ]
+    gram_col = mat_mul(
+        mat_mul(trans, gram_plain, ctx.zero),
+        transpose(map_entries(lambda v: v.conj(), trans)),
+        ctx.zero,
+    )
     tw = ctx.i_power(1)  # one factor of i per odd genus
     twisted = map_entries(lambda v: v * tw, gram_col)
     plus_ok = all(v.in_plus_subring() for row in twisted for v in row)
-    rank_term = (params.d - 1) * 3 * n
+    rank_term = (params.d - 1) * 3 * len(arrs)
     base_change = -2 * curve_total
     return _certified_report(
         params, 3, "A" + color, color, twisted, curve_total, rank_term,
         base_change, plus_ok,
     )
-
-
-def _dot_row(ctx, coeffs: list[CycNum], mat: Matrix, k: int) -> CycNum:
-    acc = ctx.zero
-    for t, c in enumerate(coeffs):
-        if c:
-            acc = acc + c * mat[t][k]
-    return acc
-
-
-def _dot_conj(ctx, row: list[CycNum], coeffs: list[CycNum]) -> CycNum:
-    acc = ctx.zero
-    for t, c in enumerate(coeffs):
-        if c:
-            acc = acc + row[t] * c.conj()
-    return acc
 
 
 def non_unimodular_witness(p: int, genus: int, report: HigherGramReport) -> dict | None:

@@ -21,11 +21,12 @@ unit cofactor test, never a bare boolean.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
 from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
-from .cyclotomic import CycContext, CycNum
+from .cyclotomic import CycContext, CycNum, mixed_rings
 from .laurent import IntLaurent
 from .matrices import (
     Matrix,
@@ -56,7 +57,16 @@ class TQFTParams:
     sum g = sum (k|p) q^k; for p = 1 mod 4, where g^2 = +p, a fourth root of
     unity is thrown in.  The sign of D is a convention and nothing downstream
     can see it: omega carries the compensating eta = D^-1.
+
+    for_prime(p) is the canonical instance: its ctx is the library's ring at
+    p, and it owns the memo tables of the genus-2/3 fusion rules.
     """
+
+    @classmethod
+    @functools.cache
+    def for_prime(cls, p: int) -> "TQFTParams":
+        """The constants and the ring at p, built once per process."""
+        return cls(p)
 
     def __init__(self, p: int):
         ctx = CycContext(p)
@@ -78,14 +88,20 @@ class TQFTParams:
         kappa = ctx.A_pow(-3) * ctx.i_power(half)
         self.kappa = -kappa if half % 2 else kappa
         self.dims = [quantum_dim_at(ctx, i) for i in range(self.d)]
-        assert self.D * self.eta == ctx.one
-        assert self.D.conj() == self.D
-        assert self.D * self.D * qdiff * qdiff == ctx.from_int(-p)
-        assert self.kappa * self.kappa == ctx.A_pow(-6 - p * (p + 1) // 2)
         total = ctx.zero
         for dim in self.dims:
             total = total + dim * dim
-        assert total == self.D * self.D
+        for holds, identity in (
+            (self.D * self.eta == ctx.one, "D eta = 1"),
+            (self.D.conj() == self.D, "D is real"),
+            (self.D * self.D * qdiff * qdiff == ctx.from_int(-p), "D^2 (q - q^-1)^2 = -p"),
+            (self.kappa * self.kappa == ctx.A_pow(-6 - p * (p + 1) // 2), "kappa^2"),
+            (total == self.D * self.D, "sum of squared dimensions = D^2"),
+        ):
+            if not holds:
+                raise RefutationError(f"TQFT constants at p = {p}: {identity} fails")
+        self.split_table: dict[tuple[int, int], CycNum] = {}
+        self.fusion_table: dict[tuple[int, int, int, int], CycNum] = {}
 
     def mu(self, i: int) -> CycNum:
         """Twist eigenvalue (-1)^i A^(i^2+2i) on e_i."""
@@ -116,7 +132,7 @@ class TorusVector:
         return hash((self.params.p, self.coords))
 
     def __add__(self, other: "TorusVector") -> "TorusVector":
-        assert self.params.p == other.params.p
+        _same_prime(self, other)
         return TorusVector(
             self.params, [a + b for a, b in zip(self.coords, other.coords)]
         )
@@ -169,6 +185,11 @@ class TorusVector:
 
     def __repr__(self) -> str:
         return f"TorusVector(p={self.params.p}, {list(self.coords)!r})"
+
+
+def _same_prime(x: TorusVector, y: TorusVector) -> None:
+    if x.params.p != y.params.p:
+        raise mixed_rings(x.params.ctx, y.params.ctx)
 
 
 def reduce_e(params: TQFTParams, raw) -> TorusVector:
@@ -289,8 +310,8 @@ def hermitian_pairing(x: TorusVector, y: TorusVector) -> CycNum:
     e_0-component of x conj(y), scaled by D, and the e_0-coefficient of
     e_i e_j is delta_ij.
     """
+    _same_prime(x, y)
     params = x.params
-    assert params.p == y.params.p
     acc = params.ctx.zero
     for a, b in zip(x.coords, y.coords):
         if a and b:
@@ -308,8 +329,8 @@ def pairing_bracket(
     is exponential in the z-degrees, so this is the small-p oracle against
     which hermitian_pairing is checked.
     """
+    _same_prime(x, y)
     params = x.params
-    assert params.p == y.params.p
     ctx = params.ctx
     coeffs = RootCoeffs(ctx)
     cache: dict[tuple[int, int], CycNum] = {}

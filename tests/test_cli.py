@@ -1,8 +1,16 @@
+import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import skeinlat
+from skeinlat import cli
 from skeinlat.cli import RunConfig, main
+from skeinlat.torus import TQFTParams
 
 
 def run(capsys, *argv):
@@ -98,6 +106,31 @@ def test_genus2_av_unimodular(capsys) -> None:
     assert payload["unimodular"] is True and "witness" not in payload
 
 
+@pytest.mark.parametrize(
+    "verb, report_fn, field",
+    [
+        (["genus2", "--p", "5", "--basis", "Av"], "gram_genus2", "unimodular"),
+        (["genus2", "--p", "5", "--basis", "G"], "gram_genus2", "unimodular"),
+        (["genus3p5", "--color", "v"], "genus3_p5_report", "plus_subring"),
+    ],
+    ids=["genus2-Av", "genus2-G", "genus3p5-v"],
+)
+def test_verb_exit_code_uses_the_verify_all_predicate(
+    capsys, monkeypatch, verb, report_fn, field
+) -> None:
+    # the cofactor is still a unit, so only the full predicate can fail it
+    real = getattr(cli, report_fn)
+
+    def flipped(*args):
+        rep = real(*args)
+        return dataclasses.replace(rep, **{field: not getattr(rep, field)})
+
+    monkeypatch.setattr(cli, report_fn, flipped)
+    code, out, _ = run(capsys, *verb)
+    assert code == 1
+    assert json.loads(out)["unit_cofactor"] is True
+
+
 # --- bracket corpus ---------------------------------------------------------
 
 
@@ -184,3 +217,44 @@ def test_verify_all_table_format(capsys) -> None:
     lines = out.strip().splitlines()
     assert lines[-1].endswith("0 failing")
     assert all(line.lstrip().startswith("ok") for line in lines[:-1])
+
+
+def test_verify_all_output_pinned(capsys) -> None:
+    # sha256 of the stdout of `verify-all --p 5,7`; any refactor must leave
+    # every byte of it unchanged
+    code, out, _ = run(capsys, "verify-all", "--p", "5,7")
+    assert code == 0
+    assert len(out.encode()) == 26284
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "391ad20238355f170037d4e282f441125f1b9a26357948e77cd55c00c7d5f67c"
+    )
+
+
+def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:
+    built = []
+    init = TQFTParams.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(TQFTParams, "__init__", counting_init)
+    TQFTParams.for_prime.cache_clear()
+    code, _, _ = run(capsys, "verify-all", "--p", "5,7")
+    assert code == 0
+    assert sorted(built) == [5, 7]
+
+
+def test_verify_all_unchanged_under_optimize_flag() -> None:
+    # no correctness check may live in an assert that python -O strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "skeinlat.cli", "verify-all", "--p", "5"],
+            capture_output=True, env=env, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

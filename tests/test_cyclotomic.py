@@ -142,3 +142,27 @@ def test_json_roundtrip():
     assert CycNum.from_json(obj, ctx) == x
     y = CycNum.from_json(obj)
     assert y.vec == x.vec and y.den == x.den
+
+
+def test_mixing_rings_raises():
+    c5, c7 = CycContext(5), CycContext(7)
+    for op in (
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+    ):
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(c5.one, c7.q)
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(c7.A, c5.q)
+    with pytest.raises(ValueError, match="cannot mix"):
+        c5.inv(c7.q)
+    assert not c5._inv_cache
+
+
+def test_separate_contexts_of_one_ring_mix():
+    a, b = CycContext(5), CycContext(5)
+    assert a.one + b.q == a.one + a.q
+    assert a.A * b.A == a.q
+    assert a.q / b.q == 1

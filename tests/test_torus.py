@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from skeinlat import torus
 from skeinlat.matrices import (
     diagonal,
     identity,
@@ -104,6 +105,28 @@ def test_kappa_square():
 
 def test_p3_d_is_one():
     assert params_for(3).D == 1
+
+
+def test_for_prime_is_canonical():
+    params = TQFTParams.for_prime(7)
+    assert TQFTParams.for_prime(7) is params
+    assert TQFTParams.for_prime(5).ctx is not params.ctx
+    assert TQFTParams(7) is not params
+
+
+def test_params_refute_wrong_constants(monkeypatch):
+    # the identities are checked by raising, not by assert, so they hold
+    # under python -O as well
+    monkeypatch.setattr(torus, "quantum_dim_at", lambda ctx, i: ctx.one)
+    with pytest.raises(RefutationError, match="squared dimensions"):
+        TQFTParams(7)
+
+
+def test_vectors_of_two_primes_do_not_mix():
+    x, y = basis_e(params_for(5))[0], basis_e(params_for(7))[0]
+    for op in (lambda: x + y, lambda: hermitian_pairing(x, y), lambda: pairing_bracket(x, y)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            op()
 
 
 # ---------------------------------------------------------------------------
