@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import A, ONE_PLUS_A, IntLaurent, LocLaurent
+from .laurent import A, ONE_PLUS_A, IntLaurent, LocLaurent, RefutationError
 from .matrices import Matrix
 
 
@@ -75,14 +75,19 @@ def e_product_in_e(i: int, j: int) -> dict[int, int]:
     return {k: v for k, v in enumerate(vec) if v}
 
 
+def _integral(c: Fraction) -> int:
+    """c as an int; the closed forms below promise it is one."""
+    if c.denominator != 1:
+        raise RefutationError(f"closed-form coefficient {c} is not an integer")
+    return int(c)
+
+
 def z_plus2_pow_in_e(n: int) -> list[int]:
     """(z+2)^(n-1) = sum_{k=1}^n C(2n, n-k) (k/n) e_{k-1}; the list is the
     e_0..e_{n-1} coefficient vector and every entry is an integer."""
     out = []
     for k in range(1, n + 1):
-        c = Fraction(math.comb(2 * n, n - k) * k, n)
-        assert c.denominator == 1
-        out.append(int(c))
+        out.append(_integral(Fraction(math.comb(2 * n, n - k) * k, n)))
     return out
 
 
@@ -98,8 +103,7 @@ def s_poly(m: int, i: int, n: int) -> IntLaurent:
     out = IntLaurent()
     for k in range(i, n + 1):
         c = Fraction(k ** m * math.comb(2 * n, n - k) * math.comb(k + i - 1, k - i), n)
-        assert c.denominator == 1
-        out = out + IntLaurent.monomial(int(c), k * k)
+        out = out + IntLaurent.monomial(_integral(c), k * k)
     return out
 
 
@@ -113,8 +117,7 @@ def s_tilde_poly(m: int, i: int, n: int) -> IntLaurent:
             (-1) ** k * k ** m * math.comb(2 * n, n - k) * math.comb(k + i - 1, k - i),
             n,
         )
-        assert c.denominator == 1
-        out = out + IntLaurent.monomial(int(c), k * k)
+        out = out + IntLaurent.monomial(_integral(c), k * k)
     return out
 
 

@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .cyclotomic import CycContext, CycNum
-from .laurent import IntLaurent, ONE
+from .laurent import IntLaurent, ONE, RefutationError
 
 
 class LaurentCoeffs:
@@ -192,7 +192,8 @@ def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs, max_crossings: 
                 else:
                     new_states[k2] = term
         states = new_states
-    assert len(states) == 1 and frozenset() in states
+    if len(states) != 1 or frozenset() not in states:
+        raise RefutationError("state sum did not close up to the empty state")
     out = states[frozenset()]
     for _ in range(diagram.loops):
         out = out * delta
@@ -451,7 +452,8 @@ def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:
     g = f
     for _ in range(mu):
         val = g.evaluate(-1)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise RefutationError(f"a Laurent polynomial took the value {val} at A = -1")
         if val.numerator % p:
             return False
         g = g.derivative()

@@ -52,6 +52,12 @@ BASES_G1 = {"e": basis_e, "omega": basis_omega, "v": basis_v}
 BASES_G2 = ("G", "A", "Av")
 VARIANTS = ("z+2", "z+[2]")
 
+# The largest prime the genus-2 and lattice families accept: the largest at
+# which their cost is measured (genus2 --p 13 takes about 70 s over the three
+# bases, stabilize --p 13 about 20 s).  Beyond it they would run without a
+# stated bound, so a larger prime is refused as bad input.
+MAX_P_HEAVY = 13
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,6 +87,16 @@ class RunConfig:
             raise ValueError("caps must be positive")
         if self.emit not in ("json", "table"):
             raise ValueError(f"emit must be json or table, got {self.emit!r}")
+
+    def within_budget(self) -> "RunConfig":
+        """Refuse primes beyond MAX_P_HEAVY; for the verbs that run the
+        genus-2 or lattice family."""
+        over = [p for p in self.p_list if p > MAX_P_HEAVY]
+        if over:
+            raise ValueError(
+                f"the genus-2 and lattice families accept p <= {MAX_P_HEAVY}, got {over}"
+            )
+        return self
 
 
 def _jsonable(x):
@@ -151,7 +167,7 @@ def polynomial_certs() -> list[dict]:
     try:
         for n in range(1, 13):
             twist_matrix_v(n)
-    except (ValueError, ArithmeticError, AssertionError):
+    except (ValueError, ArithmeticError):
         ok = False
     certs.append(
         {"claim": "twist matrix on v-powers has integral entries up to size 12",
@@ -161,7 +177,7 @@ def polynomial_certs() -> list[dict]:
     try:
         for n in range(1, 9):
             twist_sq_matrix_vtilde(n)
-    except (ValueError, ArithmeticError, AssertionError):
+    except (ValueError, ArithmeticError):
         ok = False
     certs.append(
         {"claim": "squared-twist matrix on rescaled v-powers has integral "
@@ -256,6 +272,12 @@ def lattice_certs(params: TQFTParams, cap_iter: int) -> list[dict]:
     return certs
 
 
+def rank_ok(n: int, vf: float) -> bool:
+    """The exact rank n agrees with the float estimate vf: within 1e-6, or
+    within 1e-12 relative once n passes 1e6, where doubles run out of digits."""
+    return abs(vf - n) <= max(1e-6, 1e-12 * n)
+
+
 def rank_certs(p: int, genus_list) -> list[dict]:
     certs = []
     for g in sorted(set(genus_list)):
@@ -264,7 +286,7 @@ def rank_certs(p: int, genus_list) -> list[dict]:
         certs.append(
             {"claim": f"genus-{g} rank matches the trigonometric estimate",
              "p": p, "genus": g, "rank": n, "verlinde_float": vf,
-             "ok": abs(vf - n) <= 1e-6}
+             "ok": rank_ok(n, vf)}
         )
     return certs
 
@@ -376,7 +398,7 @@ def cmd_genus1(args) -> tuple[int, object]:
 
 
 def cmd_genus2(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(2,))
+    RunConfig(p_list=(args.p,), genus_list=(2,)).within_budget()
     rep = gram_genus2(args.p, args.basis)
     out = rep.to_json()
     wit = non_unimodular_witness(args.p, 2, rep)
@@ -396,7 +418,7 @@ def cmd_rank(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(args.genus,))
     n = count_spine_colorings(args.genus, args.p)
     vf = verlinde_float(args.genus, args.p)
-    ok = abs(vf - n) <= 1e-6
+    ok = rank_ok(n, vf)
     return (0 if ok else 1), {"p": args.p, "genus": args.genus, "rank": n,
                               "verlinde_float": vf, "ok": ok}
 
@@ -408,7 +430,7 @@ def cmd_bracket(args) -> tuple[int, object]:
 
 
 def cmd_stabilize(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(1,), cap_iter=args.cap_iter)
+    RunConfig(p_list=(args.p,), genus_list=(1,), cap_iter=args.cap_iter).within_budget()
     params = TQFTParams.for_prime(args.p)
     ctx = params.ctx
     if args.seed == "omega":
@@ -442,7 +464,7 @@ def cmd_verify_all(args) -> tuple[int, object]:
         corpus=args.corpus,
         out_dir=os.environ.get(OUT_ENV),
         emit=args.emit,
-    )
+    ).within_budget()
     certs = _jsonable(bundle(config))
     ok = all(c["ok"] for c in certs)
     if config.out_dir:

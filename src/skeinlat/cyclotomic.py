@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import IntLaurent, LocLaurent
+from .laurent import IntLaurent, LocLaurent, RefutationError
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -76,7 +76,8 @@ def poly_resultant(f: list[int], g: list[int]) -> int:
         r = [c * g[-1] ** (delta + 1) for c in f]
         for k in range(len(r) - db - 1, -1, -1):
             q, rem = divmod(r[k + db], g[-1])
-            assert rem == 0
+            if rem:
+                raise RefutationError("resultant: pseudo-division left a remainder")
             if q:
                 for j, b in enumerate(g):
                     r[k + j] -= q * b
@@ -247,6 +248,8 @@ class CycNum:
             other = self.ctx.from_int(other)
         if not isinstance(other, CycNum):
             return NotImplemented
+        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
+            raise mixed_rings(self.ctx, other.ctx)
         return self.den == other.den and self.vec == other.vec
 
     def __hash__(self) -> int:

@@ -10,6 +10,10 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 
+class RefutationError(ArithmeticError):
+    """A mandated cross-check failed: two routes to the same object disagree."""
+
+
 class IntLaurent:
     """Sparse Laurent polynomial in one variable with integer coefficients."""
 

@@ -11,9 +11,18 @@ from typing import Any, Callable, Sequence
 Matrix = list[list[Any]]
 
 
+def _square(a: Matrix) -> int:
+    """The size of a nonempty square matrix; anything else is refused."""
+    n = len(a)
+    if n == 0 or any(len(r) != n for r in a):
+        raise ValueError("need a nonempty square matrix")
+    return n
+
+
 def mat_mul(a: Matrix, b: Matrix, zero: Any) -> Matrix:
     rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == mid for r in a)
+    if any(len(r) != mid for r in a):
+        raise ValueError(f"cannot multiply: a row of the left factor is not {mid} long")
     out = []
     for i in range(rows):
         row = []
@@ -65,8 +74,7 @@ def determinant(a: Matrix, zero: Any, div: Callable[[Any, Any], Any]) -> Any:
     div(x, y) must be exact division; over a field x * inv(y) always works,
     and Bareiss guarantees exactness over an integral domain.
     """
-    n = len(a)
-    assert n > 0 and all(len(r) == n for r in a)
+    n = _square(a)
     m = [row[:] for row in a]
     flip = False
     prev = None
@@ -89,8 +97,7 @@ def determinant(a: Matrix, zero: Any, div: Callable[[Any, Any], Any]) -> Any:
 
 def mat_inverse(a: Matrix, one: Any, zero: Any, inv: Callable[[Any], Any]) -> Matrix:
     """Gauss-Jordan inverse; entries must form a field under inv."""
-    n = len(a)
-    assert n > 0 and all(len(r) == n for r in a)
+    n = _square(a)
     m = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for k in range(n):
         piv = next((r for r in range(k, n) if not (m[r][k] == zero)), None)
@@ -117,8 +124,7 @@ def ldl_decomposition(
     Every leading principal minor must be nonsingular; a zero pivot surfaces
     as whatever inv raises.
     """
-    n = len(a)
-    assert n > 0 and all(len(r) == n for r in a)
+    n = _square(a)
     lower = [[zero] * n for _ in range(n)]
     diag: list[Any] = [zero] * n
     for i in range(n):

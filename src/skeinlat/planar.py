@@ -40,11 +40,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
-from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
 from .cyclotomic import CycNum
 from .matrices import Matrix, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import DegeneracyError, RefutationError, TQFTParams, _det, associate_certificate, omega
+from .torus import DegeneracyError, RefutationError, TQFTParams, _det, associate_certificate, omega, omega_pairing
 
 Coloring2 = tuple[int, int, int]
 Coloring3 = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -571,44 +570,18 @@ def _arrangement_z_terms(
 
 
 def gram_bracket(
-    params: TQFTParams,
-    arrangements: list[CurveArrangement],
-    color: str = "z",
-    max_crossings: int | None = None,
+    params: TQFTParams, arrangements: list[CurveArrangement], color: str = "z"
 ) -> Matrix:
     """Honest Gram matrix: one omega-cabled meridian circle per hole, the
-    resolved cores of X and conj(Y) threading their hole subsets.
-
-    Conjugating Y mirrors its curves, which leaves the planar diagram alone
-    and conjugates only coefficients.  Distinct entries share one bracket
-    cache keyed by circle widths and the multiset of core subsets."""
+    resolved cores of X and conj(Y) threading their hole subsets."""
     genus = arrangements[0].genus
-    assert all(arr.genus == genus for arr in arrangements)
-    ctx = params.ctx
-    coeffs = RootCoeffs(ctx)
-    om_z = sorted(omega(params).coords_z().items())
+    if any(arr.genus != genus for arr in arrangements):
+        raise ValueError("arrangements of different genus do not pair")
     terms = [_arrangement_z_terms(params, arr, color) for arr in arrangements]
-    cache: dict[tuple, CycNum] = {}
-
-    def entry(i: int, j: int) -> CycNum:
-        total = ctx.zero
-        for widths in itertools.product(om_z, repeat=genus):
-            wc = ctx.one
-            for _, c in widths:
-                wc = wc * c
-            wkey = tuple(w for w, _ in widths)
-            for cores_x, cx in terms[i]:
-                for cores_y, cy in terms[j]:
-                    key = (wkey, tuple(sorted(cores_x + cores_y)))
-                    got = cache.get(key)
-                    if got is None:
-                        diag = necklace_pd(list(wkey), [list(s) for s in key[1]])
-                        got = kauffman_bracket(diag, coeffs, max_crossings)
-                        cache[key] = got
-                    total = total + wc * cx * cy.conj() * got
-        return total
-
-    return _hermitian_fill(len(arrangements), entry)
+    return _hermitian_fill(
+        len(arrangements),
+        lambda i, j: omega_pairing(params, genus, terms[i], terms[j]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +617,8 @@ class HigherGramReport:
     def expected_exponent(self) -> int:
         return self.rank_term + self.base_change_valuation
 
-    def to_json(self, include_gram: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "p": self.p,
             "genus": self.genus,
             "basis": self.basis,
@@ -661,9 +634,6 @@ class HigherGramReport:
             "plus_subring": self.plus_subring,
             "det": self.det.to_json(),
         }
-        if include_gram:
-            out["gram"] = [[x.to_json() for x in row] for row in self.gram]
-        return out
 
 
 def _certified_report(

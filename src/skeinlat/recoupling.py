@@ -1,11 +1,13 @@
 """Recoupling coefficients for the Temperley-Lieb category, exactly.
 
 Theta and tetrahedron coefficients are assembled from quantum factorials as
-Laurent fractions in q and fully reduced to honest Laurent polynomials
-before any root-of-unity specialization; closed diagrams always reduce, so
-no evaluation ever divides by a cyclotomic zero.  Ratios that are genuinely
-fractional (bubble collapse, fusion) are only formed at the root, where the
-relevant thetas are nonzero for admissible colors.
+Laurent fractions in q, numerator and denominator kept apart.
+QFrac.at_root specializes both at the root of unity and divides there; the
+fraction is not reduced first, so a denominator that vanishes at the root
+raises ZeroDivisionError even where the reduced fraction would be finite.
+Ratios that are genuinely fractional (bubble collapse, fusion) are likewise
+formed at the root, where the relevant thetas are nonzero for admissible
+colors.
 
 Also here: admissibility tests, rank counts for handlebody spines (a
 caterpillar graph family), and the trigonometric dimension formula used as

@@ -22,12 +22,13 @@ unit cofactor test, never a bare boolean.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
 from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
 from .cyclotomic import CycContext, CycNum, mixed_rings
-from .laurent import IntLaurent
+from .laurent import IntLaurent, RefutationError
 from .matrices import (
     Matrix,
     determinant,
@@ -40,10 +41,6 @@ from .matrices import (
     transpose,
 )
 from .recoupling import qint, quantum_dim_at
-
-
-class RefutationError(ArithmeticError):
-    """A mandated cross-check failed: two routes to the same object disagree."""
 
 
 class DegeneracyError(ArithmeticError):
@@ -59,7 +56,8 @@ class TQFTParams:
     can see it: omega carries the compensating eta = D^-1.
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
-    p, and it owns the memo tables of the genus-2/3 fusion rules.
+    p, and it owns the memo tables of the genus-2/3 fusion rules and of the
+    necklace brackets.
     """
 
     @classmethod
@@ -102,6 +100,19 @@ class TQFTParams:
                 raise RefutationError(f"TQFT constants at p = {p}: {identity} fails")
         self.split_table: dict[tuple[int, int], CycNum] = {}
         self.fusion_table: dict[tuple[int, int, int, int], CycNum] = {}
+        self.necklace_table: dict[tuple, CycNum] = {}
+
+    def necklace(self, widths, cores) -> CycNum:
+        """Bracket at the root of the necklace diagram: meridian circles
+        cabled widths[c] times, threaded by parallel cores, each core given
+        by the circles it threads.  Parallel cores commute, so the memo key
+        sorts them."""
+        key = (tuple(widths), tuple(sorted(tuple(c) for c in cores)))
+        got = self.necklace_table.get(key)
+        if got is None:
+            got = kauffman_bracket(necklace_pd(*key), RootCoeffs(self.ctx))
+            self.necklace_table[key] = got
+        return got
 
     def mu(self, i: int) -> CycNum:
         """Twist eigenvalue (-1)^i A^(i^2+2i) on e_i."""
@@ -239,15 +250,9 @@ def basis_e(params: TQFTParams) -> list[TorusVector]:
     ]
 
 
-def omega(params: TQFTParams, cross_check: bool = False) -> TorusVector:
-    """omega = eta sum <e_i> e_i, the element that implements surgery.
-
-    With cross_check the eigenvector product construction must reproduce it.
-    """
-    out = TorusVector(params, [params.eta * dim for dim in params.dims])
-    if cross_check and out != omega_product(params):
-        raise RefutationError("omega: product construction disagrees with the sum")
-    return out
+def omega(params: TQFTParams) -> TorusVector:
+    """omega = eta sum <e_i> e_i, the element that implements surgery."""
+    return TorusVector(params, [params.eta * dim for dim in params.dims])
 
 
 def omega_product(params: TQFTParams) -> TorusVector:
@@ -319,9 +324,31 @@ def hermitian_pairing(x: TorusVector, y: TorusVector) -> CycNum:
     return params.D * acc
 
 
-def pairing_bracket(
-    x: TorusVector, y: TorusVector, max_crossings: int | None = None
-) -> CycNum:
+def omega_pairing(params: TQFTParams, genus: int, terms_x, terms_y) -> CycNum:
+    """The Hermitian form of a genus-g handlebody as an honest state sum.
+
+    terms_x and terms_y resolve X and Y into parallel plain cores: each is a
+    list of (cores, weight), a core being the tuple of holes it encircles.
+    X and conj(Y) ride together through one omega-cabled meridian per hole.
+    Conjugating Y mirrors its cores, which leaves the planar diagram alone
+    and conjugates only the weights.
+    """
+    ctx = params.ctx
+    om_z = sorted(omega(params).coords_z().items())
+    total = ctx.zero
+    for widths in itertools.product(om_z, repeat=genus):
+        wc = ctx.one
+        for _, c in widths:
+            wc = wc * c
+        wkey = [w for w, _ in widths]
+        for cores_x, cx in terms_x:
+            for cores_y, cy in terms_y:
+                got = params.necklace(wkey, cores_x + cores_y)
+                total = total + wc * cx * cy.conj() * got
+    return total
+
+
+def pairing_bracket(x: TorusVector, y: TorusVector) -> CycNum:
     """The form as an honest bracket state sum.
 
     x and conj(y), expanded in z-powers, ride parallel zero-framed cores of
@@ -330,22 +357,11 @@ def pairing_bracket(
     which hermitian_pairing is checked.
     """
     _same_prime(x, y)
-    params = x.params
-    ctx = params.ctx
-    coeffs = RootCoeffs(ctx)
-    cache: dict[tuple[int, int], CycNum] = {}
-    total = ctx.zero
-    for m, cm in omega(params).coords_z().items():
-        for a, ca in x.coords_z().items():
-            for b, cb in y.conj().coords_z().items():
-                key = (m, a + b)
-                got = cache.get(key)
-                if got is None:
-                    diag = necklace_pd([m], [[0]] * (a + b))
-                    got = kauffman_bracket(diag, coeffs, max_crossings)
-                    cache[key] = got
-                total = total + cm * ca * cb * got
-    return total
+
+    def terms(v: TorusVector):
+        return [(((0,),) * k, c) for k, c in v.coords_z().items()]
+
+    return omega_pairing(x.params, 1, terms(x), terms(y))
 
 
 def hopf_pairing_closed(params: TQFTParams, i: int, j: int) -> CycNum:
@@ -360,27 +376,13 @@ def hopf_matrix(params: TQFTParams) -> Matrix:
     return [[hopf_pairing_closed(params, i, j) for j in range(d)] for i in range(d)]
 
 
-def hopf_bracket(
-    params: TQFTParams,
-    x: TorusVector,
-    y: TorusVector,
-    max_crossings: int | None = None,
-) -> CycNum:
+def hopf_bracket(params: TQFTParams, x: TorusVector, y: TorusVector) -> CycNum:
     """Bilinear bracket oracle: the Hopf link cabled by the z-expansions of
     x and y, no conjugation anywhere."""
-    ctx = params.ctx
-    coeffs = RootCoeffs(ctx)
-    cache: dict[tuple[int, int], CycNum] = {}
-    total = ctx.zero
+    total = params.ctx.zero
     for a, ca in x.coords_z().items():
         for b, cb in y.coords_z().items():
-            got = cache.get((a, b))
-            if got is None:
-                got = kauffman_bracket(
-                    necklace_pd([a], [[0]] * b), coeffs, max_crossings
-                )
-                cache[(a, b)] = got
-            total = total + ca * cb * got
+            total = total + ca * cb * params.necklace([a], [[0]] * b)
     return total
 
 
@@ -413,7 +415,8 @@ def v_gram_closed(params: TQFTParams) -> Matrix:
         for j in range(d):
             m = i + j
             c = z_plus2_pow_in_e(m + 1)[0]
-            assert c == math.comb(2 * m + 2, m) // (m + 1)
+            if c != math.comb(2 * m + 2, m) // (m + 1):
+                raise RefutationError(f"(z+2)^{m}: e_0-coefficient is not the Catalan number")
             row.append(params.D * c * ctx.A_pow(j) * inv1a**m)
         out.append(row)
     return out

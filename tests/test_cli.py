@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -51,6 +52,27 @@ def test_config_emit_checked() -> None:
         RunConfig(emit="yaml")
 
 
+def test_config_budget_keeps_the_measured_primes() -> None:
+    RunConfig(p_list=(5, 7, 11, 13)).within_budget()
+    with pytest.raises(ValueError, match="p <= 13"):
+        RunConfig(p_list=(5, 17)).within_budget()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus2", "--p", "101"],
+        ["stabilize", "--p", "17"],
+        ["verify-all", "--p", "5,17"],
+    ],
+    ids=["genus2", "stabilize", "verify-all"],
+)
+def test_heavy_verbs_refuse_primes_over_budget(capsys, argv) -> None:
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "p <= 13" in err
+
+
 # --- single verbs -----------------------------------------------------------
 
 
@@ -89,6 +111,20 @@ def test_rank_verb(capsys) -> None:
     assert code == 0
     assert payload["rank"] == 15
     assert abs(payload["verlinde_float"] - 15) < 1e-6
+
+
+@pytest.mark.parametrize("p, genus", [(101, 3), (13, 10)])
+def test_rank_float_check_scales_with_the_rank(capsys, p, genus) -> None:
+    # ranks 737889335 and 6.1e15: the float is off by 1.4e-5 and by 39
+    code, out, _ = run(capsys, "rank", "--p", str(p), "--genus", str(genus))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_rank_ok_rejects_off_by_one_below_a_million() -> None:
+    for n in (15, 999_999):
+        assert cli.rank_ok(n, float(n))
+        assert not cli.rank_ok(n, float(n + 1))
+        assert not cli.rank_ok(n, float(n - 1))
 
 
 def test_genus3p5_reports_witness(capsys) -> None:
@@ -258,3 +294,15 @@ def test_verify_all_unchanged_under_optimize_flag() -> None:
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_no_assert_in_the_library() -> None:
+    # python -O strips asserts, so every check in the library must raise
+    pkg = os.path.dirname(os.path.abspath(skeinlat.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []

@@ -151,6 +151,7 @@ def test_mixing_rings_raises():
         lambda x, y: x - y,
         lambda x, y: x * y,
         lambda x, y: x / y,
+        lambda x, y: x == y,
     ):
         with pytest.raises(ValueError, match="cannot mix"):
             op(c5.one, c7.q)

@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from skeinlat import torus
 from skeinlat.matrices import ldl_decomposition, mat_eq
 from skeinlat.planar import (
     COLORS,
@@ -361,7 +362,6 @@ def test_report_json_round_trip_fields():
     out = rep.to_json()
     assert out["p"] == 5 and out["basis"] == "Av" and out["unimodular"] is True
     assert "gram" not in out
-    assert "gram" in rep.to_json(include_gram=True)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +411,30 @@ def test_genus3_witness(color):
 def test_genus3_report_rejects_other_colors():
     with pytest.raises(ValueError):
         genus3_p5_report(color="z")
+
+
+def test_gram_bracket_rejects_mixed_genus():
+    arrs = [arrangement_set_genus2(5)[0], arrangement_set_genus3()[0]]
+    with pytest.raises(ValueError, match="genus"):
+        gram_bracket(params_for(5), arrs)
+
+
+def test_genus3_reports_share_the_necklace_table(monkeypatch):
+    # both recolorings pair the same plain arrangements, so the second report
+    # finds every state sum of the first in the context's necklace table
+    calls = []
+    real = torus.kauffman_bracket
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(torus, "kauffman_bracket", counting)
+    TQFTParams.for_prime(5).necklace_table.clear()
+    genus3_p5_report("v")
+    assert len(calls) == 792
+    genus3_p5_report("omega")
+    assert len(calls) == 792
 
 
 def test_witness_rejects_mismatched_instance():
