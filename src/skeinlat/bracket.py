@@ -45,8 +45,20 @@ class RootCoeffs:
         return self.ctx.A_pow(k)
 
 
-class CapExceeded(Exception):
-    """Raised when a diagram exceeds the configured crossing cap."""
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x with path halving; an unseen x is its own root."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict[int, int], x: int, y: int) -> None:
+    """Merge the classes of x and y; the root of x's class moves under y's."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
 
 
 @dataclass(frozen=True)
@@ -76,27 +88,12 @@ class LinkDiagram:
     def components(self) -> list[tuple[int, ...]]:
         """Arc sets of the link components; crossing-free loops come last as ()."""
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for cr in self.pd:
-            for a in cr:
-                parent.setdefault(a, a)
         for a, b, c, d in self.pd:
-            union(a, c)
-            union(b, d)
+            _union(parent, a, c)
+            _union(parent, b, d)
         groups: dict[int, list[int]] = {}
         for a in parent:
-            groups.setdefault(find(a), []).append(a)
+            groups.setdefault(_find(parent, a), []).append(a)
         comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
         return comps + [()] * self.loops
 
@@ -132,10 +129,8 @@ def _crossing_order(pd: Sequence[tuple[int, int, int, int]]) -> list[int]:
     return order
 
 
-def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs, max_crossings: int | None = None):
+def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
     """Evaluate the bracket; <empty> = 1 and each loop closure contributes delta."""
-    if max_crossings is not None and diagram.crossings > max_crossings:
-        raise CapExceeded(f"{diagram.crossings} crossings exceeds cap {max_crossings}")
     pd = diagram.pd
     order = _crossing_order(pd)
 
@@ -231,20 +226,11 @@ def braid_pd(word: Sequence[int], strands: int) -> LinkDiagram:
 
     # Closure identifies the bottom label at each position with the top label.
     parent = {a: a for a in range(1, fresh)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for pos in range(strands):
-        ra, rb = find(pos + 1), find(current[pos])
-        if ra != rb:
-            parent[ra] = rb
-    pd = tuple(tuple(find(a) for a in cr) for cr in crossings)
+        _union(parent, pos + 1, current[pos])
+    pd = tuple(tuple(_find(parent, a) for a in cr) for cr in crossings)
     used = {a for cr in pd for a in cr}
-    roots = {find(a) for a in range(1, fresh)}
+    roots = {_find(parent, a) for a in range(1, fresh)}
     loops = sum(1 for r in roots if r not in used)
     return LinkDiagram(pd, loops)
 
@@ -348,19 +334,6 @@ def delete_components(diagram: LinkDiagram, kill: Iterable[int]) -> LinkDiagram:
     dead_arcs = {a for k in kill for a in comps[k]}
 
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     kept: list[tuple[int, int, int, int]] = []
     for a, b, c, d in diagram.pd:
         under_dead = a in dead_arcs
@@ -368,26 +341,25 @@ def delete_components(diagram: LinkDiagram, kill: Iterable[int]) -> LinkDiagram:
         if under_dead and over_dead:
             continue
         if under_dead:
-            union(b, d)
+            _union(parent, b, d)
         elif over_dead:
-            union(a, c)
+            _union(parent, a, c)
         else:
             kept.append((a, b, c, d))
-    pd = tuple(tuple(find(x) for x in cr) for cr in kept)
+    pd = tuple(tuple(_find(parent, x) for x in cr) for cr in kept)
     used = {a for cr in pd for a in cr}
     # Surviving crossing components that lost every crossing become bare loops.
     freed = 0
     for ci, arcs in enumerate(comps):
         if ci in kill or not arcs:
             continue
-        if not any(find(a) in used for a in arcs):
+        if not any(_find(parent, a) in used for a in arcs):
             freed += 1
     surviving_loops = sum(1 for ci in range(len(comps)) if ci not in kill and not comps[ci])
     return LinkDiagram(pd, freed + surviving_loops)
 
 
-def bracket_z_plus_const(diagram: LinkDiagram, const, coeffs=LaurentCoeffs,
-                         max_crossings: int | None = None):
+def bracket_z_plus_const(diagram: LinkDiagram, const) -> IntLaurent:
     """Bracket with every component colored z + const, via the sublink sum.
 
     Coloring a component by z keeps the curve; the constant term deletes it.
@@ -398,30 +370,28 @@ def bracket_z_plus_const(diagram: LinkDiagram, const, coeffs=LaurentCoeffs,
     total = None
     for mask in range(1 << mu):
         kill = [i for i in range(mu) if mask >> i & 1]
-        term = kauffman_bracket(delete_components(diagram, kill), coeffs, max_crossings)
+        term = kauffman_bracket(delete_components(diagram, kill))
         for _ in kill:
             term = term * const
         total = term if total is None else total + term
     return total
 
 
-def bracket_z_plus_2(diagram: LinkDiagram, max_crossings: int | None = None) -> IntLaurent:
-    return bracket_z_plus_const(diagram, IntLaurent.monomial(2, 0), LaurentCoeffs, max_crossings)
+def bracket_z_plus_2(diagram: LinkDiagram) -> IntLaurent:
+    return bracket_z_plus_const(diagram, IntLaurent.monomial(2, 0))
 
 
-def bracket_z_plus_q2(diagram: LinkDiagram, max_crossings: int | None = None) -> IntLaurent:
+def bracket_z_plus_q2(diagram: LinkDiagram) -> IntLaurent:
     """Variant coloring z + [2], with [2] = A^2 + A^-2."""
-    two_q = IntLaurent({2: 1, -2: 1})
-    return bracket_z_plus_const(diagram, two_q, LaurentCoeffs, max_crossings)
+    return bracket_z_plus_const(diagram, IntLaurent({2: 1, -2: 1}))
 
 
-def divisibility_certificate(diagram: LinkDiagram, variant: str = "z+2",
-                             max_crossings: int | None = None) -> dict:
+def divisibility_certificate(diagram: LinkDiagram, variant: str = "z+2") -> dict:
     """Certify (1+A)^mu | <L(z+2)> (or the z+[2] variant); quotient included."""
     if variant == "z+2":
-        f = bracket_z_plus_2(diagram, max_crossings)
+        f = bracket_z_plus_2(diagram)
     elif variant == "z+[2]":
-        f = bracket_z_plus_q2(diagram, max_crossings)
+        f = bracket_z_plus_q2(diagram)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     mu = diagram.mu

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
-from .bracket import CapExceeded, LinkDiagram, divisibility_certificate, load_corpus
+from .bracket import LinkDiagram, divisibility_certificate, load_corpus
 from .cyclotomic import _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
 from .matrices import diagonal, mat_eq
@@ -52,11 +52,18 @@ BASES_G1 = {"e": basis_e, "omega": basis_omega, "v": basis_v}
 BASES_G2 = ("G", "A", "Av")
 VARIANTS = ("z+2", "z+[2]")
 
-# The largest prime the genus-2 and lattice families accept: the largest at
-# which their cost is measured (genus2 --p 13 takes about 70 s over the three
-# bases, stabilize --p 13 about 20 s).  Beyond it they would run without a
-# stated bound, so a larger prime is refused as bad input.
+# The largest inputs each verb accepts: the largest at which its cost is
+# measured (single runs on a 2-core Xeon).  Beyond them a verb would run
+# without a stated bound, so larger inputs are refused as bad input.
+# genus2 --p 13 takes about 70 s over the three bases, stabilize --p 13
+# about 20 s.
 MAX_P_HEAVY = 13
+# genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.
+MAX_P_GENUS1 = 43
+# rank --p 211 --genus 12 takes about 17 s; --p 401 --genus 3 about 10 s,
+# and past genus 12 the float cross-check overflows.
+MAX_P_RANK = 211
+MAX_GENUS_RANK = 12
 
 
 @dataclass(frozen=True)
@@ -88,14 +95,17 @@ class RunConfig:
         if self.emit not in ("json", "table"):
             raise ValueError(f"emit must be json or table, got {self.emit!r}")
 
-    def within_budget(self) -> "RunConfig":
-        """Refuse primes beyond MAX_P_HEAVY; for the verbs that run the
-        genus-2 or lattice family."""
-        over = [p for p in self.p_list if p > MAX_P_HEAVY]
+    def within_budget(self, max_p: int = MAX_P_HEAVY, max_genus: int | None = None,
+                      what: str = "genus-2 and lattice") -> "RunConfig":
+        """Refuse primes beyond max_p and, if given, genera beyond max_genus;
+        the defaults are those of the verbs that run the genus-2 or lattice
+        family."""
+        over = [p for p in self.p_list if p > max_p]
         if over:
-            raise ValueError(
-                f"the genus-2 and lattice families accept p <= {MAX_P_HEAVY}, got {over}"
-            )
+            raise ValueError(f"the {what} budget is p <= {max_p}, got {over}")
+        over = [g for g in self.genus_list if max_genus is not None and g > max_genus]
+        if over:
+            raise ValueError(f"the {what} budget is genus <= {max_genus}, got {over}")
         return self
 
 
@@ -158,32 +168,29 @@ def _guarded(claim: str, p: int, fn):
         return {"claim": claim, "p": p, "ok": False, "error": str(exc)}
 
 
+def _holds(claim: str, p: int, check) -> dict:
+    """A yes/no claim: ok is the truth of check(), and a refutation fails it."""
+    return _guarded(claim, p, lambda: {"claim": claim, "p": p, "ok": bool(check())})
+
+
 # --- per-family certificate builders -------------------------------------
 
 
 def polynomial_certs() -> list[dict]:
     certs = []
-    ok = True
-    try:
-        for n in range(1, 13):
-            twist_matrix_v(n)
-    except (ValueError, ArithmeticError):
-        ok = False
-    certs.append(
-        {"claim": "twist matrix on v-powers has integral entries up to size 12",
-         "p": None, "ok": ok}
-    )
-    ok = True
-    try:
-        for n in range(1, 9):
-            twist_sq_matrix_vtilde(n)
-    except (ValueError, ArithmeticError):
-        ok = False
-    certs.append(
-        {"claim": "squared-twist matrix on rescaled v-powers has integral "
-                  "entries up to size 8",
-         "p": None, "ok": ok}
-    )
+    for claim, build, top in (
+        ("twist matrix on v-powers has integral entries up to size 12",
+         twist_matrix_v, 12),
+        ("squared-twist matrix on rescaled v-powers has integral entries up to size 8",
+         twist_sq_matrix_vtilde, 8),
+    ):
+        try:
+            for n in range(1, top + 1):
+                build(n)
+            ok = True
+        except (ValueError, ArithmeticError):
+            ok = False
+        certs.append({"claim": claim, "p": None, "ok": ok})
     return certs
 
 
@@ -203,52 +210,24 @@ def genus1_certs(params: TQFTParams) -> list[dict]:
         )
         cert["ok"] = bool(cert.get("ok")) and cert.get("associate_exponent") == want[name]
         certs.append(cert)
-    certs.append(
-        {"claim": "closed-form e-basis gram equals the paired gram", "p": p,
-         "ok": mat_eq(grams["e"], e_gram_closed(params))}
-    )
-    certs.append(
-        {"claim": "closed-form v-basis gram equals the paired gram", "p": p,
-         "ok": mat_eq(grams["v"], v_gram_closed(params))}
-    )
-    certs.append(_guarded("det W exponent", p, lambda: det_w_certificate(params)))
-    certs.append(_guarded("vandermonde exponent", p, lambda: vandermonde_certificate(params)))
-    certs.append(
-        {"claim": "surgery element product form equals its definition", "p": p,
-         "ok": omega_product(params) == omega(params)}
-    )
-    certs.append(_guarded(
-        "v-powers and twist orbit related by integral change of basis", p,
-        lambda: {
-            "claim": "v-powers and twist orbit related by integral change of basis",
-            "p": p,
-            "ok": bool(v_in_omega_span(params)),
-        },
-    ))
-    certs.append(_guarded(
-        "regluing involution has integral matrix in the v-basis", p,
-        lambda: {
-            "claim": "regluing involution has integral matrix in the v-basis",
-            "p": p,
-            "ok": bool(s_matrix(params, basis="v")),
-        },
-    ))
-    certs.append(_guarded(
-        "twist matrix in the v-basis specializes integrally at the root", p,
-        lambda: {
-            "claim": "twist matrix in the v-basis specializes integrally at the root",
-            "p": p,
-            "ok": all(x.is_integral() for row in twist_matrix_v_at(params) for x in row),
-        },
-    ))
-    certs.append(_jsonable_scalar(modular_relation_scalar(params)))
+    certs += [
+        _holds("closed-form e-basis gram equals the paired gram", p,
+               lambda: mat_eq(grams["e"], e_gram_closed(params))),
+        _holds("closed-form v-basis gram equals the paired gram", p,
+               lambda: mat_eq(grams["v"], v_gram_closed(params))),
+        _guarded("det W exponent", p, lambda: det_w_certificate(params)),
+        _guarded("vandermonde exponent", p, lambda: vandermonde_certificate(params)),
+        _holds("surgery element product form equals its definition", p,
+               lambda: omega_product(params) == omega(params)),
+        _holds("v-powers and twist orbit related by integral change of basis", p,
+               lambda: v_in_omega_span(params)),
+        _holds("regluing involution has integral matrix in the v-basis", p,
+               lambda: s_matrix(params, basis="v")),
+        _holds("twist matrix in the v-basis specializes integrally at the root", p,
+               lambda: all(x.is_integral() for row in twist_matrix_v_at(params) for x in row)),
+        modular_relation_scalar(params),
+    ]
     return certs
-
-
-def _jsonable_scalar(cert: dict) -> dict:
-    out = dict(cert)
-    out["scalar"] = out["scalar"].to_json()
-    return out
 
 
 def lattice_certs(params: TQFTParams, cap_iter: int) -> list[dict]:
@@ -310,7 +289,7 @@ def genus2_certs(p: int) -> list[dict]:
     for basis in BASES_G2:
         claim = f"genus-2 {basis}-basis gram determinant exponent"
 
-        def build(basis=basis, claim=claim):
+        def build(basis=basis):
             rep = gram_genus2(p, basis)
             cert = rep.to_json()
             cert["claim"] = (
@@ -329,7 +308,7 @@ def genus3_certs() -> list[dict]:
     for color in ("v", "omega"):
         claim = f"genus-3 {color}-recolored gram determinant valuation"
 
-        def build(color=color, claim=claim):
+        def build(color=color):
             rep = genus3_p5_report(color)
             wit = non_unimodular_witness(5, 3, rep)
             cert = rep.to_json()
@@ -350,20 +329,16 @@ def corpus_certs(corpus: str | None, cap_crossings: int) -> list[dict]:
     for entry in load_corpus(corpus):
         diagram = LinkDiagram.from_json(entry)
         for variant in VARIANTS:
-            try:
-                cert = divisibility_certificate(
-                    diagram, variant, max_crossings=cap_crossings
-                )
-                cert = {"name": entry["name"], **cert}
-            except CapExceeded:
+            if diagram.crossings > cap_crossings:
                 cert = {
-                    "name": entry["name"],
                     "claim": f"(1+A)^mu divides <L({variant})>",
                     "skipped": True,
                     "reason": f"more than {cap_crossings} crossings",
                     "ok": True,
                 }
-            certs.append(cert)
+            else:
+                cert = divisibility_certificate(diagram, variant)
+            certs.append({"name": entry["name"], **cert})
     return certs
 
 
@@ -387,7 +362,7 @@ def bundle(config: RunConfig) -> list[dict]:
 
 
 def cmd_genus1(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(1,))
+    RunConfig(p_list=(args.p,), genus_list=(1,)).within_budget(MAX_P_GENUS1, what="genus1")
     params = TQFTParams.for_prime(args.p)
     g = gram(BASES_G1[args.basis](params))
     if args.emit == "gram":
@@ -415,7 +390,9 @@ def cmd_genus3p5(args) -> tuple[int, object]:
 
 
 def cmd_rank(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(args.genus,))
+    RunConfig(p_list=(args.p,), genus_list=(args.genus,)).within_budget(
+        MAX_P_RANK, MAX_GENUS_RANK, "rank"
+    )
     n = count_spine_colorings(args.genus, args.p)
     vf = verlinde_float(args.genus, args.p)
     ok = rank_ok(n, vf)
@@ -424,7 +401,8 @@ def cmd_rank(args) -> tuple[int, object]:
 
 
 def cmd_bracket(args) -> tuple[int, object]:
-    certs = corpus_certs(args.corpus, args.cap_crossings)
+    config = RunConfig(cap_crossings=args.cap_crossings, corpus=args.corpus)
+    certs = corpus_certs(config.corpus, config.cap_crossings)
     code = 0 if all(c["ok"] for c in certs) else 1
     return code, certs
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from skeinlat.bracket import (
-    CapExceeded,
     LaurentCoeffs,
     LinkDiagram,
     RootCoeffs,
@@ -103,6 +102,67 @@ def test_markov_stabilization_curls():
         down = bracket(list(word) + [-strands], strands + 1)
         assert up == -(A**3) * base
         assert down == -(A**-3) * base
+
+
+# Seeded moves of regular isotopy (Kauffman, Topology 26, 1987): each maker
+# draws a random braid word on 3 or 4 strands and returns it before and after
+# one move, with at most 10 crossings either way.
+
+def _word(rng, strands, longest):
+    return [rng.choice((1, -1)) * rng.randrange(1, strands)
+            for _ in range(rng.randrange(longest + 1))]
+
+
+def _splice(rng, word, before, after):
+    k = rng.randrange(len(word) + 1)
+    return word[:k] + before + word[k:], word[:k] + after + word[k:]
+
+
+def _inverse_pair(rng):
+    strands = rng.choice((3, 4))
+    word = _word(rng, strands, 8)
+    g = rng.choice((1, -1)) * rng.randrange(1, strands)
+    return (*_splice(rng, word, [], [g, -g]), strands)
+
+
+def _braid_relation(rng):
+    strands = rng.choice((3, 4))
+    i, s = rng.randrange(1, strands - 1), rng.choice((1, -1))
+    word = _word(rng, strands, 7)
+    return (*_splice(rng, word, [s * i, s * (i + 1), s * i],
+                     [s * (i + 1), s * i, s * (i + 1)]), strands)
+
+
+def _far_commute(rng):
+    a, b = rng.choice((1, -1)), rng.choice((3, -3))
+    word = _word(rng, 4, 8)
+    return (*_splice(rng, word, [a, b], [b, a]), 4)
+
+
+def _rotate(rng):
+    strands = rng.choice((3, 4))
+    word = _word(rng, strands, 10)
+    k = rng.randrange(len(word) + 1)
+    return word, word[k:] + word[:k], strands
+
+
+BRAID_MOVES = {
+    "inverse-pair": _inverse_pair,
+    "braid-relation": _braid_relation,
+    "far-commute": _far_commute,
+    "rotate": _rotate,
+}
+
+
+@pytest.mark.parametrize("move", BRAID_MOVES)
+def test_seeded_braid_moves_keep_the_bracket(move):
+    rng = random.Random(20261018 + sorted(BRAID_MOVES).index(move))
+    for _ in range(25):
+        before, after, strands = BRAID_MOVES[move](rng)
+        assert len(before) <= 10 and len(after) <= 10
+        assert bracket(after, strands) == bracket(before, strands), (before, after)
+        for word in (before, after):
+            assert braid_pd(word, strands).mu == len(braid_components(word, strands))
 
 
 # ---------------------------------------------------------------- corpus
@@ -370,12 +430,7 @@ def test_root_coefficient_evaluation():
     assert at_root == ctx.from_A_laurent(exact)
 
 
-# ---------------------------------------------------------------- caps and errors
-
-def test_crossing_cap():
-    with pytest.raises(CapExceeded):
-        kauffman_bracket(braid_pd([1, 1, 1], 2), max_crossings=2)
-
+# ---------------------------------------------------------------- errors
 
 def test_bad_pd_rejected():
     with pytest.raises(ValueError):

@@ -73,6 +73,24 @@ def test_heavy_verbs_refuse_primes_over_budget(capsys, argv) -> None:
     assert err.startswith("error:") and "p <= 13" in err
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["genus1", "--p", "47"], "p <= 43"),
+        (["genus1", "--p", "61", "--emit", "gram"], "p <= 43"),
+        (["rank", "--p", "223", "--genus", "2"], "p <= 211"),
+        (["rank", "--p", "13", "--genus", "13"], "genus <= 12"),
+        (["rank", "--p", "13", "--genus", "200"], "genus <= 12"),
+        (["rank", "--p", "13", "--genus", "1000"], "genus <= 12"),
+    ],
+    ids=["genus1", "genus1-gram", "rank-p", "rank-genus", "rank-genus-200", "rank-genus-1000"],
+)
+def test_light_verbs_refuse_inputs_over_budget(capsys, argv, limit) -> None:
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and limit in err
+
+
 # --- single verbs -----------------------------------------------------------
 
 
@@ -185,6 +203,13 @@ def test_bracket_crossing_cap_skips(capsys) -> None:
     assert code == 0
     skipped = [c["name"] for c in certs if c.get("skipped")]
     assert set(skipped) == {"torus_2_12", "torus_3_6"}
+
+
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_bracket_refuses_a_nonpositive_cap(capsys, cap) -> None:
+    code, out, err = run(capsys, "bracket", "--cap-crossings", cap)
+    assert code == 2 and out == ""
+    assert err == "error: caps must be positive\n"
 
 
 def test_corrupt_corpus_fails_fast(capsys, tmp_path) -> None:
