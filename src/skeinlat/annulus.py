@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import A, ONE_PLUS_A, IntLaurent, LocLaurent, RefutationError
+from .laurent import IntLaurent, LocLaurent, RefutationError
 from .matrices import Matrix
 
 
@@ -92,7 +92,8 @@ def z_plus2_pow_in_e(n: int) -> list[int]:
 
 
 def e_in_z_plus2(n: int) -> list[int]:
-    """e_{n-1} = sum_{i=1}^n (-1)^(n-i) C(n+i-1, n-i) (z+2)^(i-1)."""
+    """Oracle for z_plus2_pow_in_e, the inverse change of basis:
+    e_{n-1} = sum_{i=1}^n (-1)^(n-i) C(n+i-1, n-i) (z+2)^(i-1)."""
     return [(-1) ** (n - i) * math.comb(n + i - 1, n - i) for i in range(1, n + 1)]
 
 
@@ -127,15 +128,16 @@ def twist_eigenvalue(i: int) -> IntLaurent:
 
 
 def twist_sq_eigenvalue(i: int) -> IntLaurent:
-    """Eigenvalue of the squared twist on e_i, written in the variable q."""
+    """Oracle for twist_sq_matrix_vtilde, which it must diagonalize to:
+    the eigenvalue of the squared twist on e_i, in the variable q."""
     return IntLaurent.monomial(1, (i * i + 2 * i))
 
 
 def v_in_e_matrix(size: int) -> Matrix:
-    """Columns are v^j in the e-basis, entries in the localization at 1+A.
+    """Oracle for twist_matrix_v, the change of basis that diagonalizes it.
 
-    Upper triangular with diagonal (1+A)^-j, hence invertible over the
-    localized ring.
+    Columns are v^j in the e-basis, entries in the localization at 1+A.
+    Upper triangular with diagonal (1+A)^-j, hence invertible there.
     """
     cols = [z_plus2_pow_in_e(j + 1) for j in range(size)]
     return [

@@ -14,7 +14,7 @@ A^-2, and the empty diagram evaluates to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -266,36 +266,10 @@ def braid_components(word: Sequence[int], strands: int) -> list[tuple[int, ...]]
     return sorted(comps)
 
 
-def braid_linking_matrix(word: Sequence[int], strands: int) -> list[list[int]]:
-    """Pairwise linking numbers of the closure components (diagonal = writhe)."""
-    comps = braid_components(word, strands)
-    comp_of = {}
-    for ci, cyc in enumerate(comps):
-        for s in cyc:
-            comp_of[s] = ci
-    n = len(comps)
-    half = [[0] * n for _ in range(n)]
-    pos = list(range(strands))
-    for g in word:
-        i = abs(g) - 1
-        s1, s2 = pos[i], pos[i + 1]
-        c1, c2 = comp_of[s1], comp_of[s2]
-        sign = 1 if g > 0 else -1
-        half[c1][c2] += sign
-        if c1 != c2:
-            half[c2][c1] += sign
-        pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    # Inter-component crossings pair up; self-crossings count once for writhe.
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = half[a][b] // 2 if a != b else half[a][b]
-    return out
-
-
 def cable_braid(word: Sequence[int], strands: int, widths: Sequence[int]) -> tuple[list[int], int]:
-    """Replace each strand by parallel copies; widths are per starting strand.
+    """Oracle for necklace_pd: cabled links built from braid closures instead.
 
+    Replace each strand by parallel copies; widths are per starting strand.
     All strands of a closure component must share a width.  A width may be 0,
     which deletes the strand (used nowhere for colors, but harmless).
     """
@@ -416,7 +390,8 @@ def divisibility_certificate(diagram: LinkDiagram, variant: str = "z+2") -> dict
 
 
 def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:
-    """True iff f^(k)(-1) = 0 mod p for all 0 <= k < mu; requires mu < p."""
+    """Oracle for divisibility_certificate, mod p: True iff f^(k)(-1) = 0
+    mod p for all 0 <= k < mu; requires mu < p."""
     if not 0 <= mu < p:
         raise ValueError("need 0 <= mu < p")
     g = f
@@ -431,7 +406,8 @@ def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:
 
 
 def root_divisibility(f: IntLaurent, mu: int, ctx: CycContext) -> bool:
-    """True iff (1+A)^mu divides f(A) at the root of unity of ctx."""
+    """Oracle for divisibility_certificate at a root of unity: True iff
+    (1+A)^mu divides f(A) at the root of unity of ctx."""
     value = ctx.from_A_laurent(f)
     if value == ctx.zero:
         return True
@@ -555,7 +531,10 @@ def load_corpus(path: str | None = None) -> list[dict]:
     for entry in links:
         if not isinstance(entry, dict) or not _CORPUS_KEYS <= set(entry):
             raise ValueError(f"corpus entry missing keys: {entry!r:.80}")
-        diag = LinkDiagram.from_json(entry)
+        try:
+            diag = LinkDiagram.from_json(entry)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corpus entry {entry['name']!r} is malformed: {exc}") from exc
         if diag.mu != entry["mu"] or diag.crossings != entry["crossings"]:
             raise ValueError(f"corpus entry {entry['name']!r} is inconsistent")
     return links

@@ -60,7 +60,7 @@ VARIANTS = ("z+2", "z+[2]")
 MAX_P_HEAVY = 13
 # genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.
 MAX_P_GENUS1 = 43
-# rank --p 211 --genus 12 takes about 17 s; --p 401 --genus 3 about 10 s,
+# rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s,
 # and past genus 12 the float cross-check overflows.
 MAX_P_RANK = 211
 MAX_GENUS_RANK = 12
@@ -76,7 +76,6 @@ class RunConfig:
     cap_iter: int = 32
     corpus: str | None = None
     out_dir: str | None = None
-    emit: str = "json"
 
     def __post_init__(self) -> None:
         if not self.p_list:
@@ -92,8 +91,6 @@ class RunConfig:
                 raise ValueError(f"genus >= 2 claims need p >= 5, got {low}")
         if min(self.cap_crossings, self.cap_iter) < 1:
             raise ValueError("caps must be positive")
-        if self.emit not in ("json", "table"):
-            raise ValueError(f"emit must be json or table, got {self.emit!r}")
 
     def within_budget(self, max_p: int = MAX_P_HEAVY, max_genus: int | None = None,
                       what: str = "genus-2 and lattice") -> "RunConfig":
@@ -324,9 +321,9 @@ def genus3_certs() -> list[dict]:
     return certs
 
 
-def corpus_certs(corpus: str | None, cap_crossings: int) -> list[dict]:
+def corpus_certs(links: list[dict], cap_crossings: int) -> list[dict]:
     certs = []
-    for entry in load_corpus(corpus):
+    for entry in links:
         diagram = LinkDiagram.from_json(entry)
         for variant in VARIANTS:
             if diagram.crossings > cap_crossings:
@@ -343,6 +340,7 @@ def corpus_certs(corpus: str | None, cap_crossings: int) -> list[dict]:
 
 
 def bundle(config: RunConfig) -> list[dict]:
+    links = load_corpus(config.corpus)  # a bad corpus fails before any family runs
     certs = polynomial_certs()
     for p in config.p_list:
         params = TQFTParams.for_prime(p)
@@ -354,7 +352,7 @@ def bundle(config: RunConfig) -> list[dict]:
             certs.extend(genus2_certs(p))
     if 3 in config.genus_list and 5 in config.p_list:
         certs.extend(genus3_certs())
-    certs.extend(corpus_certs(config.corpus, config.cap_crossings))
+    certs.extend(corpus_certs(links, config.cap_crossings))
     return certs
 
 
@@ -402,7 +400,7 @@ def cmd_rank(args) -> tuple[int, object]:
 
 def cmd_bracket(args) -> tuple[int, object]:
     config = RunConfig(cap_crossings=args.cap_crossings, corpus=args.corpus)
-    certs = corpus_certs(config.corpus, config.cap_crossings)
+    certs = corpus_certs(load_corpus(config.corpus), config.cap_crossings)
     code = 0 if all(c["ok"] for c in certs) else 1
     return code, certs
 
@@ -441,7 +439,6 @@ def cmd_verify_all(args) -> tuple[int, object]:
         cap_iter=args.cap_iter,
         corpus=args.corpus,
         out_dir=os.environ.get(OUT_ENV),
-        emit=args.emit,
     ).within_budget()
     certs = _jsonable(bundle(config))
     ok = all(c["ok"] for c in certs)

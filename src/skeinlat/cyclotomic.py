@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import IntLaurent, LocLaurent, RefutationError
+from .laurent import IntLaurent, RefutationError
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -184,12 +184,6 @@ class CycContext:
     def from_q_laurent(self, f: IntLaurent) -> "CycNum":
         return self.from_A_laurent(f.substitute_power(2))
 
-    def from_A_loc(self, x: LocLaurent) -> "CycNum":
-        out = self.from_A_laurent(x.num)
-        if x.k:
-            out = out * self.inv(self.from_A_laurent(IntLaurent({0: 1, 1: 1}))) ** x.k
-        return out
-
     def inv(self, x: "CycNum") -> "CycNum":
         """Cached field inverse via the product of Galois conjugates."""
         got = self._inv_cache.get(x)
@@ -354,7 +348,7 @@ class CycNum:
         return Fraction(z.vec[0], z.den)
 
     def norm_resultant(self) -> Fraction:
-        """Same norm by the subresultant PRS; independent cross-check route."""
+        """Oracle for norm: the same norm by the subresultant PRS."""
         if self.is_zero():
             return Fraction(0)
         res = poly_resultant(list(self.ctx._phi_poly), list(self.vec))
@@ -384,13 +378,6 @@ class CycNum:
 
     def is_unit(self) -> bool:
         return self.den == 1 and abs(self.norm()) == 1
-
-    def is_associate(self, other: "CycNum") -> bool:
-        """True when self = unit * other in the ring of integers."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        z = self / other
-        return z.den == 1 and abs(z.norm()) == 1
 
     def valuation_one_minus_q(self) -> tuple[int, "CycNum"]:
         """Largest k with (1-q)^k dividing self in O, plus the cofactor.

@@ -169,8 +169,8 @@ class OLattice:
         return not any(rem)
 
     def zeta_stable(self) -> bool:
-        """The module property, checked on the nose: zeta times every basis
-        vector stays inside."""
+        """Certificate of the module property, which ROADMAP item 2 runs in
+        saturate: zeta times every basis vector stays inside."""
         zeta = self.ctx.zeta_pow(1)
         return all(
             self.contains_vector([zeta * c for c in vec])
@@ -185,12 +185,13 @@ def lattice_equal(a: OLattice, b: OLattice) -> bool:
 
 
 def lattice_index(inner: OLattice, outer: OLattice) -> int:
-    """Group index [outer : inner] for a full-rank containment.
+    """Oracle for lattice_equal: equal lattices are those of index 1.
 
-    Both lattices are rescaled to one common denominator; every inner basis
-    row must then reduce to zero over the outer form, and the index is the
-    determinant of the coefficient matrix.  Non-containment or a rank drop
-    raises instead of returning a number.
+    Group index [outer : inner] for a full-rank containment.  Both lattices
+    are rescaled to one common denominator; every inner basis row must then
+    reduce to zero over the outer form, and the index is the determinant of
+    the coefficient matrix.  Non-containment or a rank drop raises instead
+    of returning a number.
     """
     if inner.ctx.n != outer.ctx.n or inner.width != outer.width:
         raise ValueError("lattices live in different ambient spaces")

@@ -206,11 +206,10 @@ def graph_colorings_genus2(p: int) -> list[Coloring2]:
 
 
 def graph_colorings_genus3(p: int) -> list[Coloring3]:
-    """Wheel colorings ((a1,a2,a3), (c1,c2,c3)).
-
-    Loops a_i below d; arm c_i even with (a_i, a_i, c_i) admissible; the
-    three arms meet a central vertex, so (c1, c2, c3) must be admissible too.
-    Ordered loops first."""
+    """Oracle for arrangement_set_genus3: its lead colorings, the wheel
+    colorings ((a1,a2,a3), (c1,c2,c3)).  Loops a_i below d; arm c_i even with
+    (a_i, a_i, c_i) admissible; the three arms meet a central vertex, so
+    (c1, c2, c3) must be admissible too.  Ordered loops first."""
     d = _half(p)
     arms: dict[int, list[int]] = {}
     for a in range(d):
@@ -419,7 +418,8 @@ def expand_arrangement(
 
 
 def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
-    """Rows: arrangements; columns: graph colorings, both in their lex order."""
+    """Oracle for gram_closed_genus2, the LDL factor of its Gram matrix.
+    Rows: arrangements; columns: graph colorings, both in their lex order."""
     cols = {col: n for n, col in enumerate(graph_colorings_genus2(params.p))}
     mat = []
     for arr in arrangement_set_genus2(params.p):
@@ -431,13 +431,14 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
 
 
 def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
-    """Support bound and lead coefficient of the expansion, as a certificate.
+    """Certificate of triangularity; ROADMAP item 1 gates gram_genus2 on it.
 
-    Claim: every coloring in the support of an arrangement is componentwise
-    at most its lead coloring, and the lead coefficient is 1 for z-colored
-    curves and (1+A)^-n for v-colored ones (n = curve count).  Componentwise
-    dominance implies lex dominance, so the matrix over the shared order is
-    triangular with unit diagonal.
+    Support bound and lead coefficient of the expansion.  Claim: every
+    coloring in the support of an arrangement is componentwise at most its
+    lead coloring, and the lead coefficient is 1 for z-colored curves and
+    (1+A)^-n for v-colored ones (n = curve count).  Componentwise dominance
+    implies lex dominance, so the matrix over the shared order is triangular
+    with unit diagonal.
     """
     if color not in ("z", "v"):
         raise ValueError("triangularity is claimed for z and v cables only")

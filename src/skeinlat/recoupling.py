@@ -133,9 +133,6 @@ class QFrac:
             num, den = -num, -den
         return QFrac(num, den)
 
-    def as_laurent(self) -> IntLaurent:
-        return self.num.exact_div(self.den)
-
     def at_root(self, ctx: CycContext) -> CycNum:
         den = ctx.from_q_laurent(self.den)
         if den.is_zero():
@@ -264,45 +261,23 @@ def arm_weight(p: int, k: int) -> int:
     return sum(1 for i in range(0, p - 1, 2) if p_admissible(p, i, i, k))
 
 
-def arm_weight_mixed(p: int, k: int) -> int:
-    if k % 2:
-        return 0
-    return sum(1 for i in range(p - 1) if p_admissible(p, i, i, k))
+def count_spine_colorings(genus: int, p: int) -> int:
+    """Admissible colorings of a genus-g caterpillar spine, loops colored even.
 
-
-def count_spine_colorings(genus: int, p: int, mixed: bool = False) -> int:
-    """Admissible colorings of a genus-g caterpillar spine.
-
-    Loops may take any admissible color when mixed=True, else only even
-    colors; all other edges are forced even by parity either way.
+    All other edges are then forced even by parity.  The spine is cut at its
+    middle arm: half[k][m] counts the colorings of a caterpillar of k+1 arms
+    hanging off one edge colored m, and the two halves meet on that edge.
     """
     if genus < 1:
         raise ValueError("genus must be positive")
-    evens = range(0, p - 1, 2)
-    w = {k: (arm_weight_mixed(p, k) if mixed else arm_weight(p, k)) for k in evens}
     if genus == 1:
-        return (p - 1) if mixed else (p - 1) // 2
-    if genus == 2:
-        return sum(w[k] ** 2 for k in evens)
-    if genus == 3:
-        return sum(
-            w[a] * w[b] * w[c]
-            for a in evens
-            for b in evens
-            for c in evens
-            if p_admissible(p, a, b, c)
-        )
-    f = {
-        m: sum(
-            w[s1] * w[s2]
-            for s1 in evens
-            for s2 in evens
-            if p_admissible(p, s1, s2, m)
-        )
-        for m in evens
-    }
-    for _ in range(genus - 4):
-        f = {
+        return (p - 1) // 2
+    evens = range(0, p - 1, 2)
+    w = {k: arm_weight(p, k) for k in evens}
+    half = [w]
+    for _ in range((genus - 1) // 2):
+        f = half[-1]
+        half.append({
             m2: sum(
                 f[m1] * w[s]
                 for m1 in evens
@@ -310,14 +285,9 @@ def count_spine_colorings(genus: int, p: int, mixed: bool = False) -> int:
                 if p_admissible(p, s, m1, m2)
             )
             for m2 in evens
-        }
-    return sum(
-        f[m1] * w[s1] * w[s2]
-        for m1 in evens
-        for s1 in evens
-        for s2 in evens
-        if p_admissible(p, s1, s2, m1)
-    )
+        })
+    left, right = half[(genus - 2) // 2], half[(genus - 1) // 2]
+    return sum(left[m] * right[m] for m in evens)
 
 
 def verlinde_float(genus: int, p: int) -> float:
@@ -336,15 +306,15 @@ _RANK_NUM_G5 = (
 
 
 def rank_polynomial_genus3(k: int) -> int:
-    """Spine-coloring count at p = 4k+1 in genus 3, in closed form.
-
-    The numerator polynomial is divisible by 45 at every integer; the
-    division below is checked exact.  Odd for k congruent to 1 mod 2."""
+    """Oracle for count_spine_colorings: the genus-3 count at p = 4k+1,
+    in closed form.  The numerator polynomial is divisible by 45 at every
+    integer; the division below is checked exact.  Odd for odd k."""
     return _rank_polynomial(_RANK_NUM_G3, 45, k)
 
 
 def rank_polynomial_genus5(k: int) -> int:
-    """Spine-coloring count at p = 4k+1 in genus 5, in closed form."""
+    """Oracle for count_spine_colorings: the genus-5 count at p = 4k+1,
+    in closed form."""
     return _rank_polynomial(_RANK_NUM_G5, 14175, k)
 
 

@@ -277,7 +277,8 @@ def merge(a: int, b: int, c: int) -> TLElement:
 
 
 def theta_net(a: int, b: int, c: int) -> QFrac:
-    """Theta network by loop counting: two vertices joined along a, b, c."""
+    """Oracle for theta: the theta network by loop counting, two vertices
+    joined along a, b, c."""
     w = w_spread(a, b, c)
     cap = w.compose(jones_wenzl(c)).compose(w.transpose())
     fab = jones_wenzl(a).tensor(jones_wenzl(b))
@@ -285,7 +286,7 @@ def theta_net(a: int, b: int, c: int) -> QFrac:
 
 
 def tet_net(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
-    """Tetrahedron network by loop counting.
+    """Oracle for tet: the tetrahedron network by loop counting.
 
     Vertices (a,b,e), (a,d,f), (b,c,f), (c,d,e); built bottom to top as maps
     e -> a|b -> d|f|b -> d|c -> e and closed along e.

@@ -227,7 +227,7 @@ def reduce_e(params: TQFTParams, raw) -> TorusVector:
 
 
 def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> TorusVector:
-    """Image of an annulus element given in powers of z.
+    """Oracle for z_action: the image of an annulus element in powers of z.
 
     Coefficients may be ints, A-Laurent polynomials, or CycNum.
     """
@@ -377,8 +377,8 @@ def hopf_matrix(params: TQFTParams) -> Matrix:
 
 
 def hopf_bracket(params: TQFTParams, x: TorusVector, y: TorusVector) -> CycNum:
-    """Bilinear bracket oracle: the Hopf link cabled by the z-expansions of
-    x and y, no conjugation anywhere."""
+    """Oracle for hopf_pairing_closed: the bilinear bracket of the Hopf link
+    cabled by the z-expansions of x and y, no conjugation anywhere."""
     total = params.ctx.zero
     for a, ca in x.coords_z().items():
         for b, cb in y.coords_z().items():
@@ -565,7 +565,8 @@ def twist_matrix_v_at(params: TQFTParams) -> Matrix:
 
 
 def form_preserved(gram_mat: Matrix, op: Matrix, zero) -> bool:
-    """op^T G conj(op) == G: op is an isometry of the Hermitian form."""
+    """Certificate that op^T G conj(op) == G, an isometry of the Hermitian
+    form; ROADMAP item 6 promotes it to verify-all."""
     right = mat_mul(gram_mat, map_entries(lambda x: x.conj(), op), zero)
     return mat_eq(mat_mul(transpose(op), right, zero), gram_mat)
 

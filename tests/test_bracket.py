@@ -12,7 +12,6 @@ from skeinlat.bracket import (
     bracket_z_plus_const,
     bracket_z_plus_q2,
     braid_components,
-    braid_linking_matrix,
     braid_pd,
     cable_braid,
     delete_components,
@@ -180,22 +179,6 @@ def test_corpus_structure():
         assert diag.crossings == entry["crossings"]
         assert diag.crossings <= 12 and diag.mu <= 3
         assert braid_components(entry["braid"], entry["strands"]) is not None
-
-
-def test_corpus_linking_matrices():
-    by_name = {e["name"]: e for e in corpus_links()}
-    hopf = by_name["hopf"]
-    # diagonal holds self-writhe (none here), off-diagonal the linking number
-    assert braid_linking_matrix(hopf["braid"], hopf["strands"]) == [[0, 1], [1, 0]]
-    wh = by_name["whitehead"]
-    lk = braid_linking_matrix(wh["braid"], wh["strands"])
-    assert lk[0][1] == lk[1][0] == 0
-    borr = by_name["borromean"]
-    lk = braid_linking_matrix(borr["braid"], borr["strands"])
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert lk[i][j] == 0
 
 
 def test_corpus_stored_pd_matches_braid():

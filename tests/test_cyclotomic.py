@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, poly_resultant
-from skeinlat.laurent import IntLaurent, LocLaurent
+from skeinlat.laurent import IntLaurent
 
 
 def test_cyclotomic_polys():
@@ -63,9 +64,9 @@ def test_valuation_of_p(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_one_plus_A_associate_one_minus_q(p):
     ctx = CycContext(p)
-    one_plus_A = ctx.one + ctx.A
-    assert one_plus_A.is_associate(ctx.one_minus_q)
-    assert not ctx.from_int(p).is_associate(ctx.one_minus_q)
+    k, cof = (ctx.one + ctx.A).valuation_one_minus_q()
+    assert k == 1 and cof.is_unit()
+    assert ctx.from_int(p).valuation_one_minus_q()[0] != 1
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -77,7 +78,42 @@ def test_units(p):
     assert not (ctx.one / 2).is_unit()
 
 
-@pytest.mark.parametrize("p", [5, 7])
+def random_element(ctx, rng):
+    vec = tuple(rng.randrange(-9, 10) for _ in range(ctx.phi))
+    return CycNum(ctx, vec, rng.randrange(1, 5))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_ring_laws_seeded(p):
+    ctx = CycContext(p)
+    rng = random.Random(2024 + p)
+    for _ in range(20):
+        x, y, z = (random_element(ctx, rng) for _ in range(3))
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + ctx.zero == x and x * ctx.one == x and x - x == ctx.zero
+        if not x.is_zero():
+            assert x * x.inverse() == ctx.one
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_galois_action_seeded(p):
+    ctx = CycContext(p)
+    rng = random.Random(4048 + p)
+    units = [k for k in range(1, ctx.n) if math.gcd(k, ctx.n) == 1]
+    for _ in range(20):
+        x, y = random_element(ctx, rng), random_element(ctx, rng)
+        k = rng.choice(units)
+        assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+        assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+        assert ctx.one.galois(k) == ctx.one
+        assert x.conj().conj() == x
+        assert (x * y).conj() == x.conj() * y.conj()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_norm_dual_route(p):
     ctx = CycContext(p)
     rng = random.Random(12345 + p)
@@ -129,9 +165,6 @@ def test_laurent_embedding(p):
     # the embedding is a ring map
     g = IntLaurent({-2: 3, 1: -1})
     assert ctx.from_A_laurent(f * g) == ctx.from_A_laurent(f) * ctx.from_A_laurent(g)
-    half = ctx.from_A_loc(LocLaurent(IntLaurent(1), 1))
-    assert half * (ctx.one + ctx.A) == 1
-    assert not half.is_integral()
 
 
 def test_json_roundtrip():

@@ -62,35 +62,56 @@ def test_hnf_ragged_rejected() -> None:
         hnf([[1, 0], [1]])
 
 
+def assert_hnf(form: list[list[int]], width: int) -> None:
+    """Echelon with strictly increasing pivot columns, positive pivots, and
+    every entry above a pivot reduced into [0, pivot)."""
+    pivots = []
+    for r in form:
+        assert len(r) == width and any(r)
+        col = next(k for k, x in enumerate(r) if x)
+        assert r[col] > 0
+        pivots.append(col)
+    assert pivots == sorted(set(pivots))
+    for i, col in enumerate(pivots):
+        assert all(0 <= above[col] < form[i][col] for above in form[:i])
+
+
 def test_hnf_shape_invariants() -> None:
     rng = random.Random(7)
     for _ in range(25):
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-        form = hnf(rows)
-        pivots = []
-        for r in form:
-            col = next(k for k, x in enumerate(r) if x)
-            assert r[col] > 0
-            pivots.append(col)
-            for other in form:
-                if other is not r:
-                    assert 0 <= other[col] < r[col] or other[col] == 0
-        assert pivots == sorted(pivots)
+        assert_hnf(hnf(rows), 5)
 
 
 def test_hnf_canonical_under_row_operations() -> None:
+    # random shapes, rank-deficient ones included; the rows are moved by
+    # unimodular operations (swaps, negations, adding a multiple of one row
+    # to another), then zero rows and integer combinations of rows join them
     rng = random.Random(11)
-    for _ in range(25):
-        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-        mixed = [list(r) for r in rows]
-        # span-preserving moves: swaps, negations, adding one row to another
-        for _ in range(10):
-            i, j = rng.randrange(3), rng.randrange(3)
-            c = rng.randint(-2, 2)
-            if i != j:
-                mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
-        mixed.append([0, 0, 0, 0])
-        assert hnf(rows) == hnf(mixed)
+    for _ in range(60):
+        width, count = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(count)]
+        if count > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        form = hnf(rows)
+        assert_hnf(form, width)
+        moved = [list(r) for r in rows]
+        for _ in range(12):
+            i, j = rng.randrange(count), rng.randrange(count)
+            move = rng.randrange(3)
+            if move == 0:
+                moved[i], moved[j] = moved[j], moved[i]
+            elif move == 1:
+                moved[i] = [-a for a in moved[i]]
+            elif i != j:
+                c = rng.randint(-3, 3)
+                moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+        for _ in range(rng.randint(0, 3)):
+            cs = [rng.randint(-2, 2) for _ in range(count)]
+            moved.append([sum(c * r[k] for c, r in zip(cs, rows)) for k in range(width)])
+        moved += [[0] * width] * rng.randint(0, 2)
+        rng.shuffle(moved)
+        assert hnf(moved) == form
 
 
 # --- construction and membership ---------------------------------------

@@ -63,7 +63,7 @@ def test_theta_loop_degeneration():
 
 def test_theta_frozen():
     assert theta(1, 1, 2) == qint(3)
-    assert theta(1, 1, 2).as_laurent() == quantum_dim(2)
+    assert theta(1, 1, 2) == quantum_dim(2)
     # hand expansion of the three-projector diagram in powers of the loop
     # value delta: theta(2,2,2) = delta^3 - 3 delta + 2/delta
     delta = delta_loop()
@@ -115,7 +115,7 @@ def test_tet_inadmissible():
 def test_qfrac():
     a = QFrac(qint(3), qint(2))
     b = QFrac(qint(2), 1)
-    assert (a * b).as_laurent() == qint(3)
+    assert a * b == qint(3)
     assert a == QFrac(qint(3) * qint(4), qint(2) * qint(4))
     ctx = CycContext(7)
     v = QFrac(qint(2) * qint(2), qint(2)).at_root(ctx)
@@ -146,9 +146,3 @@ def test_counts_match_trig_formula(genus, p):
     exact = count_spine_colorings(genus, p)
     approx = verlinde_float(genus, p)
     assert abs(exact - approx) < 1e-6
-
-
-@pytest.mark.parametrize("genus", [2, 3, 4, 5])
-@pytest.mark.parametrize("p", [5, 7])
-def test_mixed_counts(genus, p):
-    assert count_spine_colorings(genus, p, mixed=True) == 2 ** genus * count_spine_colorings(genus, p)
