@@ -4,7 +4,6 @@ lattice facts tying them together.  Run as `python3 demos/torus_certificates.py 
 import sys
 
 from skeinlat.lattice import OLattice, lattice_equal, saturate
-from skeinlat.matrices import diagonal
 from skeinlat.torus import (
     TQFTParams,
     basis_e,
@@ -13,6 +12,7 @@ from skeinlat.torus import (
     det_w_certificate,
     gram,
     s_matrix,
+    twist_matrix,
     verify_unimodular,
 )
 
@@ -34,9 +34,8 @@ def main(p: int) -> None:
     v_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_v(params)])
     print(f"  twist-orbit lattice equals v-power lattice: {lattice_equal(w_lat, v_lat)}")
 
-    twist = diagonal([params.mu(i) for i in range(d)], ctx.zero)
     seed = [x.coords for x in basis_e(params)]
-    report = saturate(ctx, seed, [twist, s_matrix(params)])
+    report = saturate(ctx, seed, [twist_matrix(params), s_matrix(params)])
     print(
         f"  e-basis seed under {{t, S}}: stabilized after {report.iterations} "
         f"growth round(s), reaches the v-power lattice: "

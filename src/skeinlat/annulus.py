@@ -69,10 +69,9 @@ def e_to_z_poly(coeffs: list[object]) -> dict[int, object]:
 
 
 def e_product_in_e(i: int, j: int) -> dict[int, int]:
-    """e_i e_j expanded in the e-basis; all coefficients are 0 or 1."""
-    prod = e_poly(i) * e_poly(j)
-    vec = z_poly_to_e(dict(prod.c), 0)
-    return {k: v for k, v in enumerate(vec) if v}
+    """e_i e_j expanded in the e-basis: the Clebsch-Gordan rule, e_k once
+    for each k = |i-j|, |i-j|+2, .., i+j."""
+    return {k: 1 for k in range(abs(i - j), i + j + 1, 2)}
 
 
 def _integral(c: Fraction) -> int:

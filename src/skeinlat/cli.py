@@ -22,7 +22,7 @@ from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
 from .bracket import LinkDiagram, divisibility_certificate, load_corpus
 from .cyclotomic import _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
-from .matrices import diagonal, mat_eq
+from .matrices import mat_eq
 from .planar import genus3_p5_report, gram_genus2, non_unimodular_witness
 from .recoupling import count_spine_colorings, verlinde_float
 from .torus import (
@@ -34,11 +34,13 @@ from .torus import (
     basis_v,
     det_w_certificate,
     e_gram_closed,
+    expect_exponent,
     gram,
     modular_relation_scalar,
     omega,
     omega_product,
     s_matrix,
+    twist_matrix,
     twist_matrix_v_at,
     v_gram_closed,
     v_in_omega_span,
@@ -144,10 +146,6 @@ def _as_table(obj) -> str:
     return "\n".join(lines)
 
 
-def _twist_op(params: TQFTParams):
-    return diagonal([params.mu(i) for i in range(params.d)], params.ctx.zero)
-
-
 def _basis_vectors(params: TQFTParams, name: str):
     return [x.coords for x in BASES_G1[name](params)]
 
@@ -191,21 +189,22 @@ def polynomial_certs() -> list[dict]:
     return certs
 
 
+def genus1_exponent(d: int, basis: str) -> int:
+    """The genus-1 claim: the e-basis Gram determinant is D^d, associate to
+    (1-q)^(d(d-1)), and the omega and v bases are unimodular."""
+    return d * (d - 1) if basis == "e" else 0
+
+
 def genus1_certs(params: TQFTParams) -> list[dict]:
-    d, p = params.d, params.p
+    p = params.p
     certs = []
     grams = {name: gram(build(params)) for name, build in BASES_G1.items()}
-    want = {"e": d * (d - 1), "omega": 0, "v": 0}
     for name in BASES_G1:
-        cert = _guarded(
-            f"genus-1 {name}-basis gram determinant exponent", p,
-            lambda name=name: verify_unimodular(params, grams[name], name),
-        )
-        cert["claim"] = (
-            f"genus-1 {name}-basis gram determinant is associate to "
-            f"(1-q)^{want[name]}"
-        )
-        cert["ok"] = bool(cert.get("ok")) and cert.get("associate_exponent") == want[name]
+        expect = genus1_exponent(params.d, name)
+        claim = f"genus-1 {name}-basis gram determinant is associate to (1-q)^{expect}"
+        cert = _guarded(claim, p, lambda: expect_exponent(
+            verify_unimodular(params, grams[name], name), expect))
+        cert["claim"] = claim
         certs.append(cert)
     certs += [
         _holds("closed-form e-basis gram equals the paired gram", p,
@@ -237,7 +236,7 @@ def lattice_certs(params: TQFTParams, cap_iter: int) -> list[dict]:
     ]
     rep = saturate(
         ctx, _basis_vectors(params, "e"),
-        [_twist_op(params), s_matrix(params)], cap=cap_iter,
+        [twist_matrix(params), s_matrix(params)], cap=cap_iter,
     )
     certs.append(
         {"claim": "e-basis seed saturates to the v-power lattice within five rounds",
@@ -344,13 +343,11 @@ def bundle(config: RunConfig) -> list[dict]:
     certs = polynomial_certs()
     for p in config.p_list:
         params = TQFTParams.for_prime(p)
-        if 1 in config.genus_list:
-            certs.extend(genus1_certs(params))
-            certs.extend(lattice_certs(params, config.cap_iter))
+        certs.extend(genus1_certs(params))
+        certs.extend(lattice_certs(params, config.cap_iter))
         certs.extend(rank_certs(p, config.genus_list))
-        if 2 in config.genus_list:
-            certs.extend(genus2_certs(p))
-    if 3 in config.genus_list and 5 in config.p_list:
+        certs.extend(genus2_certs(p))
+    if 5 in config.p_list:
         certs.extend(genus3_certs())
     certs.extend(corpus_certs(links, config.cap_crossings))
     return certs
@@ -367,7 +364,7 @@ def cmd_genus1(args) -> tuple[int, object]:
         return 0, {"p": args.p, "basis": args.basis,
                    "gram": [[x.to_json() for x in row] for row in g]}
     cert = verify_unimodular(params, g, args.basis)
-    return (0 if cert["ok"] else 1), cert
+    return 0, expect_exponent(cert, genus1_exponent(params.d, args.basis))
 
 
 def cmd_genus2(args) -> tuple[int, object]:
@@ -413,7 +410,7 @@ def cmd_stabilize(args) -> tuple[int, object]:
         seed = [omega(params).coords]
     else:
         seed = _basis_vectors(params, args.seed)
-    op_table = {"t": lambda: _twist_op(params), "s": lambda: s_matrix(params)}
+    op_table = {"t": lambda: twist_matrix(params), "s": lambda: s_matrix(params)}
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     if not names or any(n not in op_table for n in names):
         raise ValueError(f"ops must be a comma list drawn from t, s; got {args.ops!r}")

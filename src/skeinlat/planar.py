@@ -43,7 +43,8 @@ from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum
 from .matrices import Matrix, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import DegeneracyError, RefutationError, TQFTParams, _det, associate_certificate, omega, omega_pairing
+from .torus import (RefutationError, TQFTParams, _det, associate_certificate, expect_exponent,
+                    fold_raw, fold_transparent, omega, omega_pairing)
 
 Coloring2 = tuple[int, int, int]
 Coloring3 = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -252,29 +253,6 @@ def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
 COLORS = ("z", "v", "omega")
 
 
-def _fold_raw(params: TQFTParams, raw) -> list[CycNum]:
-    """Reduce an annulus element to colors 0..p-2.
-
-    e_{p-1} is dropped and e_{p-1+j} folds to -e_{p-1-j}; degrees past 2p-4
-    never arise from products of reduced elements."""
-    ctx, top = params.ctx, params.p - 1
-    out = [ctx.zero] * top
-    for k, coeff in enumerate(raw):
-        if isinstance(coeff, int):
-            if not coeff:
-                continue
-            coeff = ctx.from_int(coeff)
-        elif not coeff:
-            continue
-        if k < top:
-            out[k] = out[k] + coeff
-        elif k > top:
-            if k > 2 * top - 2:
-                raise ValueError(f"degree {k} beyond the reducible range")
-            out[2 * top - k] = out[2 * top - k] - coeff
-    return out
-
-
 def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> list[CycNum]:
     """Reduced product of two annulus elements given over colors 0..p-2."""
     ctx, top = params.ctx, params.p - 1
@@ -299,10 +277,10 @@ def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
     of one curve."""
     ctx = params.ctx
     if color == "z":
-        return _fold_raw(params, z_power_in_e(count))
+        return fold_raw(params, z_power_in_e(count))
     if color == "v":
-        unit = ctx.inv(ctx.one + ctx.A) ** count
-        return _fold_raw(params, [unit * c for c in z_plus2_pow_in_e(count + 1)])
+        unit = params.inv1a ** count
+        return fold_raw(params, [unit * c for c in z_plus2_pow_in_e(count + 1)])
     if color == "omega":
         om = [params.eta * dim for dim in params.dims]
         om += [ctx.zero] * (params.p - 1 - params.d)
@@ -443,7 +421,6 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     if color not in ("z", "v"):
         raise ValueError("triangularity is claimed for z and v cables only")
     ctx = params.ctx
-    inv1a = ctx.inv(ctx.one + ctx.A)
     support_ok = True
     diagonal_ok = True
     for arr in arrangement_set_genus2(params.p):
@@ -452,7 +429,7 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
         for (i, j, k) in coords:
             if i > li or j > lj or k > lk:
                 support_ok = False
-        want = ctx.one if color == "z" else inv1a ** arr.curve_count
+        want = ctx.one if color == "z" else params.inv1a ** arr.curve_count
         if coords.get((li, lj, lk)) != want:
             diagonal_ok = False
     ok = support_ok and diagonal_ok
@@ -490,17 +467,12 @@ def pairing_closed_genus2(
     for count_x, count_y in ((x.alpha, y.alpha), (x.beta, y.beta), (x.gamma, y.gamma)):
         fx = _class_cable(params, color, count_x)
         fy = _conj_cable(_class_cable(params, color, count_y))
-        pq.append(_fold_transparent(params, _annulus_product(params, fx, fy)))
+        pq.append(fold_transparent(params, _annulus_product(params, fx, fy)))
     for m in range(params.d):
         term = pq[0][m] * pq[1][m] * pq[2][m]
         if term:
             acc = acc + term * ctx.inv(quantum_dim_at(params.ctx, m))
     return params.D * params.D * acc
-
-
-def _fold_transparent(params: TQFTParams, cable: list[CycNum]) -> list[CycNum]:
-    """Fold an annulus element over e_r = e_{p-2-r} into colors 0..d-1."""
-    return [cable[m] + cable[params.p - 2 - m] for m in range(params.d)]
 
 
 def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
@@ -540,12 +512,10 @@ def _gram_from_rows(
 
 def _curve_z_terms(params: TQFTParams, color: str) -> dict[int, CycNum]:
     """One colored curve as a polynomial in its own core: degree -> weight."""
-    ctx = params.ctx
     if color == "z":
-        return {1: ctx.one}
+        return {1: params.ctx.one}
     if color == "v":
-        inv1a = ctx.inv(ctx.one + ctx.A)
-        return {0: inv1a + inv1a, 1: inv1a}
+        return {0: params.inv1a + params.inv1a, 1: params.inv1a}
     if color == "omega":
         return omega(params).coords_z()
     raise ValueError(f"unknown color {color!r}; pick one of {COLORS}")
@@ -649,17 +619,10 @@ def _certified_report(
     plus_subring: bool | None,
 ) -> HigherGramReport:
     det = _det(params, gram)
-    if det.is_zero():
-        raise DegeneracyError(f"singular Gram matrix for basis {basis}")
-    cert = associate_certificate(
-        params, det, f"genus-{genus} gram determinant", basis
+    cert = expect_exponent(
+        associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
+        rank_term + base_change_valuation,
     )
-    expected = rank_term + base_change_valuation
-    if not cert["ok"] or cert["associate_exponent"] != expected:
-        raise RefutationError(
-            f"{basis} gram determinant is not associate to (1-q)^{expected}: "
-            f"exponent {cert['associate_exponent']}, unit cofactor {cert['ok']}"
-        )
     return HigherGramReport(
         p=params.p,
         genus=genus,
@@ -718,39 +681,31 @@ def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: s
     """Coordinates of colored arrangements over plain ones, for
     multiplicity-free families closed under removing curves.
 
-    A v-curve is ((curve) + 2) / (1+A); an omega-curve needs d = 2 and is
-    the plus-normalized surgery cable (-i) eta (e_0 + <1> e_1).  The -i
-    matters: eta = 1/D carries one factor of i (only i D lies in the
+    A curve keeps or drops its core with the z-degree 1 and 0 weights of
+    _curve_z_terms: a v-curve is ((curve) + 2) / (1+A); an omega-curve needs
+    d = 2 and is the plus-normalized surgery cable (-i) eta (e_0 + <1> e_1).
+    The -i matters: eta = 1/D carries one factor of i (only i D lies in the
     q-subring), so a bare omega cable pushes every odd-curve-count pairing
     off that subring, while -i eta is an honest q-subring fraction."""
     ctx = params.ctx
     for arr in arrs:
         if any(arr.multiplicity(s) > 1 for s in arr.curves):
             raise ValueError("subset transform needs multiplicity-free arrangements")
-    if color == "v":
-        inv1a = ctx.inv(ctx.one + ctx.A)
-        kept, dropped = inv1a, inv1a + inv1a
-    elif color == "omega":
-        if params.d != 2:
-            raise ValueError("omega-colored curves stay single strands only at d = 2")
-        eta_plus = ctx.i_power(3) * params.eta
-        kept = eta_plus * quantum_dim_at(ctx, 1)
-        dropped = eta_plus
-    else:
+    if color not in ("v", "omega"):
         raise ValueError(f"no subset transform for color {color!r}")
-    index = {frozenset_key(arr): n for n, arr in enumerate(arrs)}
+    if color == "omega" and params.d != 2:
+        raise ValueError("omega-colored curves stay single strands only at d = 2")
+    terms = _curve_z_terms(params, color)
+    unit = ctx.i_power(3) if color == "omega" else ctx.one
+    kept, dropped = terms[1] * unit, terms[0] * unit
+    index = {arr: n for n, arr in enumerate(arrs)}
     out = [[ctx.zero] * len(arrs) for _ in arrs]
     for i, arr in enumerate(arrs):
-        curves = set(arr.curves)
-        for r in range(len(arr.curves) + 1):
-            for sub in itertools.combinations(sorted(curves, key=sorted), r):
-                j = index[tuple(sorted(tuple(sorted(s)) for s in sub))]
-                out[i][j] = kept ** r * dropped ** (len(curves) - r)
+        n = arr.curve_count
+        for r in range(n + 1):
+            for sub in itertools.combinations(arr.curves, r):
+                out[i][index[CurveArrangement(arr.genus, sub)]] = kept ** r * dropped ** (n - r)
     return out
-
-
-def frozenset_key(arr: CurveArrangement) -> tuple:
-    return tuple(sorted(tuple(sorted(s)) for s in arr.curves))
 
 
 def genus3_p5_report(color: str = "v") -> HigherGramReport:

@@ -129,11 +129,6 @@ class TLElement:
         s2 = other.pre.num * self.pre.den
         return all(self.terms[m] * s1 == other.terms[m] * s2 for m in self.terms)
 
-    def coefficient(self, m: Matching) -> QFrac:
-        if m not in self.terms:
-            return QFrac(0)
-        return (self.pre * self.terms[m]).reduced()
-
     def normalized(self) -> "TLElement":
         """Pull the common factor of all terms into the reduced prefactor."""
         if self.is_zero():

@@ -57,7 +57,7 @@ class TQFTParams:
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
     p, and it owns the memo tables of the genus-2/3 fusion rules and of the
-    necklace brackets.
+    necklace brackets.  inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
     """
 
     @classmethod
@@ -71,8 +71,7 @@ class TQFTParams:
         self.ctx = ctx
         self.p = p
         self.d = ctx.d
-        self.A = ctx.A
-        self.q = ctx.q
+        self.inv1a = ctx.inv(ctx.one + ctx.A)
         gauss = ctx.zero
         for k in range(1, p):
             leg = 1 if pow(k, self.d, p) == 1 else -1
@@ -165,29 +164,16 @@ class TorusVector:
         return all(a.is_integral() for a in self.coords)
 
     def z_action(self) -> "TorusVector":
-        """Multiply by z: e_i -> e_{i-1} + e_{i+1}, with e_d folding back to
-        e_{d-1}."""
-        ctx, d = self.params.ctx, self.params.d
-        out = [ctx.zero] * d
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i > 0:
-                out[i - 1] = out[i - 1] + c
-            j = i + 1 if i + 1 < d else d - 1
-            out[j] = out[j] + c
-        return TorusVector(self.params, out)
+        """Multiply by z: e_i -> e_{i-1} + e_{i+1}, then reduce."""
+        zero = self.params.ctx.zero
+        up = (zero,) + self.coords
+        down = self.coords[1:] + (zero, zero)
+        return reduce_e(self.params, [a + b for a, b in zip(up, down)])
 
     def twist(self, j: int = 1) -> "TorusVector":
         """t^j, diagonal: coordinate i picks up mu_i^j."""
-        ctx = self.params.ctx
-        out = []
-        for i, c in enumerate(self.coords):
-            m = ctx.A_pow((i * i + 2 * i) * j)
-            if i % 2 and j % 2:
-                m = -m
-            out.append(c * m)
-        return TorusVector(self.params, out)
+        params = self.params
+        return TorusVector(params, [c * params.mu(i) ** j for i, c in enumerate(self.coords)])
 
     def coords_z(self) -> dict[int, CycNum]:
         """The same element written in powers of z (degrees below d)."""
@@ -203,6 +189,34 @@ def _same_prime(x: TorusVector, y: TorusVector) -> None:
         raise mixed_rings(x.params.ctx, y.params.ctx)
 
 
+def fold_raw(params: TQFTParams, raw) -> list[CycNum]:
+    """Reduce an annulus element to colors 0..p-2.
+
+    e_{p-1} is dropped and e_{p-1+j} folds to -e_{p-1-j}; degrees past 2p-4
+    never arise from products of reduced elements."""
+    ctx, top = params.ctx, params.p - 1
+    out = [ctx.zero] * top
+    for k, coeff in enumerate(raw):
+        if isinstance(coeff, int):
+            if not coeff:
+                continue
+            coeff = ctx.from_int(coeff)
+        elif not coeff:
+            continue
+        if k < top:
+            out[k] = out[k] + coeff
+        elif k > top:
+            if k > 2 * top - 2:
+                raise ValueError(f"degree {k} beyond the reducible range")
+            out[2 * top - k] = out[2 * top - k] - coeff
+    return out
+
+
+def fold_transparent(params: TQFTParams, cable: list[CycNum]) -> list[CycNum]:
+    """Fold an annulus element over e_r = e_{p-2-r} into colors 0..d-1."""
+    return [cable[m] + cable[params.p - 2 - m] for m in range(params.d)]
+
+
 def reduce_e(params: TQFTParams, raw) -> TorusVector:
     """Fold a raw e-expansion into the quotient.
 
@@ -210,20 +224,9 @@ def reduce_e(params: TQFTParams, raw) -> TorusVector:
     Raw degrees beyond p-1 never arise from products of reduced elements and
     are rejected.
     """
-    ctx, d = params.ctx, params.d
-    out = [ctx.zero] * d
-    for k, c in enumerate(raw):
-        if isinstance(c, int):
-            c = ctx.from_int(c)
-        if k < d:
-            out[k] = out[k] + c
-        elif k < 2 * d:
-            out[2 * d - 1 - k] = out[2 * d - 1 - k] + c
-        elif k == 2 * d:
-            continue
-        else:
-            raise ValueError(f"raw degree {k} is beyond e_{{p-1}}")
-    return TorusVector(params, out)
+    if len(raw) > params.p:
+        raise ValueError(f"raw degree {params.p} is beyond e_{{p-1}}")
+    return TorusVector(params, fold_transparent(params, fold_raw(params, raw)))
 
 
 def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> TorusVector:
@@ -280,11 +283,10 @@ def basis_v(params: TQFTParams) -> list[TorusVector]:
     """Powers of v = (z+2)/(1+A); triangular integer coordinates over the
     localization, diagonal (1+A)^-j."""
     ctx, d = params.ctx, params.d
-    inv1a = ctx.inv(ctx.one + ctx.A)
     out = []
     for j in range(d):
         col = z_plus2_pow_in_e(j + 1)
-        unit = inv1a**j
+        unit = params.inv1a**j
         out.append(
             TorusVector(
                 params,
@@ -349,7 +351,7 @@ def omega_pairing(params: TQFTParams, genus: int, terms_x, terms_y) -> CycNum:
 
 
 def pairing_bracket(x: TorusVector, y: TorusVector) -> CycNum:
-    """The form as an honest bracket state sum.
+    """Oracle for hermitian_pairing: the form as an honest bracket state sum.
 
     x and conj(y), expanded in z-powers, ride parallel zero-framed cores of
     the solid torus; one omega-cabled meridian encircles them all.  The cost
@@ -408,7 +410,6 @@ def v_gram_closed(params: TQFTParams) -> Matrix:
     for i+j >= d where that forces p to divide c_{i+j}.
     """
     ctx, d = params.ctx, params.d
-    inv1a = ctx.inv(ctx.one + ctx.A)
     out = []
     for i in range(d):
         row = []
@@ -417,7 +418,7 @@ def v_gram_closed(params: TQFTParams) -> Matrix:
             c = z_plus2_pow_in_e(m + 1)[0]
             if c != math.comb(2 * m + 2, m) // (m + 1):
                 raise RefutationError(f"(z+2)^{m}: e_0-coefficient is not the Catalan number")
-            row.append(params.D * c * ctx.A_pow(j) * inv1a**m)
+            row.append(params.D * c * ctx.A_pow(j) * params.inv1a**m)
         out.append(row)
     return out
 
@@ -461,27 +462,30 @@ def _det(params: TQFTParams, mat: Matrix) -> CycNum:
     return determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
 
 
+def expect_exponent(cert: dict, expect: int) -> dict:
+    """Pass an associate certificate through if its cofactor is a unit and
+    its exponent is expect; otherwise the claim is refuted."""
+    if not cert["ok"] or cert["associate_exponent"] != expect:
+        raise RefutationError(
+            f"{cert['claim']} fails at p = {cert['p']} ({cert['basis']} basis): "
+            f"the value is not associate to (1-q)^({expect}), exponent "
+            f"{cert['associate_exponent']}, unit cofactor {cert['ok']}"
+        )
+    return cert
+
+
 def verify_unimodular(params: TQFTParams, gram_mat: Matrix, basis: str) -> dict:
     """Determinant certificate for a Gram matrix."""
-    det = _det(params, gram_mat)
-    if det.is_zero():
-        raise DegeneracyError("singular Gram matrix")
-    return associate_certificate(params, det, "gram determinant", basis)
+    return associate_certificate(params, _det(params, gram_mat), "gram determinant", basis)
 
 
 def det_w_certificate(params: TQFTParams) -> dict:
     """det W over the omega orbit, associate to (1-q)^(-d(d-1)/2)."""
     d = params.d
     expect = -(d * (d - 1) // 2)
-    cert = associate_certificate(
-        params,
-        _det(params, w_matrix(params)),
-        f"det W associate to (1-q)^({expect})",
-        "omega",
-    )
-    if not cert["ok"] or cert["associate_exponent"] != expect:
-        raise RefutationError(f"det W is not associate to (1-q)^({expect})")
-    return cert
+    det = _det(params, w_matrix(params))
+    claim = f"det W associate to (1-q)^({expect})"
+    return expect_exponent(associate_certificate(params, det, claim, "omega"), expect)
 
 
 def vandermonde_certificate(params: TQFTParams) -> dict:
@@ -498,14 +502,8 @@ def vandermonde_certificate(params: TQFTParams) -> dict:
     if det != prod:
         raise RefutationError("vandermonde determinant disagrees with the product")
     expect = d * (d - 1) // 2
-    cert = associate_certificate(
-        params, det, f"vandermonde determinant associate to (1-q)^{expect}", "omega"
-    )
-    if not cert["ok"] or cert["associate_exponent"] != expect:
-        raise RefutationError(
-            f"vandermonde determinant is not associate to (1-q)^{expect}"
-        )
-    return cert
+    claim = f"vandermonde determinant associate to (1-q)^{expect}"
+    return expect_exponent(associate_certificate(params, det, claim, "omega"), expect)
 
 
 def v_in_omega_span(params: TQFTParams) -> Matrix:
@@ -564,6 +562,11 @@ def twist_matrix_v_at(params: TQFTParams) -> Matrix:
     return map_entries(params.ctx.from_A_laurent, twist_matrix_v(params.d))
 
 
+def twist_matrix(params: TQFTParams) -> Matrix:
+    """The twist t in the e-basis: diagonal with eigenvalues mu_i."""
+    return diagonal([params.mu(i) for i in range(params.d)], params.ctx.zero)
+
+
 def form_preserved(gram_mat: Matrix, op: Matrix, zero) -> bool:
     """Certificate that op^T G conj(op) == G, an isometry of the Hermitian
     form; ROADMAP item 6 promotes it to verify-all."""
@@ -575,9 +578,7 @@ def modular_relation_scalar(params: TQFTParams) -> dict:
     """(ST)^3 against S^2 = 1: the quotient is a unit scalar, recorded here
     rather than normalized away."""
     ctx, d = params.ctx, params.d
-    s = s_matrix(params)
-    t = diagonal([params.mu(i) for i in range(d)], ctx.zero)
-    st = mat_mul(s, t, ctx.zero)
+    st = mat_mul(s_matrix(params), twist_matrix(params), ctx.zero)
     cube = mat_mul(st, mat_mul(st, st, ctx.zero), ctx.zero)
     lam = cube[0][0]
     scalar_matrix = map_entries(lambda x: x * lam, identity(d, ctx.one, ctx.zero))

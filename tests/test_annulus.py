@@ -48,6 +48,14 @@ def test_e_product_structure():
             assert got == want
 
 
+def test_e_product_matches_the_polynomial_product():
+    # the Clebsch-Gordan rule against e_i e_j multiplied out in powers of z
+    for i in range(25):
+        for j in range(25):
+            vec = z_poly_to_e(dict((e_poly(i) * e_poly(j)).c), 0)
+            assert e_product_in_e(i, j) == {k: v for k, v in enumerate(vec) if v}
+
+
 def test_change_of_basis_example():
     assert z_plus2_pow_in_e(3) == [5, 4, 1]
 

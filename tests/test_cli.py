@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -164,29 +163,29 @@ def test_genus2_av_unimodular(capsys) -> None:
     assert payload["unimodular"] is True and "witness" not in payload
 
 
+def flip(field):
+    return lambda rep: dataclasses.replace(rep, **{field: not getattr(rep, field)})
+
+
 @pytest.mark.parametrize(
-    "verb, report_fn, field",
+    "verb, target, tamper",
     [
-        (["genus2", "--p", "5", "--basis", "Av"], "gram_genus2", "unimodular"),
-        (["genus2", "--p", "5", "--basis", "G"], "gram_genus2", "unimodular"),
-        (["genus3p5", "--color", "v"], "genus3_p5_report", "plus_subring"),
+        (["genus2", "--p", "5", "--basis", "Av"], "gram_genus2", flip("unimodular")),
+        (["genus2", "--p", "5", "--basis", "G"], "gram_genus2", flip("unimodular")),
+        (["genus3p5", "--color", "v"], "genus3_p5_report", flip("plus_subring")),
+        (["genus1", "--p", "5", "--basis", "e"], "genus1_exponent", lambda e: e + 1),
     ],
-    ids=["genus2-Av", "genus2-G", "genus3p5-v"],
+    ids=["genus2-Av", "genus2-G", "genus3p5-v", "genus1-e"],
 )
 def test_verb_exit_code_uses_the_verify_all_predicate(
-    capsys, monkeypatch, verb, report_fn, field
+    capsys, monkeypatch, verb, target, tamper
 ) -> None:
     # the cofactor is still a unit, so only the full predicate can fail it
-    real = getattr(cli, report_fn)
-
-    def flipped(*args):
-        rep = real(*args)
-        return dataclasses.replace(rep, **{field: not getattr(rep, field)})
-
-    monkeypatch.setattr(cli, report_fn, flipped)
-    code, out, _ = run(capsys, *verb)
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args: tamper(real(*args)))
+    code, out, err = run(capsys, *verb)
     assert code == 1
-    assert json.loads(out)["unit_cofactor"] is True
+    assert json.loads(out)["unit_cofactor"] is True if out else "unit cofactor True" in err
 
 
 # --- bracket corpus ---------------------------------------------------------
@@ -361,15 +360,24 @@ def test_no_assert_in_the_library() -> None:
 
 
 def test_every_library_name_is_used_or_labeled() -> None:
-    # a name that no other line of the library or the demos mentions is
-    # reached only from tests, so its docstring must say why it stays: an
-    # oracle for a claim-path name, or a certificate a ROADMAP item promotes
-    mentions: dict[str, set] = {}
+    # a name that no code of the library or the demos uses outside its own
+    # def is reached only from tests, so its docstring must say why it stays:
+    # an oracle for a claim-path name, or a certificate a ROADMAP item
+    # promotes; words in docstrings, comments and strings are not uses
+    uses: dict[str, set] = {}
     for folder in (PKG, DEMOS):
         for name, text in sources(folder):
-            for no, line in enumerate(text.splitlines(), 1):
-                for word in re.findall(r"\w+", line):
-                    mentions.setdefault(word, set()).add((name, no))
+            for n in ast.walk(ast.parse(text, name)):
+                if isinstance(n, ast.Name):
+                    words = [n.id]
+                elif isinstance(n, ast.Attribute):
+                    words = [n.attr]
+                elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                    words = [a.name.split(".")[-1] for a in n.names]
+                else:
+                    continue
+                for word in words:
+                    uses.setdefault(word, set()).add((folder, name, n.lineno))
     unlabeled = []
     for name, text in sources(PKG):
         tree = ast.parse(text, name)
@@ -380,7 +388,8 @@ def test_every_library_name_is_used_or_labeled() -> None:
             if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
         ]
         for node in defs:
-            if mentions[node.name] - {(name, node.lineno)}:
+            own = {(PKG, name, no) for no in range(node.lineno, node.end_lineno + 1)}
+            if uses.get(node.name, set()) - own:
                 continue
             first = (ast.get_docstring(node) or "").split("\n")[0]
             if not first.startswith(("Oracle", "Certificate")):

@@ -71,8 +71,8 @@ def test_wenzl_two_strand_coefficients():
     f = jones_wenzl(2)
     ident = frozenset({frozenset({0, 2}), frozenset({1, 3})})
     cup = frozenset({frozenset({0, 1}), frozenset({2, 3})})
-    assert f.coefficient(ident) == QFrac(1)
-    assert f.coefficient(cup) == QFrac(IntLaurent(1), qint(2))
+    assert f.pre * QFrac(f.terms[ident]) == QFrac(1)
+    assert f.pre * QFrac(f.terms[cup]) == QFrac(IntLaurent(1), qint(2))
 
 
 def test_theta_against_closed_form():
