@@ -238,12 +238,12 @@ def saturate(ctx: CycContext, seed, ops: list[Matrix], cap: int = 32) -> Saturat
     matrix acting on coordinate vectors."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    lat = OLattice.from_vectors(ctx, seed)
-    for grown in range(cap + 1):
+    lat, grown = OLattice.from_vectors(ctx, seed), 0
+    while True:
         gens = lat.vectors()
         step = [mat_vec(op, g, ctx.zero) for op in ops for g in gens]
         bigger = OLattice.from_vectors(ctx, gens + step)
-        if lattice_equal(bigger, lat):
-            return SaturationReport(lat, grown, True)
-        lat = bigger
-    return SaturationReport(lat, cap, False)
+        stable = lattice_equal(bigger, lat)
+        if stable or grown == cap:
+            return SaturationReport(lat, grown, stable)
+        lat, grown = bigger, grown + 1

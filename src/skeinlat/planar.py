@@ -37,13 +37,14 @@ powers of 1-q, never as bare booleans.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum
-from .matrices import Matrix, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
+from .matrices import Matrix, diagonal, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import (RefutationError, TQFTParams, _det, associate_certificate, expect_exponent,
+from .torus import (RefutationError, TQFTParams, associate_certificate, expect_exponent,
                     fold_raw, fold_transparent, omega, omega_pairing)
 
 Coloring2 = tuple[int, int, int]
@@ -409,7 +410,7 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
 
 
 def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
-    """Certificate of triangularity; ROADMAP item 1 gates gram_genus2 on it.
+    """Oracle for the LDL pivots of gram_genus2.
 
     Support bound and lead coefficient of the expansion.  Claim: every
     coloring in the support of an arrangement is componentwise at most its
@@ -613,12 +614,18 @@ def _certified_report(
     basis: str,
     color: str | None,
     gram: Matrix,
+    pivots: list[CycNum],
     curve_total: int,
     rank_term: int,
     base_change_valuation: int,
     plus_subring: bool | None,
 ) -> HigherGramReport:
-    det = _det(params, gram)
+    """One LDL factorization of gram, whose pivots must be the closed-form ones."""
+    ctx = params.ctx
+    _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
+    if diag != pivots:
+        raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
+    det = math.prod(pivots, start=ctx.one)
     cert = expect_exponent(
         associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
         rank_term + base_change_valuation,
@@ -648,7 +655,8 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     arrangements (unit-triangular over G, same exponent); "Av" v-colored
     arrangements (diagonal picks up (1+A)^-n per arrangement and the
     determinant is a unit).  For A and Av the expansion route through the
-    graph basis must agree entrywise with the projection closed form.
+    graph basis must agree entrywise with the projection closed form, and the
+    LDL pivots with the graph norms (times |1+A|^(-2n) for Av).
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
@@ -657,11 +665,11 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * 2 * rank
     norms = {col: graph_norm_genus2(params, *col) for col in cols}
+    pivots = [norms[col] for col in cols]
     if basis == "G":
-        gram = _hermitian_fill(
-            rank, lambda i, j: norms[cols[i]] if i == j else params.ctx.zero
-        )
-        return _certified_report(params, 2, basis, None, gram, curve_total, rank_term, 0, None)
+        gram = diagonal(pivots, params.ctx.zero)
+        return _certified_report(params, 2, basis, None, gram, pivots, curve_total, rank_term,
+                                 0, None)
     if basis not in ("A", "Av"):
         raise ValueError(f"unknown basis {basis!r}; pick G, A, or Av")
     color = "z" if basis == "A" else "v"
@@ -672,8 +680,11 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
             "genus-2 gram: graph expansion disagrees with the projection closed form"
         )
     base_change = 0 if basis == "A" else -2 * curve_total
+    if basis == "Av":
+        scale = params.inv1a * params.inv1a.conj()
+        pivots = [piv * scale ** arr.curve_count for piv, arr in zip(pivots, arrs)]
     return _certified_report(
-        params, 2, basis, color, gram, curve_total, rank_term, base_change, None
+        params, 2, basis, color, gram, pivots, curve_total, rank_term, base_change, None
     )
 
 
@@ -715,9 +726,9 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     to v or omega curves and the twist by i (one factor per odd genus) land
     every entry in the real subring Z[zeta_5].  The determinant must be a
     nonunit of valuation exactly one: 45 from the graph norms minus 44 from
-    the 22 recolored curves on each side.  The factorization is checked on
-    the spot: the unit-lower-triangular Cholesky factor of the plain Gram
-    must reproduce the closed-form wheel norms on its diagonal.
+    the 22 recolored curves on each side.  The plain Gram is L diag(N) L* over
+    the wheel norms N and the recolor T is lower triangular, so the twisted
+    Gram's LDL pivots must be i T_kk conj(T_kk) N_k.
     """
     if color not in ("v", "omega"):
         raise ValueError(f"recoloring needs v or omega, got {color!r}")
@@ -726,12 +737,6 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     arrs = arrangement_set_genus3()
     curve_total = sum(arr.curve_count for arr in arrs)
     gram_plain = gram_bracket(params, arrs, "z")
-    _, diag = ldl_decomposition(gram_plain, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
-    norms = [graph_norm_genus3(params, *arr.lead_coloring()) for arr in arrs]
-    if diag != norms:
-        raise RefutationError(
-            "genus-3 gram: Cholesky diagonal disagrees with the wheel norms"
-        )
     trans = _subset_transform(params, arrs, color)
     gram_col = mat_mul(
         mat_mul(trans, gram_plain, ctx.zero),
@@ -741,10 +746,14 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     tw = ctx.i_power(1)  # one factor of i per odd genus
     twisted = map_entries(lambda v: v * tw, gram_col)
     plus_ok = all(v.in_plus_subring() for row in twisted for v in row)
+    pivots = [
+        tw * trans[k][k] * trans[k][k].conj() * graph_norm_genus3(params, *arr.lead_coloring())
+        for k, arr in enumerate(arrs)
+    ]
     rank_term = (params.d - 1) * 3 * len(arrs)
     base_change = -2 * curve_total
     return _certified_report(
-        params, 3, "A" + color, color, twisted, curve_total, rank_term,
+        params, 3, "A" + color, color, twisted, pivots, curve_total, rank_term,
         base_change, plus_ok,
     )
 

@@ -39,15 +39,6 @@ def test_z_power_in_e():
         assert {d: c for d, c in back.items() if c} == {k: 1}
 
 
-def test_e_product_structure():
-    # e_i e_j = sum of e_{|i-j| + 2k}, one term each
-    for i in range(7):
-        for j in range(7):
-            got = e_product_in_e(i, j)
-            want = {abs(i - j) + 2 * k: 1 for k in range(min(i, j) + 1)}
-            assert got == want
-
-
 def test_e_product_matches_the_polynomial_product():
     # the Clebsch-Gordan rule against e_i e_j multiplied out in powers of z
     for i in range(25):

@@ -188,6 +188,17 @@ def test_verb_exit_code_uses_the_verify_all_predicate(
     assert json.loads(out)["unit_cofactor"] is True if out else "unit cofactor True" in err
 
 
+def test_verb_refutes_on_any_arithmetic_error(capsys, monkeypatch) -> None:
+    # a zero LDL pivot is a ZeroDivisionError: a refutation, not a traceback
+    def zero_pivot(*args):
+        raise ZeroDivisionError("zero pivot")
+
+    monkeypatch.setattr(cli, "gram_genus2", zero_pivot)
+    code, out, err = run(capsys, "genus2", "--p", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("refuted:")
+
+
 # --- bracket corpus ---------------------------------------------------------
 
 

@@ -246,6 +246,21 @@ def test_cap_reports_instead_of_asserting() -> None:
     assert report.to_json()["stabilized"] is False
 
 
+def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
+    # at p = 7 the e seed needs two enlargements, so cap=1 stops after the first
+    params = params_for(7)
+    ctx = params.ctx
+    ops = [twist_op(params), s_matrix(params, basis="e")]
+    seed = [e.coords for e in basis_e(params)]
+    gens = OLattice.from_vectors(ctx, seed).vectors()
+    step = [mat_vec(op, g, ctx.zero) for op in ops for g in gens]
+    once = OLattice.from_vectors(ctx, gens + step)
+    report = saturate(ctx, seed, ops, cap=1)
+    assert report.iterations == 1 and not report.stabilized
+    assert lattice_equal(report.lattice, once)
+    assert not lattice_equal(report.lattice, lattice_for(7, "v"))
+
+
 def test_cap_must_be_positive() -> None:
     params = params_for(5)
     with pytest.raises(ValueError):

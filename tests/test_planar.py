@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from skeinlat import torus
+from skeinlat import lattice, matrices, planar, torus
 from skeinlat.matrices import ldl_decomposition, mat_eq
 from skeinlat.planar import (
     COLORS,
@@ -347,6 +347,50 @@ def test_gram_genus2_v_basis_unimodular(p):
     assert rep.unimodular and rep.unit_cofactor
 
 
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("basis", ("G", "A", "Av"))
+def test_genus2_pivot_product_matches_bareiss(p, basis):
+    rep = genus2_report(p, basis)
+    assert rep.det == torus._det(params_for(p), [list(row) for row in rep.gram])
+
+
+def test_pivot_list_off_by_one_entry_is_refuted():
+    params = params_for(5)
+    rep = genus2_report(5, "A")
+    gram = [list(row) for row in rep.gram]
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
+    args = (gram, pivots, rep.curve_total, rep.rank_term, 0, None)
+    assert planar._certified_report(params, 2, "A", "z", *args).det == rep.det
+    pivots[2] = pivots[2] + params.ctx.one
+    with pytest.raises(RefutationError, match="LDL pivots"):
+        planar._certified_report(params, 2, "A", "z", *args)
+
+
+def count_eliminations(monkeypatch) -> dict:
+    # every module binding of the two eliminations, wrapped by a counter
+    calls = {"ldl_decomposition": 0, "determinant": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for mod in (matrices, torus, planar, lattice):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return calls
+
+
+@pytest.mark.parametrize("build", (lambda: gram_genus2(5, "Av"), lambda: genus3_p5_report("v")),
+                         ids=("genus2", "genus3"))
+def test_each_report_runs_one_ldl_and_no_bareiss(monkeypatch, build):
+    calls = count_eliminations(monkeypatch)
+    build()
+    assert calls == {"ldl_decomposition": 1, "determinant": 0}
+
+
 def test_gram_genus2_rejects_unknown_basis():
     with pytest.raises(ValueError):
         gram_genus2(5, basis="B")
@@ -399,6 +443,12 @@ def test_genus3_report(color):
     assert rep.associate_exponent == 1
     assert rep.unit_cofactor and not rep.unimodular
     assert rep.plus_subring is True
+
+
+@pytest.mark.parametrize("color", ("v", "omega"))
+def test_genus3_pivot_product_matches_bareiss(color):
+    rep = genus3_report(color)
+    assert rep.det == torus._det(params_for(5), [list(row) for row in rep.gram])
 
 
 @pytest.mark.parametrize("color", ("v", "omega"))
