@@ -366,11 +366,7 @@ def cmd_genus1(args) -> tuple[int, object]:
 def cmd_genus2(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(2,)).within_budget()
     rep = gram_genus2(args.p, args.basis)
-    out = rep.to_json()
-    wit = non_unimodular_witness(args.p, 2, rep)
-    if wit is not None:
-        out["witness"] = wit
-    return (0 if genus2_ok(rep) else 1), out
+    return (0 if genus2_ok(rep) else 1), rep.to_json()
 
 
 def cmd_genus3p5(args) -> tuple[int, object]:

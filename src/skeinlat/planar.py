@@ -8,8 +8,8 @@ families matter here:
   recorded by the subset of holes it encloses.  In genus 2 an arrangement is
   the monomial x^alpha y^beta ztilde^gamma (curves around hole 0, hole 1,
   and both); in genus 3 it is a laminar multiset of nonempty hole subsets.
-  Every curve may carry the plain strand z, the element v = (z+2)/(1+A), or
-  the surgery element omega.
+  Every curve may carry the plain strand z or the element v = (z+2)/(1+A);
+  genus-3 curves may also carry the surgery element omega.
 
 * graph colorings: admissible colorings of a spine with one loop per hole
   and arms joining the loops (a dumbbell in genus 2, a three-armed wheel in
@@ -25,13 +25,10 @@ closed forms below.  Arrangements expand over graph colorings through
 two-strand fusion, so their Gram matrix is a triangular change of basis away
 from the diagonal graph Gram; the same matrix also comes straight from the
 projection rule once every cable is folded over e_r = e_{p-2-r}, and the two
-routes are compared entry by entry.  At p = 5 the honest state sum over
-necklace diagrams arbitrates both.
-
-Loop colors above d-1 fold the same way: a companion loop colored p-2 is
-invisible, and fusing it in leaves the single channel p-2-s with a unit
-coefficient.  Determinants are reported as associate certificates against
-powers of 1-q, never as bare booleans.
+routes are compared entry by entry.  Both genus-2 routes build z and v
+cables only.  At p = 5 the honest state sum over necklace diagrams
+arbitrates both.  Determinants are reported as associate certificates
+against powers of 1-q, never as bare booleans.
 """
 
 from __future__ import annotations
@@ -256,8 +253,7 @@ COLORS = ("z", "v", "omega")
 
 def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> list[CycNum]:
     """Reduced product of two annulus elements given over colors 0..p-2."""
-    ctx, top = params.ctx, params.p - 1
-    out = [ctx.zero] * top
+    raw = [params.ctx.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if not a:
             continue
@@ -266,30 +262,19 @@ def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> li
                 continue
             coeff = a * b
             for k in e_product_in_e(i, j):
-                if k < top:
-                    out[k] = out[k] + coeff
-                elif k > top:
-                    out[2 * top - k] = out[2 * top - k] - coeff
-    return out
+                raw[k] = raw[k] + coeff
+    return fold_raw(params, raw)
 
 
 def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
-    """e-coordinates over colors 0..p-2 of `count` parallel colored copies
-    of one curve."""
-    ctx = params.ctx
+    """e-coordinates over colors 0..p-2 of `count` parallel z- or v-colored
+    copies of one curve."""
     if color == "z":
         return fold_raw(params, z_power_in_e(count))
     if color == "v":
         unit = params.inv1a ** count
         return fold_raw(params, [unit * c for c in z_plus2_pow_in_e(count + 1)])
-    if color == "omega":
-        om = [params.eta * dim for dim in params.dims]
-        om += [ctx.zero] * (params.p - 1 - params.d)
-        out = [ctx.one] + [ctx.zero] * (params.p - 2)
-        for _ in range(count):
-            out = _annulus_product(params, out, om)
-        return out
-    raise ValueError(f"unknown color {color!r}; pick one of {COLORS}")
+    raise ValueError(f"genus-2 cables are z or v, got {color!r}")
 
 
 def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
@@ -327,29 +312,22 @@ def _loop_fusion(params: TQFTParams, a: int, m: int, c: int, s: int) -> CycNum:
     return got
 
 
-def _fold_unit(params: TQFTParams, s: int, c: int) -> CycNum:
-    """Coefficient folding a loop color s > d-1 down to p-2-s.
-
-    A companion loop colored p-2 equals e_0 in the module, and fusing it with
-    the s-loop admits the single channel p-2-s; its weight is a unit."""
-    return _loop_fusion(params, params.p - 2, s, c, params.p - 2 - s)
-
-
 def _fused_loop(params: TQFTParams, cable: list[CycNum], m: int, c: int) -> dict[int, CycNum]:
-    """Fuse a class cable onto a loop colored m with arm c; fold channels
-    past d-1 back into the small range."""
-    p, d = params.p, params.d
+    """Fuse a class cable onto a loop colored m with arm c, channels s < d.
+
+    Nothing is folded back: the arrangement bounds keep every hole cover
+    below d, so a z or v cable never reaches a channel s >= d, and an
+    expansion that lost a term would be refuted by the entrywise comparison
+    with the projection closed form."""
+    p = params.p
     out: dict[int, CycNum] = {}
     for a, xa in enumerate(cable):
         if not xa:
             continue
-        for s in range(p - 1):
+        for s in range(params.d):
             if not (p_admissible(p, a, m, s) and p_admissible(p, s, s, c)):
                 continue
             coeff = xa * _loop_fusion(params, a, m, c, s)
-            if s >= d:
-                coeff = coeff * _fold_unit(params, s, c)
-                s = p - 2 - s
             acc = out.get(s)
             out[s] = coeff if acc is None else acc + coeff
     return {k: v for k, v in out.items() if v}
@@ -365,10 +343,9 @@ def expand_arrangement(
     """Graph-basis coordinates of a colored genus-2 arrangement.
 
     The both-holes cable is split along the arm, then each single-hole cable
-    fuses onto its loop.  For z and v the arrangement bounds keep every
-    channel below d and the result is supported under the lead coloring with
-    the lead coefficient a unit; omega-colored cables reach higher colors and
-    fold back, and no triangularity is claimed for them.
+    fuses onto its loop.  The arrangement bounds keep every channel below d
+    and the result is supported under the lead coloring with the lead
+    coefficient a unit.
     """
     if arr.genus != 2:
         raise ValueError("expansion over the dumbbell basis needs genus 2")
@@ -472,7 +449,7 @@ def pairing_closed_genus2(
     for m in range(params.d):
         term = pq[0][m] * pq[1][m] * pq[2][m]
         if term:
-            acc = acc + term * ctx.inv(quantum_dim_at(params.ctx, m))
+            acc = acc + term * ctx.inv(params.dims[m])
     return params.D * params.D * acc
 
 

@@ -165,38 +165,8 @@ def theta(a: int, b: int, c: int) -> QFrac:
     return QFrac(num if (m + n + r) % 2 == 0 else -num, den)
 
 
-def _tet_key(a: int, b: int, e: int, c: int, d: int, f: int) -> tuple:
-    """Canonical representative under the S4 of vertex relabelings.
-
-    Edges are keyed by the pair of vertices they join: e_{12}=E, e_{13}=A,
-    e_{14}=B, e_{23}=D, e_{24}=C, e_{34}=F; a vertex permutation acts by
-    relabeling the pairs.
-    """
-    from itertools import permutations
-
-    edge = {
-        frozenset((1, 2)): e,
-        frozenset((1, 3)): a,
-        frozenset((1, 4)): b,
-        frozenset((2, 3)): d,
-        frozenset((2, 4)): c,
-        frozenset((3, 4)): f,
-    }
-    best = None
-    for sig in permutations((1, 2, 3, 4)):
-        s = dict(zip((1, 2, 3, 4), sig))
-        img = tuple(
-            edge[frozenset((s[i], s[j]))]
-            for i, j in ((1, 3), (1, 4), (1, 2), (2, 4), (2, 3), (3, 4))
-        )
-        if best is None or img < best:
-            best = img
-    return best
-
-
 @lru_cache(maxsize=None)
-def _tet_canonical(key: tuple) -> QFrac:
-    a, b, e, c, d, f = key
+def _tet_value(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
     verts = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
     squares = [(a + c + e + f) // 2, (b + d + e + f) // 2, (a + b + c + d) // 2]
     zlo, zhi = max(verts), min(squares)
@@ -235,7 +205,7 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
     for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
         if not admissible(*tri):
             raise ValueError(f"inadmissible vertex {tri}")
-    return _tet_canonical(_tet_key(a, b, e, c, d, f))
+    return _tet_value(a, b, e, c, d, f)
 
 
 def theta_at(ctx: CycContext, a: int, b: int, c: int) -> CycNum:

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -348,7 +350,8 @@ def test_verify_all_unchanged_under_optimize_flag() -> None:
 
 
 PKG = os.path.dirname(os.path.abspath(skeinlat.__file__))
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(PKG)), "demos")
+ROOT = os.path.dirname(os.path.dirname(PKG))
+DEMOS = os.path.join(ROOT, "demos")
 
 
 def sources(folder: str) -> list[tuple[str, str]]:
@@ -418,3 +421,25 @@ def test_every_library_import_is_used() -> None:
                 bound = [(a.asname or a.name).split(".")[0] for a in node.names]
                 unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in used]
     assert unused == []
+
+
+def test_every_benchmark_wrap_target_resolves(monkeypatch) -> None:
+    # the traced benchmark wraps each perfbench/spans.py TARGETS entry; a
+    # deleted or renamed name would otherwise surface only in a traced run.
+    # Resolve each one as Recorder.install does: dotted path, then vars()
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(ROOT, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(spans)
+    missing = []
+    for _, mod_name, path in spans.TARGETS:
+        owner = importlib.import_module(mod_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append(f"{mod_name}.{path}")
+    assert spans.TARGETS
+    assert missing == []

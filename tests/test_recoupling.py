@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from skeinlat.cyclotomic import CycContext
@@ -105,6 +108,21 @@ def test_tet_symmetry():
     assert tet(2, 1, 1, 2, 1, 1) == base2
     assert tet(1, 2, 1, 1, 2, 1) == base2
     assert not (base == tet(2, 2, 2, 2, 2, 2))
+    # seeded vertex relabelings of admissible colorings <= 4; tet caches by
+    # the colors as given, so the equalities come from the formula itself
+    edges = ((1, 3), (1, 4), (1, 2), (2, 4), (2, 3), (3, 4))  # a, b, e, c, d, f
+    colorings = [
+        (a, b, e, c, d, f)
+        for a, b, e, c, d, f in itertools.product(range(5), repeat=6)
+        if all(admissible(*tri) for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)))
+    ]
+    rng = random.Random(4)
+    for _ in range(40):
+        cols = rng.choice(colorings)
+        color_of = dict(zip(edges, cols))
+        sig = dict(zip((1, 2, 3, 4), rng.sample((1, 2, 3, 4), 4)))
+        img = [color_of[tuple(sorted((sig[i], sig[j])))] for i, j in edges]
+        assert tet(*img) == tet(*cols), (cols, sig)
 
 
 def test_tet_inadmissible():
