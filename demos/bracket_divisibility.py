@@ -6,6 +6,7 @@ core plus an extra parallel copy weighted 2) has bracket divisible by
 fresh from a braid word."""
 
 from skeinlat.bracket import (
+    COLORINGS,
     braid_pd,
     divisibility_certificate,
     LinkDiagram,
@@ -14,10 +15,9 @@ from skeinlat.bracket import (
 
 
 def show(name: str, diagram: LinkDiagram) -> None:
-    for variant in ("z+2", "z+[2]"):
-        cert = divisibility_certificate(diagram, variant)
+    for coloring, cert in zip(COLORINGS, divisibility_certificate(diagram)):
         state = "divides" if cert["ok"] else "FAILS to divide"
-        print(f"  {name}: (1+A)^{cert['mu']} {state} the {variant} bracket")
+        print(f"  {name}: (1+A)^{cert['mu']} {state} the {coloring} bracket")
 
 
 def main() -> None:

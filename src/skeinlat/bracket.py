@@ -9,6 +9,11 @@ The evaluator is a frontier state sum: crossings are resolved one at a time
 and partial resolutions are merged whenever they induce the same planar
 matching on the dangling arc ends.  Loop closures contribute delta = -A^2 -
 A^-2, and the empty diagram evaluates to 1.
+
+Divisibility certificates color every component z + c for each coloring in
+COLORINGS.  One pass over the 2^mu sublinks, grouped by how many components
+were deleted, serves both colorings: the state sums are shared and the
+coloring is applied afterwards, by Horner's rule.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .cyclotomic import CycContext, CycNum
-from .laurent import IntLaurent, ONE, RefutationError
+from .laurent import IntLaurent, ONE, ZERO, RefutationError
 
 
 class LaurentCoeffs:
@@ -100,9 +105,6 @@ class LinkDiagram:
     @property
     def mu(self) -> int:
         return len(self.components())
-
-    def to_json(self) -> dict:
-        return {"pd": [list(cr) for cr in self.pd], "loops": self.loops}
 
     @staticmethod
     def from_json(obj: dict) -> "LinkDiagram":
@@ -333,60 +335,53 @@ def delete_components(diagram: LinkDiagram, kill: Iterable[int]) -> LinkDiagram:
     return LinkDiagram(pd, freed + surviving_loops)
 
 
-def bracket_z_plus_const(diagram: LinkDiagram, const) -> IntLaurent:
-    """Bracket with every component colored z + const, via the sublink sum.
+# The colorings z + c certified for every link, by their constant c: z+2,
+# whose quotient by 1+A is the genus-one basis element v, and z+[2] with
+# [2] = A^2 + A^-2.  The only place the two colorings are named.
+COLORINGS = {"z+2": 2, "z+[2]": IntLaurent({2: 1, -2: 1})}
 
-    Coloring a component by z keeps the curve; the constant term deletes it.
-    Summing over the 2^mu choices needs no cabling.
+
+def sublink_sums(diagram: LinkDiagram) -> list[IntLaurent]:
+    """s_k = the sum of <L'> over the sublinks L' left by deleting k components.
+
+    One pass over the 2^mu component subsets; s_0 is <L> itself.
     """
-    comps = diagram.components()
-    mu = len(comps)
-    total = None
-    for mask in range(1 << mu):
-        kill = [i for i in range(mu) if mask >> i & 1]
-        term = kauffman_bracket(delete_components(diagram, kill))
-        for _ in kill:
-            term = term * const
-        total = term if total is None else total + term
-    return total
+    n = len(diagram.components())
+    sums = [ZERO] * (n + 1)
+    for mask in range(1 << n):
+        kill = [i for i in range(n) if mask >> i & 1]
+        sums[len(kill)] = sums[len(kill)] + kauffman_bracket(delete_components(diagram, kill))
+    return sums
 
 
-def bracket_z_plus_2(diagram: LinkDiagram) -> IntLaurent:
-    return bracket_z_plus_const(diagram, IntLaurent.monomial(2, 0))
+def divisibility_certificate(diagram: LinkDiagram) -> list[dict]:
+    """Certify (1+A)^mu | <L(z+c)> for each coloring in COLORINGS, in order.
+
+    Coloring a component z+c keeps it (z) or deletes it with weight c, so
+    <L(z+c)> = sum_k c^k s_k, evaluated by Horner's rule: both colorings
+    share one pass of sublink state sums.
+    """
+    sums = sublink_sums(diagram)
+    certs = []
+    for name, const in COLORINGS.items():
+        value = sums[-1]
+        for s in reversed(sums[:-1]):
+            value = value * const + s
+        certs.append(_power_certificate(f"(1+A)^mu divides <L({name})>", value, diagram.mu))
+    return certs
 
 
-def bracket_z_plus_q2(diagram: LinkDiagram) -> IntLaurent:
-    """Variant coloring z + [2], with [2] = A^2 + A^-2."""
-    return bracket_z_plus_const(diagram, IntLaurent({2: 1, -2: 1}))
-
-
-def divisibility_certificate(diagram: LinkDiagram, variant: str = "z+2") -> dict:
-    """Certify (1+A)^mu | <L(z+2)> (or the z+[2] variant); quotient included."""
-    if variant == "z+2":
-        f = bracket_z_plus_2(diagram)
-    elif variant == "z+[2]":
-        f = bracket_z_plus_q2(diagram)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    mu = diagram.mu
+def _power_certificate(claim: str, f: IntLaurent, mu: int) -> dict:
+    """(1+A)^mu | f by mu exact divisions, quotient included, or its refutation."""
+    head = {"claim": claim, "mu": mu}
     quotient = f
     for _ in range(mu):
         quotient = quotient.try_div_one_plus_var()
         if quotient is None:
             val, _ = f.val_one_plus_var()
-            return {
-                "claim": f"(1+A)^mu divides <L({variant})>",
-                "mu": mu,
-                "ok": False,
-                "refutation": {"value": f.to_json(), "attained_valuation": val},
-            }
-    return {
-        "claim": f"(1+A)^mu divides <L({variant})>",
-        "mu": mu,
-        "ok": True,
-        "value": f.to_json(),
-        "quotient": quotient.to_json(),
-    }
+            refutation = {"value": f.to_json(), "attained_valuation": val}
+            return {**head, "ok": False, "refutation": refutation}
+    return {**head, "ok": True, "value": f.to_json(), "quotient": quotient.to_json()}
 
 
 def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
-from .bracket import LinkDiagram, divisibility_certificate, load_corpus
+from .bracket import COLORINGS, LinkDiagram, divisibility_certificate, load_corpus
 from .cyclotomic import _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
 from .matrices import mat_eq
@@ -50,7 +50,6 @@ OUT_ENV = "SKEINLAT_OUT"
 
 BASES_G1 = {"e": basis_e, "omega": basis_omega, "v": basis_v}
 BASES_G2 = ("G", "A", "Av")
-VARIANTS = ("z+2", "z+[2]")
 
 # The largest inputs each verb accepts: the largest at which its cost is
 # measured (single runs on a 2-core Xeon).  Beyond them a verb would run
@@ -320,17 +319,19 @@ def corpus_certs(links: list[dict], cap_crossings: int) -> list[dict]:
     certs = []
     for entry in links:
         diagram = LinkDiagram.from_json(entry)
-        for variant in VARIANTS:
-            if diagram.crossings > cap_crossings:
-                cert = {
-                    "claim": f"(1+A)^mu divides <L({variant})>",
+        if diagram.crossings > cap_crossings:
+            found = [
+                {
+                    "claim": f"(1+A)^mu divides <L({name})>",
                     "skipped": True,
                     "reason": f"more than {cap_crossings} crossings",
                     "ok": True,
                 }
-            else:
-                cert = divisibility_certificate(diagram, variant)
-            certs.append({"name": entry["name"], **cert})
+                for name in COLORINGS
+            ]
+        else:
+            found = divisibility_certificate(diagram)
+        certs.extend({"name": entry["name"], **cert} for cert in found)
     return certs
 
 
@@ -411,10 +412,7 @@ def cmd_stabilize(args) -> tuple[int, object]:
         "p": args.p,
         "seed": args.seed,
         "ops": names,
-        "iterations": rep.iterations,
-        "stabilized": rep.stabilized,
-        "rank": rep.lattice.rank,
-        "den": rep.lattice.den,
+        **rep.to_json(),
         "hnf": [list(r) for r in rep.lattice.basis],
         "matches_v_lattice": lattice_equal(rep.lattice, _v_lattice(params)),
     }

@@ -122,7 +122,9 @@ def ldl_decomposition(
 
     conj is the involution of the entry ring (identity for symmetric input).
     Every leading principal minor must be nonsingular; a zero pivot surfaces
-    as whatever inv raises.
+    as whatever inv raises once a nonzero entry below it needs dividing.
+    Products with a zero entry of L are skipped, so a sparse a (a diagonal
+    one, say) costs only the products its nonzero entries need.
     """
     n = _square(a)
     lower = [[zero] * n for _ in range(n)]
@@ -131,10 +133,11 @@ def ldl_decomposition(
         for j in range(i + 1):
             s = a[i][j]
             for k in range(j):
-                s = s - lower[i][k] * conj(lower[j][k]) * diag[k]
+                if not (lower[i][k] == zero or lower[j][k] == zero):
+                    s = s - lower[i][k] * conj(lower[j][k]) * diag[k]
             if j == i:
                 diag[i] = s
                 lower[i][i] = one
-            else:
+            elif not (s == zero):
                 lower[i][j] = s * inv(diag[j])
     return lower, diag

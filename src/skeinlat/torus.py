@@ -156,13 +156,6 @@ class TorusVector:
     def scale(self, c: CycNum | int) -> "TorusVector":
         return TorusVector(self.params, [a * c for a in self.coords])
 
-    def conj(self) -> "TorusVector":
-        """Coefficient conjugation; the e_i themselves are real."""
-        return TorusVector(self.params, [a.conj() for a in self.coords])
-
-    def is_integral(self) -> bool:
-        return all(a.is_integral() for a in self.coords)
-
     def z_action(self) -> "TorusVector":
         """Multiply by z: e_i -> e_{i-1} + e_{i+1}, then reduce."""
         zero = self.params.ctx.zero

@@ -18,8 +18,8 @@ from skeinlat.annulus import (
     v_in_e_matrix,
 )
 from skeinlat.bracket import (
+    COLORINGS,
     LinkDiagram,
-    bracket_z_plus_2,
     derivative_congruences,
     divisibility_certificate,
     load_corpus,
@@ -229,10 +229,10 @@ def test_criterion_09_divisibility_corpus() -> None:
     for entry in links:
         assert entry["crossings"] <= 12 and entry["mu"] <= 3
         diagram = LinkDiagram.from_json(entry)
-        for variant in ("z+2", "z+[2]"):
-            cert = divisibility_certificate(diagram, variant)
-            assert cert["ok"], (entry["name"], variant)
-        f = bracket_z_plus_2(diagram)
+        certs = dict(zip(COLORINGS, divisibility_certificate(diagram)))
+        for coloring, cert in certs.items():
+            assert cert["ok"], (entry["name"], coloring)
+        f = IntLaurent.from_json(certs["z+2"]["value"])
         for p, ctx in contexts.items():
             # the derivative criterion must agree with root-of-unity
             # divisibility, on the bracket and on a spoiled copy of it

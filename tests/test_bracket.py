@@ -5,12 +5,10 @@ import random
 import pytest
 
 from skeinlat.bracket import (
+    COLORINGS,
     LaurentCoeffs,
     LinkDiagram,
     RootCoeffs,
-    bracket_z_plus_2,
-    bracket_z_plus_const,
-    bracket_z_plus_q2,
     braid_components,
     braid_pd,
     cable_braid,
@@ -21,6 +19,7 @@ from skeinlat.bracket import (
     load_corpus,
     necklace_pd,
     root_divisibility,
+    sublink_sums,
 )
 from skeinlat.cyclotomic import CycContext
 from skeinlat.laurent import A, ONE, ZERO, IntLaurent
@@ -35,6 +34,12 @@ def corpus_links():
 
 def bracket(word, strands):
     return kauffman_bracket(braid_pd(word, strands))
+
+
+def colored(diagram):
+    """<L(z+c)> for each coloring, read back from its divisibility certificate."""
+    certs = divisibility_certificate(diagram)
+    return {name: IntLaurent.from_json(cert["value"]) for name, cert in zip(COLORINGS, certs)}
 
 
 # ---------------------------------------------------------------- anchors
@@ -213,23 +218,25 @@ def test_delete_nothing_is_identity():
 # ---------------------------------------------------------------- sublink sums
 
 def test_unknot_z_plus_2():
-    assert bracket_z_plus_2(LinkDiagram((), 1)) == DELTA + IntLaurent({0: 2})
+    assert colored(LinkDiagram((), 1))["z+2"] == DELTA + IntLaurent({0: 2})
 
 
 def test_hopf_z_plus_2():
     hopf = braid_pd([1, 1], 2)
     expected = bracket([1, 1], 2) + IntLaurent({0: 4}) * DELTA + IntLaurent({0: 4})
-    assert bracket_z_plus_2(hopf) == expected
+    assert colored(hopf)["z+2"] == expected
 
 
 def test_unknot_z_plus_q2_vanishes():
     # delta + [2] = 0: the (z + A^2 + A^-2)-colored unknot dies identically
-    assert bracket_z_plus_q2(LinkDiagram((), 1)) == ZERO
+    assert colored(LinkDiagram((), 1))["z+[2]"] == ZERO
 
 
-def test_sublink_sum_const_zero_recovers_bracket():
+def test_sublink_sums_start_at_the_bracket():
+    # s_0 = <L>; s_k gathers the sublinks with k components deleted
     tref = braid_pd([1, 1, 1], 2)
-    assert bracket_z_plus_const(tref, ZERO) == kauffman_bracket(tref)
+    assert sublink_sums(tref) == [kauffman_bracket(tref), ONE]
+    assert sublink_sums(braid_pd([1, 1], 2)) == [bracket([1, 1], 2), DELTA * 2, ONE]
 
 
 # ---------------------------------------------------------------- divisibility
@@ -237,15 +244,16 @@ def test_sublink_sum_const_zero_recovers_bracket():
 def test_divisibility_certificates_corpus():
     for entry in corpus_links():
         diag = LinkDiagram.from_json(entry)
-        for variant in ("z+2", "z+[2]"):
-            cert = divisibility_certificate(diag, variant)
-            assert cert["ok"], (entry["name"], variant, cert)
+        certs = divisibility_certificate(diag)
+        assert [c["claim"] for c in certs] == [f"(1+A)^mu divides <L({n})>" for n in COLORINGS]
+        for cert in certs:
+            assert cert["ok"], (entry["name"], cert)
             assert cert["mu"] == entry["mu"]
 
 
 def test_divisibility_quotient_exact():
     hopf = braid_pd([1, 1], 2)
-    cert = divisibility_certificate(hopf, "z+2")
+    cert = divisibility_certificate(hopf)[0]
     quotient = IntLaurent.from_json(cert["quotient"])
     value = IntLaurent.from_json(cert["value"])
     one_plus = IntLaurent({0: 1, 1: 1})
@@ -256,9 +264,9 @@ def test_unknot_loops_attain_double_valuation():
     # 2 + delta = -A^-2 (A-1)^2 (A+1)^2, so each loop contributes (1+A)^2
     # and the mu-fold claim holds with room to spare
     diag = LinkDiagram((), 2)
-    cert = divisibility_certificate(diag, "z+2")
+    cert = divisibility_certificate(diag)[0]
     assert cert["ok"] and cert["mu"] == 2
-    f = bracket_z_plus_2(diag)
+    f = IntLaurent.from_json(cert["value"])
     assert f.val_one_plus_var()[0] == 4
     # beyond the true valuation both detection routes say no
     assert not derivative_congruences(f, 5, 7)
@@ -273,9 +281,11 @@ def test_divisibility_certificate_refutation_shape():
         def mu(self):
             return 5
 
-    cert = divisibility_certificate(InflatedMu((), 2), "z+2")
-    assert not cert["ok"]
-    assert cert["refutation"]["attained_valuation"] == 4
+    z2, zq2 = divisibility_certificate(InflatedMu((), 2))
+    assert not z2["ok"]
+    assert z2["refutation"]["attained_valuation"] == 4
+    # the z+[2] value is zero, which every power of (1+A) divides
+    assert zq2["ok"] and zq2["mu"] == 5
 
 
 def test_derivative_congruence_rejects_constant():
@@ -318,8 +328,7 @@ def test_dual_route_random_agreement():
 
 def test_corpus_dual_route_agreement():
     for entry in corpus_links():
-        diag = LinkDiagram.from_json(entry)
-        f = bracket_z_plus_2(diag)
+        f = colored(LinkDiagram.from_json(entry))["z+2"]
         for p in (5, 7):
             assert derivative_congruences(f, entry["mu"], p)
             assert root_divisibility(f, entry["mu"], CycContext(p))
@@ -420,14 +429,9 @@ def test_bad_pd_rejected():
         LinkDiagram(((0, 1, 2, 3), (0, 1, 2, 4)))
 
 
-def test_divisibility_variant_rejected():
-    with pytest.raises(ValueError):
-        divisibility_certificate(LinkDiagram((), 1), "z+3")
-
-
 def test_roundtrip_json():
     tref = braid_pd([1, 1, 1], 2)
-    again = LinkDiagram.from_json(tref.to_json())
+    again = LinkDiagram.from_json({"pd": [list(cr) for cr in tref.pd], "loops": tref.loops})
     assert again == tref
 
 

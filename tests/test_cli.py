@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import skeinlat
-from skeinlat import cli
+from skeinlat import bracket, cli
 from skeinlat.bracket import load_corpus
 from skeinlat.cli import RunConfig, main
 from skeinlat.recoupling import count_spine_colorings, verlinde_float
@@ -208,7 +208,7 @@ def test_bracket_runs_both_variants(capsys) -> None:
     code, out, _ = run(capsys, "bracket")
     certs = json.loads(out)
     assert code == 0
-    assert len(certs) == 20  # ten links, two variants each
+    assert len(certs) == 20  # ten links, two colorings each
     assert all(c["ok"] for c in certs)
     assert not any(c.get("skipped") for c in certs)
 
@@ -219,6 +219,26 @@ def test_bracket_crossing_cap_skips(capsys) -> None:
     assert code == 0
     skipped = [c["name"] for c in certs if c.get("skipped")]
     assert set(skipped) == {"torus_2_12", "torus_3_6"}
+
+
+def test_corpus_certs_cost_one_state_sum_per_sublink(monkeypatch) -> None:
+    # both colorings come from one pass over the 2^mu sublinks of a link,
+    # and a link over the crossing cap costs none
+    sizes = []
+    inner = bracket.kauffman_bracket
+
+    def counted(diagram, *args):
+        sizes.append(diagram.crossings)
+        return inner(diagram, *args)
+
+    monkeypatch.setattr(bracket, "kauffman_bracket", counted)
+    links, cap = load_corpus(), 6
+    certified = [e for e in links if e["crossings"] <= cap]
+    assert 0 < len(certified) < len(links)
+    certs = cli.corpus_certs(links, cap)
+    assert len(certs) == 2 * len(links)
+    assert len(sizes) == sum(2 ** e["mu"] for e in certified)
+    assert max(sizes) <= cap
 
 
 @pytest.mark.parametrize("cap", ["-3", "0"])
@@ -377,7 +397,9 @@ def test_every_library_name_is_used_or_labeled() -> None:
     # a name that no code of the library or the demos uses outside its own
     # def is reached only from tests, so its docstring must say why it stays:
     # an oracle for a claim-path name, or a certificate a ROADMAP item
-    # promotes; words in docstrings, comments and strings are not uses
+    # promotes; words in docstrings, comments and strings are not uses.
+    # Uses are pooled by bare name, not by class: a method counts as used
+    # when any method of that name is, so check same-named methods by hand
     uses: dict[str, set] = {}
     for folder in (PKG, DEMOS):
         for name, text in sources(folder):

@@ -10,8 +10,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
-    "argv", [["torus_certificates.py", "5"], ["bracket_divisibility.py"]],
-    ids=["torus_certificates", "bracket_divisibility"],
+    "argv",
+    [["torus_certificates.py", "5"], ["bracket_divisibility.py"], ["higher_genus_determinants.py"]],
+    ids=["torus_certificates", "bracket_divisibility", "higher_genus_determinants"],
 )
 def test_demo_runs(argv) -> None:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -3,7 +3,8 @@ from functools import lru_cache
 import pytest
 
 from skeinlat import lattice, matrices, planar, torus
-from skeinlat.matrices import ldl_decomposition, mat_eq
+from skeinlat.cyclotomic import CycContext, CycNum
+from skeinlat.matrices import diagonal, identity, ldl_decomposition, mat_eq
 from skeinlat.planar import (
     CurveArrangement,
     HigherGramReport,
@@ -294,6 +295,27 @@ def test_ldl_recovers_expansion_and_norms(p):
     norms = [graph_norm_genus2(params, *c) for c in cols]
     assert diag == norms
     assert mat_eq(lower, expansion_matrix_genus2(params, "z"))
+
+
+def test_ldl_of_a_diagonal_matrix_multiplies_nothing(monkeypatch):
+    # products with a zero entry of L are skipped, so a diagonal matrix
+    # factors without a single ring product (or inverse)
+    ctx = CycContext(7)
+    entries = [ctx.from_int(k) + ctx.A for k in range(1, 7)]
+    products = []
+    inner = CycNum.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return inner(x, y)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    lower, diag = ldl_decomposition(
+        diagonal(entries, ctx.zero), ctx.one, ctx.zero, ctx.inv, lambda v: v.conj()
+    )
+    assert products == []
+    assert diag == entries
+    assert mat_eq(lower, identity(len(entries), ctx.one, ctx.zero))
 
 
 def test_ldl_diag_v_color_p5():
