@@ -301,8 +301,15 @@ def cable_braid(word: Sequence[int], strands: int, widths: Sequence[int]) -> tup
 
 
 def delete_components(diagram: LinkDiagram, kill: Iterable[int]) -> LinkDiagram:
-    """Remove the named components (indices into diagram.components())."""
-    comps = diagram.components()
+    """Oracle for sublink_sums: the diagram left by removing the named
+    components (indices into diagram.components())."""
+    return _delete_components(diagram, diagram.components(), kill)
+
+
+def _delete_components(
+    diagram: LinkDiagram, comps: list[tuple[int, ...]], kill: Iterable[int]
+) -> LinkDiagram:
+    """delete_components with the diagram's components already computed."""
     kill = set(kill)
     for k in kill:
         if not 0 <= k < len(comps):
@@ -346,11 +353,13 @@ def sublink_sums(diagram: LinkDiagram) -> list[IntLaurent]:
 
     One pass over the 2^mu component subsets; s_0 is <L> itself.
     """
-    n = len(diagram.components())
+    comps = diagram.components()
+    n = len(comps)
     sums = [ZERO] * (n + 1)
     for mask in range(1 << n):
         kill = [i for i in range(n) if mask >> i & 1]
-        sums[len(kill)] = sums[len(kill)] + kauffman_bracket(delete_components(diagram, kill))
+        sub = _delete_components(diagram, comps, kill)
+        sums[len(kill)] = sums[len(kill)] + kauffman_bracket(sub)
     return sums
 
 

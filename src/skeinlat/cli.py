@@ -54,7 +54,7 @@ BASES_G2 = ("G", "A", "Av")
 # The largest inputs each verb accepts: the largest at which its cost is
 # measured (single runs on a 2-core Xeon).  Beyond them a verb would run
 # without a stated bound, so larger inputs are refused as bad input.
-# genus2 --p 13 takes about 36 s over the three bases, stabilize --p 13
+# genus2 --p 13 takes about 6 s over the three bases, stabilize --p 13
 # about 20 s.
 MAX_P_HEAVY = 13
 # genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.

@@ -123,21 +123,31 @@ def ldl_decomposition(
     conj is the involution of the entry ring (identity for symmetric input).
     Every leading principal minor must be nonsingular; a zero pivot surfaces
     as whatever inv raises once a nonzero entry below it needs dividing.
-    Products with a zero entry of L are skipped, so a sparse a (a diagonal
-    one, say) costs only the products its nonzero entries need.
+    Row i keeps L[i][k] d[k], the value it divides by d[k] (Golub & Van Loan,
+    Matrix Computations, 4.1), and each finished row of L is conjugated
+    once, so an update costs one product.  Products with a zero entry of L
+    are skipped, so a sparse a (a diagonal one, say) costs only the products
+    its nonzero entries need.
     """
     n = _square(a)
     lower = [[zero] * n for _ in range(n)]
+    lower_conj: list[list[Any]] = []
     diag: list[Any] = [zero] * n
     for i in range(n):
+        row = lower[i]
+        row_d = [zero] * i  # row_d[k] = L[i][k] d[k]
         for j in range(i + 1):
+            if j == i:
+                lower_conj.append([conj(x) for x in row[:i]])
+            cj = lower_conj[j]
             s = a[i][j]
             for k in range(j):
-                if not (lower[i][k] == zero or lower[j][k] == zero):
-                    s = s - lower[i][k] * conj(lower[j][k]) * diag[k]
+                if not (row_d[k] == zero or cj[k] == zero):
+                    s = s - row_d[k] * cj[k]
             if j == i:
                 diag[i] = s
-                lower[i][i] = one
+                row[i] = one
             elif not (s == zero):
-                lower[i][j] = s * inv(diag[j])
+                row_d[j] = s
+                row[j] = s * inv(diag[j])
     return lower, diag

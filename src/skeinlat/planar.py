@@ -26,9 +26,14 @@ two-strand fusion, so their Gram matrix is a triangular change of basis away
 from the diagonal graph Gram; the same matrix also comes straight from the
 projection rule once every cable is folded over e_r = e_{p-2-r}, and the two
 routes are compared entry by entry.  Both genus-2 routes build z and v
-cables only.  At p = 5 the honest state sum over necklace diagrams
-arbitrates both.  Determinants are reported as associate certificates
-against powers of 1-q, never as bare booleans.
+cables only, and the closed form is memoized per count pair: each pair of
+cable counts gives one folded annulus product, kept on the parameters, so
+an entry costs only its sum over the channels below d.  The v-colored Gram
+is factored on integral rows, the v cables without their units
+(1+A)^-count, and takes the units back in its determinant.  At p = 5 the
+honest state sum over necklace diagrams arbitrates both.  Determinants are
+reported as associate certificates against powers of 1-q, never as bare
+booleans.
 """
 
 from __future__ import annotations
@@ -249,6 +254,9 @@ def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
 # class cables and fusion data
 
 COLORS = ("z", "v", "omega")
+# v-cables without their unit (1+A)^-count: the integral (z+2)^count.  A
+# private color of the Av report, which factors its Gram on these rows.
+_V_INTEGRAL = "(1+A)^n v"
 
 
 def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> list[CycNum]:
@@ -271,15 +279,30 @@ def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
     copies of one curve."""
     if color == "z":
         return fold_raw(params, z_power_in_e(count))
+    if color == _V_INTEGRAL:
+        return fold_raw(params, z_plus2_pow_in_e(count + 1))
     if color == "v":
         unit = params.inv1a ** count
-        return fold_raw(params, [unit * c for c in z_plus2_pow_in_e(count + 1)])
+        return [unit * c for c in _class_cable(params, _V_INTEGRAL, count)]
     raise ValueError(f"genus-2 cables are z or v, got {color!r}")
 
 
 def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
     # the e_i are real; conjugation touches coefficients only
     return [c.conj() for c in cable]
+
+
+def _pair_product(params: TQFTParams, color: str, count_x: int, count_y: int) -> list[CycNum]:
+    """Folded annulus product of count_x cables and conj(count_y cables),
+    over colors 0..d-1; memoized per color and count pair."""
+    key = (color, count_x, count_y)
+    got = params.pair_table.get(key)
+    if got is None:
+        fx = _class_cable(params, color, count_x)
+        fy = _conj_cable(_class_cable(params, color, count_y))
+        got = fold_transparent(params, _annulus_product(params, fx, fy))
+        params.pair_table[key] = got
+    return got
 
 
 def _arm_split(params: TQFTParams, m: int, c: int) -> CycNum:
@@ -425,39 +448,57 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
 # the pairing: projection closed form and state-sum oracle
 
 
-def pairing_closed_genus2(
-    params: TQFTParams, x: CurveArrangement, y: CurveArrangement, color: str = "z"
-) -> CycNum:
-    """(X, Y) = D^2 sum_{m<d} P_m Q_m R_m / <m>, conjugate-linear in Y.
+def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
+    """Gram of the genus-2 arrangements by the projection closed form.
 
-    P, Q, R are the reduced annulus products of the paired class cables
-    around hole 0, hole 1, and both holes, folded into the small range by
+    (X, Y) = D^2 sum_{m<d} P_m Q_m R_m / <m>, conjugate-linear in Y.  P, Q, R
+    are the reduced annulus products of the paired class cables around hole
+    0, hole 1, and both holes, folded into the small range by
     e_r = e_{p-2-r}: the color p-2 has dimension one and a parallel copy of
     it is invisible, and e_{p-2} e_r = e_{p-2-r} on the nose (the fold keeps
     <m> because <p-2-r> = <r>).  A meridian around two small-colored cables
     keeps only their matching channel, which forces the folded colors equal
-    and leaves D^2/<m> once both meridians have fired."""
+    and leaves D^2/<m> once both meridians have fired.  P, Q, R depend on the
+    two curve counts only, and come from the memo of _pair_product."""
+    counts = [_counts(arr) for arr in arrangement_set_genus2(params.p)]
+    weights = _meridian_weights(params)
+    return _hermitian_fill(
+        len(counts),
+        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
+    )
+
+
+def pairing_closed_genus2(
+    params: TQFTParams, x: CurveArrangement, y: CurveArrangement, color: str = "z"
+) -> CycNum:
+    """Oracle for gram_closed_genus2: its entry (X, Y) for any two genus-2
+    arrangements."""
     if x.genus != 2 or y.genus != 2:
         raise ValueError("this closed form is the genus-2 pairing")
-    ctx = params.ctx
-    acc = ctx.zero
-    pq = []
-    for count_x, count_y in ((x.alpha, y.alpha), (x.beta, y.beta), (x.gamma, y.gamma)):
-        fx = _class_cable(params, color, count_x)
-        fy = _conj_cable(_class_cable(params, color, count_y))
-        pq.append(fold_transparent(params, _annulus_product(params, fx, fy)))
-    for m in range(params.d):
-        term = pq[0][m] * pq[1][m] * pq[2][m]
-        if term:
-            acc = acc + term * ctx.inv(params.dims[m])
-    return params.D * params.D * acc
+    return _pairing_from_counts(params, _counts(x), _counts(y), color, _meridian_weights(params))
 
 
-def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
-    arrs = arrangement_set_genus2(params.p)
-    return _hermitian_fill(
-        len(arrs), lambda i, j: pairing_closed_genus2(params, arrs[i], arrs[j], color)
-    )
+def _counts(arr: CurveArrangement) -> tuple[int, int, int]:
+    return (arr.alpha, arr.beta, arr.gamma)
+
+
+def _meridian_weights(params: TQFTParams) -> list[CycNum]:
+    """D^2/<m> for m < d: what both meridians leave on a channel m."""
+    dd = params.D * params.D
+    return [dd * params.ctx.inv(dim) for dim in params.dims]
+
+
+def _pairing_from_counts(
+    params: TQFTParams, counts_x: tuple[int, int, int], counts_y: tuple[int, int, int],
+    color: str, weights: list[CycNum],
+) -> CycNum:
+    """One closed-form entry from the two (alpha, beta, gamma) and the weights."""
+    pq = [_pair_product(params, color, cx, cy) for cx, cy in zip(counts_x, counts_y)]
+    acc = params.ctx.zero
+    for w, px, py, pz in zip(weights, *pq):
+        if px and py and pz:
+            acc = acc + px * py * pz * w
+    return acc
 
 
 def _hermitian_fill(n: int, entry) -> Matrix:
@@ -474,15 +515,21 @@ def _hermitian_fill(n: int, entry) -> Matrix:
 def _gram_from_rows(
     params: TQFTParams, rows: list[dict], norms: dict
 ) -> Matrix:
-    """Gram_ij = sum_tau row_i[tau] norm_tau conj(row_j[tau])."""
+    """Gram_ij = sum_tau row_i[tau] norm_tau conj(row_j[tau]).
+
+    Each row is weighted by the norms once and conjugated once, so a term
+    costs one product."""
     ctx = params.ctx
+    weighted = [{tau: a * norms[tau] for tau, a in row.items()} for row in rows]
+    conjugated = [{tau: b.conj() for tau, b in row.items()} for row in rows]
 
     def entry(i: int, j: int) -> CycNum:
         acc = ctx.zero
-        for tau, a in rows[i].items():
-            b = rows[j].get(tau)
+        right = conjugated[j]
+        for tau, a in weighted[i].items():
+            b = right.get(tau)
             if b is not None:
-                acc = acc + a * norms[tau] * b.conj()
+                acc = acc + a * b
         return acc
 
     return _hermitian_fill(len(rows), entry)
@@ -544,7 +591,9 @@ class HigherGramReport:
     rank_term is the valuation (d-1) * genus * rank of the graph Gram;
     base_change_valuation is twice the valuation of the change-of-basis
     determinant.  Their sum must equal the observed associate exponent, and
-    unimodular records whether the determinant is a unit outright.
+    unimodular records whether the determinant is a unit outright.  gram is
+    the Gram of the basis itself, even where the LDL ran on a rescaled one
+    (the genus-2 Av report factors its integral rows).
     """
 
     p: int
@@ -596,13 +645,29 @@ def _certified_report(
     rank_term: int,
     base_change_valuation: int,
     plus_subring: bool | None,
+    units: list[CycNum] | None = None,
 ) -> HigherGramReport:
-    """One LDL factorization of gram, whose pivots must be the closed-form ones."""
+    """One LDL factorization of gram, whose pivots must be the closed-form ones.
+
+    units, when given, turn the factored gram into the basis Gram: its
+    entries are units[i] gram[i][j] conj(units[j]), and its determinant
+    picks up every |units[i]|^2."""
     ctx = params.ctx
     _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
     if diag != pivots:
         raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
     det = math.prod(pivots, start=ctx.one)
+    if units is not None:
+        det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
+        scales: dict[tuple[CycNum, CycNum], CycNum] = {}
+
+        def rescaled(i: int, j: int) -> CycNum:
+            key = (units[i], units[j])
+            if key not in scales:
+                scales[key] = units[i] * units[j].conj()
+            return scales[key] * gram[i][j]
+
+        gram = _hermitian_fill(len(gram), rescaled)
     cert = expect_exponent(
         associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
         rank_term + base_change_valuation,
@@ -633,7 +698,12 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     arrangements (diagonal picks up (1+A)^-n per arrangement and the
     determinant is a unit).  For A and Av the expansion route through the
     graph basis must agree entrywise with the projection closed form, and the
-    LDL pivots with the graph norms (times |1+A|^(-2n) for Av).
+    LDL pivots with the graph norms.  Av is factored on integral rows: each
+    v-row times (1+A)^n, n its curve count, is unit-triangular over G, and
+    both routes build that Gram from the same integral cables (the closed
+    form memoized per count pair).  Its determinant then takes the units
+    back, prod N * |1+A|^(-2 curve_total), and the report's gram is the
+    Gram of the v basis itself.
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
@@ -649,20 +719,19 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
                                  0, None)
     if basis not in ("A", "Av"):
         raise ValueError(f"unknown basis {basis!r}; pick G, A, or Av")
-    color = "z" if basis == "A" else "v"
-    rows = [expand_arrangement(params, arr, color) for arr in arrs]
+    cable = "z" if basis == "A" else _V_INTEGRAL
+    rows = [expand_arrangement(params, arr, cable) for arr in arrs]
     gram = _gram_from_rows(params, rows, norms)
-    if not mat_eq(gram, gram_closed_genus2(params, color)):
+    if not mat_eq(gram, gram_closed_genus2(params, cable)):
         raise RefutationError(
             "genus-2 gram: graph expansion disagrees with the projection closed form"
         )
-    base_change = 0 if basis == "A" else -2 * curve_total
-    if basis == "Av":
-        scale = params.inv1a * params.inv1a.conj()
-        pivots = [piv * scale ** arr.curve_count for piv, arr in zip(pivots, arrs)]
-    return _certified_report(
-        params, 2, basis, color, gram, pivots, curve_total, rank_term, base_change, None
-    )
+    if basis == "A":
+        return _certified_report(params, 2, basis, "z", gram, pivots, curve_total, rank_term,
+                                 0, None)
+    units = [params.inv1a ** arr.curve_count for arr in arrs]
+    return _certified_report(params, 2, basis, "v", gram, pivots, curve_total, rank_term,
+                             -2 * curve_total, None, units)
 
 
 def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:

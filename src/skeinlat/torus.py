@@ -56,8 +56,9 @@ class TQFTParams:
     can see it: omega carries the compensating eta = D^-1.
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
-    p, and it owns the memo tables of the genus-2/3 fusion rules and of the
-    necklace brackets.  inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
+    p, and it owns the memo tables of the genus-2/3 fusion rules, of the
+    genus-2 closed-form annulus products and of the necklace brackets.
+    inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
     """
 
     @classmethod
@@ -99,6 +100,7 @@ class TQFTParams:
                 raise RefutationError(f"TQFT constants at p = {p}: {identity} fails")
         self.split_table: dict[tuple[int, int], CycNum] = {}
         self.fusion_table: dict[tuple[int, int, int, int], CycNum] = {}
+        self.pair_table: dict[tuple[str, int, int], list[CycNum]] = {}
         self.necklace_table: dict[tuple, CycNum] = {}
 
     def necklace(self, widths, cores) -> CycNum:

@@ -239,6 +239,23 @@ def test_sublink_sums_start_at_the_bracket():
     assert sublink_sums(braid_pd([1, 1], 2)) == [bracket([1, 1], 2), DELTA * 2, ONE]
 
 
+def test_sublink_sums_find_the_components_once(monkeypatch):
+    # the 2^mu deletions share one component search of the parent diagram
+    borr = braid_pd([1, -2, 1, -2, 1, -2], 3)
+    searched = []
+    inner = LinkDiagram.components
+
+    def counted(diagram):
+        searched.append(diagram)
+        return inner(diagram)
+
+    monkeypatch.setattr(LinkDiagram, "components", counted)
+    sums = sublink_sums(borr)
+    assert searched.count(borr) == 1
+    monkeypatch.undo()
+    assert sums == [kauffman_bracket(borr), 3 * DELTA * DELTA, 3 * DELTA, ONE]
+
+
 # ---------------------------------------------------------------- divisibility
 
 def test_divisibility_certificates_corpus():

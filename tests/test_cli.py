@@ -339,6 +339,16 @@ def test_verify_all_output_pinned(capsys) -> None:
     )
 
 
+def test_verify_all_output_pinned_through_p11(capsys) -> None:
+    # the same pin with p = 11, whose genus-2 Grams take the integral Av route
+    code, out, _ = run(capsys, "verify-all", "--p", "5,7,11")
+    assert code == 0
+    assert len(out.encode()) == 34254
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "790b5cd53d483e3e3e8affd174b21b5bf95dc250a24200fabae988fdcdbd12e2"
+    )
+
+
 def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:
     built = []
     init = TQFTParams.__init__
@@ -367,6 +377,23 @@ def test_verify_all_unchanged_under_optimize_flag() -> None:
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("basis", ("A", "Av"))
+def test_genus2_unchanged_under_optimize_flag(basis) -> None:
+    # the genus-2 report's checks (pivots, entrywise closed form, exponent)
+    # must raise, not assert, so -O changes neither stdout nor exit code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "skeinlat.cli", "genus2", "--p", "7", "--basis", basis],
+            capture_output=True, env=env, timeout=300, check=False,
+        )
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
 
 
 PKG = os.path.dirname(os.path.abspath(skeinlat.__file__))

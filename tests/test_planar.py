@@ -406,6 +406,46 @@ def test_each_report_runs_one_ldl_and_no_bareiss(monkeypatch, build):
     assert calls == {"ldl_decomposition": 1, "determinant": 0}
 
 
+@pytest.mark.parametrize("color", ("z", "v"))
+def test_closed_form_memoizes_each_count_pair(monkeypatch, color):
+    # the first Gram builds one annulus product per count pair it meets, a
+    # second Gram on the same parameters builds none
+    params = TQFTParams(7)
+    calls = []
+    inner = planar._annulus_product
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(planar, "_annulus_product", counted)
+    first = gram_closed_genus2(params, color)
+    assert 0 < len(calls) == len(params.pair_table) <= params.d ** 2
+    calls.clear()
+    assert mat_eq(gram_closed_genus2(params, color), first)
+    assert calls == []
+
+
+def test_av_report_factors_an_integral_gram(monkeypatch):
+    # the Av report hands LDL the Gram of the v rows times (1+A)^n: integral,
+    # with the graph norms as its pivots; its own gram is the v Gram
+    factored = []
+    inner = planar.ldl_decomposition
+
+    def captured(gram, *args):
+        out = inner(gram, *args)
+        factored.append((gram, out[1]))
+        return out
+
+    monkeypatch.setattr(planar, "ldl_decomposition", captured)
+    rep = gram_genus2(7, "Av")
+    params = params_for(7)
+    [(gram, diag)] = factored
+    assert all(v.den == 1 for row in gram for v in row)
+    assert diag == [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(7)]
+    assert mat_eq([list(row) for row in rep.gram], gram_closed_genus2(params, "v"))
+
+
 def test_gram_genus2_rejects_unknown_basis():
     with pytest.raises(ValueError):
         gram_genus2(5, basis="B")
