@@ -7,8 +7,12 @@ separate counter since they never touch an arc label.
 
 The evaluator is a frontier state sum: crossings are resolved one at a time
 and partial resolutions are merged whenever they induce the same planar
-matching on the dangling arc ends.  Loop closures contribute delta = -A^2 -
-A^-2, and the empty diagram evaluates to 1.
+matching on the dangling arc ends.  Arc ends are ints (end k of the i-th arc
+met is 2i + k, so an end's partner is end ^ 1); each step groups the
+resolutions by the matching they leave, and a new state's value is one
+coefficient-ring dot over the terms reaching it, each term a state value
+times one of the six weights A^(+-1) delta^closed.  Loop closures contribute
+delta = -A^2 - A^-2, and the empty diagram evaluates to 1.
 
 Divisibility certificates color every component z + c for each coloring in
 COLORINGS.  One pass over the 2^mu sublinks, grouped by how many components
@@ -32,6 +36,7 @@ class LaurentCoeffs:
 
     one = ONE
     delta = IntLaurent({2: -1, -2: -1})
+    dot = staticmethod(IntLaurent.dot)
 
     @staticmethod
     def a_pow(k: int) -> IntLaurent:
@@ -45,6 +50,7 @@ class RootCoeffs:
         self.ctx = ctx
         self.one = ctx.one
         self.delta = -(ctx.A_pow(2) + ctx.A_pow(-2))
+        self.dot = ctx.dot
 
     def a_pow(self, k: int) -> CycNum:
         return self.ctx.A_pow(k)
@@ -116,19 +122,49 @@ class LinkDiagram:
 
 def _crossing_order(pd: Sequence[tuple[int, int, int, int]]) -> list[int]:
     # Greedy ordering that keeps the dangling frontier small: always pick the
-    # crossing sharing the most arcs with those already resolved.
-    remaining = set(range(len(pd)))
+    # crossing with the most arc slots on arcs already met, lowest index on
+    # ties.  score[i] counts those slots; it grows when an arc is first met.
+    slots: dict[int, list[int]] = {}
+    for i, cr in enumerate(pd):
+        for a in cr:
+            slots.setdefault(a, []).append(i)
+    score = [0] * len(pd)
+    remaining = list(range(len(pd)))
     seen: set[int] = set()
     order: list[int] = []
     while remaining:
-        best = max(
-            sorted(remaining),
-            key=lambda i: sum(1 for a in pd[i] if a in seen),
-        )
+        best = max(remaining, key=score.__getitem__)
         order.append(best)
-        remaining.discard(best)
-        seen.update(pd[best])
+        remaining.remove(best)
+        for a in pd[best]:
+            if a not in seen:
+                seen.add(a)
+                for i in slots[a]:
+                    score[i] += 1
     return order
+
+
+def _join(m: dict[int, int], u: int, v: int) -> int:
+    """Connect dangling ends u and v in the matching m; 1 if a loop closed.
+
+    m pairs the far ends of the partial strands.  An end not in m is on an
+    arc met for the first time, so its strand runs to the arc's other end,
+    u ^ 1."""
+    pu = m.pop(u, None)
+    if pu is None:
+        pu = u ^ 1
+    else:
+        del m[pu]
+    if pu == v:
+        return 1
+    pv = m.pop(v, None)
+    if pv is None:
+        pv = v ^ 1
+    else:
+        del m[pv]
+    m[pu] = pv
+    m[pv] = pu
+    return 0
 
 
 def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
@@ -136,62 +172,49 @@ def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
     pd = diagram.pd
     order = _crossing_order(pd)
 
-    # Ends of an arc are (arc, 0) and (arc, 1), numbered in processing order.
-    occ: dict[int, int] = {}
-    slot_ends: list[tuple] = []
+    # weights[0 or 1][closed] = A^(+1 or -1) delta^closed
+    delta = coeffs.delta
+    weights = []
+    for k in (1, -1):
+        w = coeffs.a_pow(k)
+        weights.append((w, w * delta, w * delta * delta))
+    dot = coeffs.dot
+
+    # End k of the i-th arc met is 2i + k, so its partner is end ^ 1.
+    first: dict[int, int] = {}
+    resolutions = []
     for idx in order:
         ends = []
         for a in pd[idx]:
-            k = occ.get(a, 0)
-            occ[a] = k + 1
-            ends.append((a, k))
-        slot_ends.append(tuple(ends))
-
-    def other(e):
-        return (e[0], 1 - e[1])
-
-    def apply_pair(m: dict, u, v) -> int:
-        # Connect free ends u and v; returns 1 if this closes a loop.
-        if u in m:
-            pu = m.pop(u)
-            del m[pu]
-        else:
-            pu = other(u)
-        if pu == v:
-            return 1
-        if v in m:
-            pv = m.pop(v)
-            del m[pv]
-        else:
-            pv = other(v)
-        m[pu] = pv
-        m[pv] = pu
-        return 0
-
-    delta = coeffs.delta
-    weight_a = coeffs.a_pow(1)
-    weight_b = coeffs.a_pow(-1)
-    states = {frozenset(): coeffs.one}
-    for ends in slot_ends:
+            got = first.get(a)
+            if got is None:
+                first[a] = got = 2 * len(first)
+                ends.append(got)
+            else:
+                ends.append(got + 1)
         e0, e1, e2, e3 = ends
-        new_states: dict[frozenset, object] = {}
-        for key, val in states.items():
-            for pairs, w in (((e0, e1, e2, e3), weight_a), ((e0, e3, e1, e2), weight_b)):
-                m = dict(key)
-                closed = apply_pair(m, pairs[0], pairs[1])
-                closed += apply_pair(m, pairs[2], pairs[3])
-                term = val * w
-                for _ in range(closed):
-                    term = term * delta
-                k2 = frozenset(m.items())
-                if k2 in new_states:
-                    new_states[k2] = new_states[k2] + term
+        resolutions.append(((e0, e1, e2, e3, weights[0]), (e0, e3, e1, e2, weights[1])))
+
+    # A state is a matching of the dangling ends with its value.  Each step
+    # groups the resolutions by the matching they produce and sums the terms
+    # reaching a matching in one dot.
+    states = [({}, coeffs.one)]
+    for pairs in resolutions:
+        grouped: dict[frozenset, tuple[dict, list]] = {}
+        for m, val in states:
+            for u, v, x, y, w in pairs:
+                m2 = m.copy()
+                term = (val, w[_join(m2, u, v) + _join(m2, x, y)])
+                key = frozenset(m2.items())
+                got = grouped.get(key)
+                if got is None:
+                    grouped[key] = (m2, [term])
                 else:
-                    new_states[k2] = term
-        states = new_states
-    if len(states) != 1 or frozenset() not in states:
+                    got[1].append(term)
+        states = [(m, dot(terms)) for m, terms in grouped.values()]
+    if len(states) != 1 or states[0][0]:
         raise RefutationError("state sum did not close up to the empty state")
-    out = states[frozenset()]
+    out = states[0][1]
     for _ in range(diagram.loops):
         out = out * delta
     return out

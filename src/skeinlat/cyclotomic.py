@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .laurent import IntLaurent, RefutationError
 
@@ -184,6 +185,42 @@ class CycContext:
     def from_q_laurent(self, f: IntLaurent) -> "CycNum":
         return self.from_A_laurent(f.substitute_power(2))
 
+    def _reduce(self, conv: list[int]) -> tuple[int, ...]:
+        """Power-basis vector of a length-(2 phi - 1) convolution mod Phi_n."""
+        phi = self.phi
+        vec = conv[:phi]
+        red = self._red
+        for idx in range(phi, 2 * phi - 1):
+            c = conv[idx]
+            if c:
+                row = red[idx]
+                for i in range(phi):
+                    if row[i]:
+                        vec[i] += c * row[i]
+        return tuple(vec)
+
+    def dot(self, pairs: Iterable[tuple[CycNum, CycNum]]) -> CycNum:
+        """Sum of a * b over pairs of integral elements.
+
+        The convolutions are summed first, then reduced mod Phi_n and
+        normalised once: the delayed reduction of Dumas, Giorgi & Pernet,
+        ACM TOMS 35 (2008).  An operand with a denominator raises ValueError
+        instead of falling back to field arithmetic, whose common
+        denominator can grow without bound."""
+        conv = [0] * (2 * self.phi - 1)
+        for x, y in pairs:
+            for z in (x, y):
+                if z.ctx is not self and z.ctx.n != self.n:
+                    raise mixed_rings(self, z.ctx)
+                if z.den != 1:
+                    raise ValueError(f"dot needs integral operands, got denominator {z.den}")
+            right = [(j, b) for j, b in enumerate(y.vec) if b]
+            for i, a in enumerate(x.vec):
+                if a:
+                    for j, b in right:
+                        conv[i + j] += a * b
+        return CycNum(self, self._reduce(conv), 1)
+
     def inv(self, x: "CycNum") -> "CycNum":
         """Cached field inverse via the product of Galois conjugates."""
         got = self._inv_cache.get(x)
@@ -287,16 +324,7 @@ class CycNum:
                 for j, b in enumerate(other.vec):
                     if b:
                         conv[i + j] += a * b
-        vec = conv[:phi]
-        red = self.ctx._red
-        for idx in range(phi, 2 * phi - 1):
-            c = conv[idx]
-            if c:
-                row = red[idx]
-                for i in range(phi):
-                    if row[i]:
-                        vec[i] += c * row[i]
-        return CycNum(self.ctx, tuple(vec), self.den * other.den)
+        return CycNum(self.ctx, self.ctx._reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -335,25 +335,31 @@ def _loop_fusion(params: TQFTParams, a: int, m: int, c: int, s: int) -> CycNum:
     return got
 
 
-def _fused_loop(params: TQFTParams, cable: list[CycNum], m: int, c: int) -> dict[int, CycNum]:
-    """Fuse a class cable onto a loop colored m with arm c, channels s < d.
+def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> dict[int, CycNum]:
+    """Fuse `count` parallel color cables onto a loop colored m with arm c,
+    channels s < d; memoized per (color, count, m, c).
 
     Nothing is folded back: the arrangement bounds keep every hole cover
     below d, so a z or v cable never reaches a channel s >= d, and an
     expansion that lost a term would be refuted by the entrywise comparison
     with the projection closed form."""
-    p = params.p
-    out: dict[int, CycNum] = {}
-    for a, xa in enumerate(cable):
-        if not xa:
-            continue
-        for s in range(params.d):
-            if not (p_admissible(p, a, m, s) and p_admissible(p, s, s, c)):
+    key = (color, count, m, c)
+    got = params.loop_table.get(key)
+    if got is None:
+        p = params.p
+        out: dict[int, CycNum] = {}
+        for a, xa in enumerate(_class_cable(params, color, count)):
+            if not xa:
                 continue
-            coeff = xa * _loop_fusion(params, a, m, c, s)
-            acc = out.get(s)
-            out[s] = coeff if acc is None else acc + coeff
-    return {k: v for k, v in out.items() if v}
+            for s in range(params.d):
+                if not (p_admissible(p, a, m, s) and p_admissible(p, s, s, c)):
+                    continue
+                coeff = xa * _loop_fusion(params, a, m, c, s)
+                acc = out.get(s)
+                out[s] = coeff if acc is None else acc + coeff
+        got = {k: v for k, v in out.items() if v}
+        params.loop_table[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +379,6 @@ def expand_arrangement(
     if arr.genus != 2:
         raise ValueError("expansion over the dumbbell basis needs genus 2")
     p = params.p
-    xc = _class_cable(params, color, arr.alpha)
-    yc = _class_cable(params, color, arr.beta)
     zc = _class_cable(params, color, arr.gamma)
     out: dict[Coloring2, CycNum] = {}
     for m, zm in enumerate(zc):
@@ -384,8 +388,8 @@ def expand_arrangement(
             if not p_admissible(p, m, m, c):
                 continue
             w = zm * _arm_split(params, m, c)
-            left = _fused_loop(params, xc, m, c)
-            right = _fused_loop(params, yc, m, c)
+            left = _fused_loop(params, color, arr.alpha, m, c)
+            right = _fused_loop(params, color, arr.beta, m, c)
             for s, cs in left.items():
                 ws = w * cs
                 for t, ct in right.items():
@@ -517,20 +521,15 @@ def _gram_from_rows(
 ) -> Matrix:
     """Gram_ij = sum_tau row_i[tau] norm_tau conj(row_j[tau]).
 
-    Each row is weighted by the norms once and conjugated once, so a term
-    costs one product."""
-    ctx = params.ctx
+    Each row is weighted by the norms once and conjugated once, and each
+    entry is one ctx.dot, so rows and norms must be integral."""
+    dot = params.ctx.dot
     weighted = [{tau: a * norms[tau] for tau, a in row.items()} for row in rows]
     conjugated = [{tau: b.conj() for tau, b in row.items()} for row in rows]
 
     def entry(i: int, j: int) -> CycNum:
-        acc = ctx.zero
         right = conjugated[j]
-        for tau, a in weighted[i].items():
-            b = right.get(tau)
-            if b is not None:
-                acc = acc + a * b
-        return acc
+        return dot((a, right[tau]) for tau, a in weighted[i].items() if tau in right)
 
     return _hermitian_fill(len(rows), entry)
 

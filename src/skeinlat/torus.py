@@ -57,7 +57,8 @@ class TQFTParams:
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
     p, and it owns the memo tables of the genus-2/3 fusion rules, of the
-    genus-2 closed-form annulus products and of the necklace brackets.
+    genus-2 closed-form annulus products and fused loops, and of the
+    necklace brackets.
     inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
     """
 
@@ -101,6 +102,7 @@ class TQFTParams:
         self.split_table: dict[tuple[int, int], CycNum] = {}
         self.fusion_table: dict[tuple[int, int, int, int], CycNum] = {}
         self.pair_table: dict[tuple[str, int, int], list[CycNum]] = {}
+        self.loop_table: dict[tuple[str, int, int, int], dict[int, CycNum]] = {}
         self.necklace_table: dict[tuple, CycNum] = {}
 
     def necklace(self, widths, cores) -> CycNum:

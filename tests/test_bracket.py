@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from skeinlat import bracket as bracket_module
 from skeinlat.bracket import (
     COLORINGS,
     LaurentCoeffs,
@@ -167,6 +168,83 @@ def test_seeded_braid_moves_keep_the_bracket(move):
         assert bracket(after, strands) == bracket(before, strands), (before, after)
         for word in (before, after):
             assert braid_pd(word, strands).mu == len(braid_components(word, strands))
+
+
+# ---------------------------------------------------------------- state-sum oracle
+
+def brute_force_bracket(diagram, coeffs):
+    """Oracle for kauffman_bracket: the sum over all 2^n resolutions, with
+    the loops of each counted by union-find on the crossing slots."""
+    pd = diagram.pd
+    slots_of_arc = {}
+    for i, cr in enumerate(pd):
+        for k, a in enumerate(cr):
+            slots_of_arc.setdefault(a, []).append((i, k))
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    total = None
+    for state in range(1 << len(pd)):
+        parent = {(i, k): (i, k) for i in range(len(pd)) for k in range(4)}
+        joins = [tuple(slots) for slots in slots_of_arc.values()]
+        a_sides = 0
+        for i in range(len(pd)):
+            if state >> i & 1:
+                joins += [((i, 0), (i, 3)), ((i, 1), (i, 2))]
+            else:
+                joins += [((i, 0), (i, 1)), ((i, 2), (i, 3))]
+                a_sides += 1
+        for x, y in joins:
+            parent[find(parent, x)] = find(parent, y)
+        loops = len({find(parent, x) for x in parent}) + diagram.loops
+        term = coeffs.a_pow(2 * a_sides - len(pd))
+        for _ in range(loops):
+            term = term * coeffs.delta
+        total = term if total is None else total + term
+    return total
+
+
+def random_closure(rng, longest):
+    strands = rng.randrange(1, 5)
+    if strands == 1:
+        return braid_pd([], 1)
+    return braid_pd(_word(rng, strands, longest), strands)
+
+
+@pytest.mark.parametrize("ring", ("laurent", 5, 7))
+def test_state_sum_matches_brute_force_seeded(ring):
+    coeffs = LaurentCoeffs if ring == "laurent" else RootCoeffs(CycContext(ring))
+    rng = random.Random(1510 + (0 if ring == "laurent" else ring))
+    for _ in range(25):
+        diagram = random_closure(rng, 10)
+        assert diagram.crossings <= 10
+        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, coeffs), diagram
+
+
+def greedy_order_reference(pd):
+    """Oracle for _crossing_order: the quadratic greedy that rescans every
+    remaining crossing's score on each pick."""
+    remaining = set(range(len(pd)))
+    seen = set()
+    order = []
+    while remaining:
+        best = max(sorted(remaining), key=lambda i: sum(1 for a in pd[i] if a in seen))
+        order.append(best)
+        remaining.discard(best)
+        seen.update(pd[best])
+    return order
+
+
+def test_crossing_order_matches_the_quadratic_greedy():
+    rng = random.Random(1520)
+    diagrams = [random_closure(rng, 32) for _ in range(200)]
+    diagrams += [LinkDiagram.from_json(entry) for entry in corpus_links()]
+    for diagram in diagrams:
+        got = bracket_module._crossing_order(diagram.pd)
+        assert got == greedy_order_reference(diagram.pd), diagram.pd
 
 
 # ---------------------------------------------------------------- corpus

@@ -396,6 +396,21 @@ def test_genus2_unchanged_under_optimize_flag(basis) -> None:
     assert runs[0][0] == 0 and runs[0][1]
 
 
+def test_bracket_unchanged_under_optimize_flag() -> None:
+    # the state sum's "did not close up" check must raise, not assert
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "skeinlat.cli", "bracket", "--cap-crossings", "8"],
+            capture_output=True, env=env, timeout=300, check=False,
+        )
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
 PKG = os.path.dirname(os.path.abspath(skeinlat.__file__))
 ROOT = os.path.dirname(os.path.dirname(PKG))
 DEMOS = os.path.join(ROOT, "demos")

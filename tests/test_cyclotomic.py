@@ -200,3 +200,42 @@ def test_separate_contexts_of_one_ring_mix():
     assert a.one + b.q == a.one + a.q
     assert a.A * b.A == a.q
     assert a.q / b.q == 1
+
+
+def integral_element(ctx, rng):
+    return CycNum(ctx, tuple(rng.randrange(-9, 10) for _ in range(ctx.phi)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_dot_is_the_sum_of_products_seeded(p):
+    ctx = CycContext(p)
+    rng = random.Random(1500 + p)
+    for _ in range(20):
+        pairs = [(integral_element(ctx, rng), integral_element(ctx, rng))
+                 for _ in range(rng.randrange(1, 6))]
+        expected = ctx.zero
+        for x, y in pairs:
+            expected = expected + x * y
+        assert ctx.dot(pairs) == expected
+    assert ctx.dot([(ctx.A, ctx.A), (-ctx.q, ctx.one)]) == ctx.zero
+
+
+def test_dot_of_nothing_is_zero():
+    ctx = CycContext(7)
+    assert ctx.dot([]) == ctx.zero
+
+
+def test_dot_refuses_a_denominator():
+    ctx = CycContext(5)
+    half = CycNum(ctx, ctx.one.vec, 2)
+    for pair in ((half, ctx.one), (ctx.one, half)):
+        with pytest.raises(ValueError, match="integral"):
+            ctx.dot([(ctx.A, ctx.A), pair])
+
+
+def test_dot_refuses_another_ring():
+    c5, c7 = CycContext(5), CycContext(7)
+    for pair in ((c7.A, c5.one), (c5.one, c7.A)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            c5.dot([pair])
+    assert CycContext(5).dot([(c5.A, c5.A)]) == c5.q

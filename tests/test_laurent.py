@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,3 +89,22 @@ def test_loc_arithmetic():
     assert y.is_integral() and y.as_int_laurent() == ONE
     with pytest.raises(ValueError):
         half.as_int_laurent()
+
+
+def test_dot_is_the_sum_of_products_seeded():
+    rng = random.Random(15)
+    for _ in range(30):
+        pairs = [
+            tuple(
+                IntLaurent({rng.randrange(-8, 9): rng.randrange(-5, 6) for _ in range(rng.randrange(5))})
+                for _ in range(2)
+            )
+            for _ in range(rng.randrange(1, 6))
+        ]
+        assert IntLaurent.dot(pairs) == sum((x * y for x, y in pairs), ZERO)
+    # terms that cancel leave no zero coefficient behind
+    assert IntLaurent.dot([(A, ONE), (-A, ONE)]).c == {}
+
+
+def test_dot_of_nothing_is_zero():
+    assert IntLaurent.dot([]) == ZERO

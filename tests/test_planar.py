@@ -426,6 +426,29 @@ def test_closed_form_memoizes_each_count_pair(monkeypatch, color):
     assert calls == []
 
 
+@pytest.mark.parametrize("color", ("z", planar._V_INTEGRAL))
+def test_expansion_fuses_each_loop_once(monkeypatch, color):
+    # expanding every arrangement computes one fused loop per (color, count,
+    # m, c); a computation builds one class cable, and each arrangement
+    # builds one more for its arm
+    params = TQFTParams(11)
+    arrs = arrangement_set_genus2(11)
+    calls = []
+    inner = planar._class_cable
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(planar, "_class_cable", counted)
+    first = [expand_arrangement(params, arr, color) for arr in arrs]
+    assert len(calls) - len(arrs) == len(params.loop_table) > 0
+    assert {key[0] for key in params.loop_table} == {color}
+    calls.clear()
+    assert [expand_arrangement(params, arr, color) for arr in arrs] == first
+    assert len(calls) == len(arrs)
+
+
 def test_av_report_factors_an_integral_gram(monkeypatch):
     # the Av report hands LDL the Gram of the v rows times (1+A)^n: integral,
     # with the graph norms as its pivots; its own gram is the v Gram
