@@ -24,7 +24,7 @@ def main() -> None:
             f"det valuation {rep.associate_exponent}, "
             f"entries in the real subring: {rep.plus_subring}"
         )
-    witness = non_unimodular_witness(5, 3, genus3_p5_report("v"))
+    witness = non_unimodular_witness(genus3_p5_report("v"))
     print(f"  witness: {witness['claim']}")
     print(
         f"    gram valuation {witness['gram_valuation']} is odd because the "

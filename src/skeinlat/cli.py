@@ -250,69 +250,51 @@ def rank_ok(n: int, vf: float) -> bool:
     return abs(vf - n) <= max(1e-6, 1e-12 * n)
 
 
+def rank_cert(p: int, genus: int) -> dict:
+    n = count_spine_colorings(genus, p)
+    vf = verlinde_float(genus, p)
+    return {"claim": f"genus-{genus} rank matches the trigonometric estimate",
+            "p": p, "genus": genus, "rank": n, "verlinde_float": vf, "ok": rank_ok(n, vf)}
+
+
 def rank_certs(p: int, genus_list) -> list[dict]:
-    certs = []
-    for g in sorted(set(genus_list)):
-        n = count_spine_colorings(g, p)
-        vf = verlinde_float(g, p)
-        certs.append(
-            {"claim": f"genus-{g} rank matches the trigonometric estimate",
-             "p": p, "genus": g, "rank": n, "verlinde_float": vf,
-             "ok": rank_ok(n, vf)}
-        )
-    return certs
+    return [rank_cert(p, g) for g in sorted(set(genus_list))]
 
 
-def genus2_ok(rep) -> bool:
+def genus2_cert(p: int, basis: str) -> dict:
     """The genus-2 claim: the determinant is associate to the expected power
     of 1-q (gram_genus2 refutes it otherwise) and a unit exactly for Av."""
-    return rep.unimodular == (rep.basis == "Av")
-
-
-def genus3_ok(rep, witness: dict | None) -> bool:
-    """The genus-3 claim: valuation one (genus3_p5_report refutes any other) over
-    the real subring, with the parity witness that no basis is unimodular."""
-    return rep.plus_subring is True and witness is not None
+    rep = gram_genus2(p, basis)
+    return {
+        **rep.to_json(),
+        "claim": f"genus-2 {basis}-basis gram determinant is associate to "
+                 f"(1-q)^{rep.expected_exponent}",
+        "ok": rep.unimodular == (basis == "Av"),
+    }
 
 
 def genus2_certs(p: int) -> list[dict]:
-    certs = []
-    for basis in BASES_G2:
-        claim = f"genus-2 {basis}-basis gram determinant exponent"
+    return [_guarded(f"genus-2 {basis}-basis gram determinant exponent", p,
+                     lambda basis=basis: genus2_cert(p, basis)) for basis in BASES_G2]
 
-        def build(basis=basis):
-            rep = gram_genus2(p, basis)
-            cert = rep.to_json()
-            cert["claim"] = (
-                f"genus-2 {basis}-basis gram determinant is associate to "
-                f"(1-q)^{rep.expected_exponent}"
-            )
-            cert["ok"] = genus2_ok(rep)
-            return cert
 
-        certs.append(_guarded(claim, p, build))
-    return certs
+def genus3_cert(color: str) -> dict:
+    """The genus-3 claim: valuation one (genus3_p5_report refutes any other) over
+    the real subring, with the parity witness that no basis is unimodular."""
+    rep = genus3_p5_report(color)
+    witness = non_unimodular_witness(rep)
+    return {
+        **rep.to_json(),
+        "witness": witness,
+        "claim": f"genus-3 {color}-recolored gram determinant has valuation "
+                 "one over the real subring",
+        "ok": rep.plus_subring is True and witness is not None,
+    }
 
 
 def genus3_certs() -> list[dict]:
-    certs = []
-    for color in ("v", "omega"):
-        claim = f"genus-3 {color}-recolored gram determinant valuation"
-
-        def build(color=color):
-            rep = genus3_p5_report(color)
-            wit = non_unimodular_witness(5, 3, rep)
-            cert = rep.to_json()
-            cert["witness"] = wit
-            cert["claim"] = (
-                f"genus-3 {color}-recolored gram determinant has valuation "
-                "one over the real subring"
-            )
-            cert["ok"] = genus3_ok(rep, wit)
-            return cert
-
-        certs.append(_guarded(claim, 5, build))
-    return certs
+    return [_guarded(f"genus-3 {color}-recolored gram determinant valuation", 5,
+                     lambda color=color: genus3_cert(color)) for color in ("v", "omega")]
 
 
 def corpus_certs(links: list[dict], cap_crossings: int) -> list[dict]:
@@ -364,28 +346,26 @@ def cmd_genus1(args) -> tuple[int, object]:
     return 0, expect_exponent(cert, genus1_exponent(params.d, args.basis))
 
 
+def _verb(cert: dict, *hidden: str) -> tuple[int, dict]:
+    """A verb prints its verify-all entry less the hidden keys, and exits
+    nonzero when the entry's claim fails."""
+    return (0 if cert["ok"] else 1), {k: v for k, v in cert.items() if k not in hidden}
+
+
 def cmd_genus2(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(2,)).within_budget()
-    rep = gram_genus2(args.p, args.basis)
-    return (0 if genus2_ok(rep) else 1), rep.to_json()
+    return _verb(genus2_cert(args.p, args.basis), "claim", "ok")
 
 
 def cmd_genus3p5(args) -> tuple[int, object]:
-    rep = genus3_p5_report(args.color)
-    out = rep.to_json()
-    out["witness"] = non_unimodular_witness(5, 3, rep)
-    return (0 if genus3_ok(rep, out["witness"]) else 1), out
+    return _verb(genus3_cert(args.color), "claim", "ok")
 
 
 def cmd_rank(args) -> tuple[int, object]:
     RunConfig(p_list=(args.p,), genus_list=(args.genus,)).within_budget(
         MAX_P_RANK, MAX_GENUS_RANK, "rank"
     )
-    n = count_spine_colorings(args.genus, args.p)
-    vf = verlinde_float(args.genus, args.p)
-    ok = rank_ok(n, vf)
-    return (0 if ok else 1), {"p": args.p, "genus": args.genus, "rank": n,
-                              "verlinde_float": vf, "ok": ok}
+    return _verb(rank_cert(args.p, args.genus), "claim")
 
 
 def cmd_bracket(args) -> tuple[int, object]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycContext, CycNum
+from .cyclotomic import CycContext, CycNum, mixed_rings
 from .matrices import Matrix, determinant, mat_vec
 
 IntRows = list[list[int]]
@@ -161,6 +161,8 @@ class OLattice:
             raise ValueError("vector length does not match the lattice")
         row: list[int] = []
         for c in vec:
+            if c.ctx is not self.ctx and c.ctx.n != self.ctx.n:
+                raise mixed_rings(self.ctx, c.ctx)
             scaled = c * self.den
             if scaled.den != 1:
                 return False

@@ -62,6 +62,20 @@ def map_entries(f: Callable[[Any], Any], a: Matrix) -> Matrix:
     return [[f(x) for x in row] for row in a]
 
 
+def hermitian_fill(n: int, entry: Callable[[int, int], Any]) -> Matrix:
+    """The n x n Hermitian matrix with entry(i, j) on and above the
+    diagonal: each entry below it is the conjugate of its mirror, so entry
+    runs once per unordered pair."""
+    out: Matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            val = entry(i, j)
+            out[i][j] = val
+            if i != j:
+                out[j][i] = val.conj()
+    return out
+
+
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
         return False

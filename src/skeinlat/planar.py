@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum
-from .matrices import Matrix, diagonal, ldl_decomposition, map_entries, mat_eq, mat_mul, transpose
+from .matrices import (Matrix, diagonal, hermitian_fill, ldl_decomposition, map_entries, mat_eq,
+                       mat_mul, transpose)
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
 from .torus import (RefutationError, TQFTParams, associate_certificate, expect_exponent,
                     fold_raw, fold_transparent, omega, omega_pairing)
@@ -466,7 +467,7 @@ def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     two curve counts only, and come from the memo of _pair_product."""
     counts = [_counts(arr) for arr in arrangement_set_genus2(params.p)]
     weights = _meridian_weights(params)
-    return _hermitian_fill(
+    return hermitian_fill(
         len(counts),
         lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
     )
@@ -505,17 +506,6 @@ def _pairing_from_counts(
     return acc
 
 
-def _hermitian_fill(n: int, entry) -> Matrix:
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = entry(i, j)
-            out[i][j] = val
-            if i != j:
-                out[j][i] = val.conj()
-    return out
-
-
 def _gram_from_rows(
     params: TQFTParams, rows: list[dict], norms: dict
 ) -> Matrix:
@@ -531,7 +521,7 @@ def _gram_from_rows(
         right = conjugated[j]
         return dot((a, right[tau]) for tau, a in weighted[i].items() if tau in right)
 
-    return _hermitian_fill(len(rows), entry)
+    return hermitian_fill(len(rows), entry)
 
 
 def _curve_z_terms(params: TQFTParams, color: str) -> dict[int, CycNum]:
@@ -573,7 +563,7 @@ def gram_bracket(
     if any(arr.genus != genus for arr in arrangements):
         raise ValueError("arrangements of different genus do not pair")
     terms = [_arrangement_z_terms(params, arr, color) for arr in arrangements]
-    return _hermitian_fill(
+    return hermitian_fill(
         len(arrangements),
         lambda i, j: omega_pairing(params, genus, terms[i], terms[j]),
     )
@@ -638,20 +628,23 @@ def _certified_report(
     genus: int,
     basis: str,
     color: str | None,
+    arrs: list[CurveArrangement],
     gram: Matrix,
     pivots: list[CycNum],
-    curve_total: int,
-    rank_term: int,
-    base_change_valuation: int,
-    plus_subring: bool | None,
+    plus_subring: bool | None = None,
     units: list[CycNum] | None = None,
 ) -> HigherGramReport:
     """One LDL factorization of gram, whose pivots must be the closed-form ones.
 
-    units, when given, turn the factored gram into the basis Gram: its
-    entries are units[i] gram[i][j] conj(units[j]), and its determinant
-    picks up every |units[i]|^2."""
+    The exponents come from arrs: rank_term is (d-1) genus per arrangement,
+    and base_change_valuation is -2 curve_total for v- or omega-colored
+    curves and 0 otherwise.  units, when given, turn the factored gram into
+    the basis Gram: its entries are units[i] gram[i][j] conj(units[j]), and
+    its determinant picks up every |units[i]|^2."""
     ctx = params.ctx
+    curve_total = sum(arr.curve_count for arr in arrs)
+    rank_term = (params.d - 1) * genus * len(arrs)
+    base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
     _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
     if diag != pivots:
         raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
@@ -666,7 +659,7 @@ def _certified_report(
                 scales[key] = units[i] * units[j].conj()
             return scales[key] * gram[i][j]
 
-        gram = _hermitian_fill(len(gram), rescaled)
+        gram = hermitian_fill(len(gram), rescaled)
     cert = expect_exponent(
         associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
         rank_term + base_change_valuation,
@@ -707,15 +700,11 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
     cols = graph_colorings_genus2(p)
-    rank = len(arrs)
-    curve_total = sum(arr.curve_count for arr in arrs)
-    rank_term = (params.d - 1) * 2 * rank
     norms = {col: graph_norm_genus2(params, *col) for col in cols}
     pivots = [norms[col] for col in cols]
     if basis == "G":
         gram = diagonal(pivots, params.ctx.zero)
-        return _certified_report(params, 2, basis, None, gram, pivots, curve_total, rank_term,
-                                 0, None)
+        return _certified_report(params, 2, basis, None, arrs, gram, pivots)
     if basis not in ("A", "Av"):
         raise ValueError(f"unknown basis {basis!r}; pick G, A, or Av")
     cable = "z" if basis == "A" else _V_INTEGRAL
@@ -726,11 +715,9 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
             "genus-2 gram: graph expansion disagrees with the projection closed form"
         )
     if basis == "A":
-        return _certified_report(params, 2, basis, "z", gram, pivots, curve_total, rank_term,
-                                 0, None)
+        return _certified_report(params, 2, basis, "z", arrs, gram, pivots)
     units = [params.inv1a ** arr.curve_count for arr in arrs]
-    return _certified_report(params, 2, basis, "v", gram, pivots, curve_total, rank_term,
-                             -2 * curve_total, None, units)
+    return _certified_report(params, 2, basis, "v", arrs, gram, pivots, units=units)
 
 
 def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:
@@ -780,7 +767,6 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
     arrs = arrangement_set_genus3()
-    curve_total = sum(arr.curve_count for arr in arrs)
     gram_plain = gram_bracket(params, arrs, "z")
     trans = _subset_transform(params, arrs, color)
     gram_col = mat_mul(
@@ -795,15 +781,10 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
         tw * trans[k][k] * trans[k][k].conj() * graph_norm_genus3(params, *arr.lead_coloring())
         for k, arr in enumerate(arrs)
     ]
-    rank_term = (params.d - 1) * 3 * len(arrs)
-    base_change = -2 * curve_total
-    return _certified_report(
-        params, 3, "A" + color, color, twisted, pivots, curve_total, rank_term,
-        base_change, plus_ok,
-    )
+    return _certified_report(params, 3, "A" + color, color, arrs, twisted, pivots, plus_ok)
 
 
-def non_unimodular_witness(p: int, genus: int, report: HigherGramReport) -> dict | None:
+def non_unimodular_witness(report: HigherGramReport) -> dict | None:
     """Parity obstruction to a unimodular basis, or None when there is none.
 
     Any two bases differ by a change with determinant contributing an even
@@ -813,8 +794,6 @@ def non_unimodular_witness(p: int, genus: int, report: HigherGramReport) -> dict
     exponent is the concrete witness.  A claimed odd instance whose report
     shows an even exponent is a refutation, not a witness.
     """
-    if report.p != p or report.genus != genus:
-        raise ValueError("report does not match the claimed instance")
     if report.rank_term % 2 == 0:
         return None
     if report.associate_exponent % 2 == 0:
@@ -823,8 +802,8 @@ def non_unimodular_witness(p: int, genus: int, report: HigherGramReport) -> dict
         )
     return {
         "claim": "no basis of this module has a unit Gram determinant",
-        "p": p,
-        "genus": genus,
+        "p": report.p,
+        "genus": report.genus,
         "basis": report.basis,
         "gram_valuation": report.associate_exponent,
         "parity_anchor": report.rank_term,

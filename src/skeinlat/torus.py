@@ -33,6 +33,7 @@ from .matrices import (
     Matrix,
     determinant,
     diagonal,
+    hermitian_fill,
     identity,
     map_entries,
     mat_eq,
@@ -390,8 +391,8 @@ def hopf_bracket(params: TQFTParams, x: TorusVector, y: TorusVector) -> CycNum:
 
 
 def gram(basis: list[TorusVector]) -> Matrix:
-    """G_ij = (b_i, b_j); Hermitian by construction."""
-    return [[hermitian_pairing(x, y) for y in basis] for x in basis]
+    """G_ij = (b_i, b_j), one pairing per unordered pair: the form is Hermitian."""
+    return hermitian_fill(len(basis), lambda i, j: hermitian_pairing(basis[i], basis[j]))
 
 
 def e_gram_closed(params: TQFTParams) -> Matrix:

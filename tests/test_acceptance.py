@@ -6,7 +6,6 @@ except the single labeled float cross-check in the rank criterion.
 """
 
 import time
-from functools import lru_cache
 
 from skeinlat.annulus import (
     LocLaurent,
@@ -71,11 +70,6 @@ from skeinlat.torus import (
 PRIMES = (5, 7, 11, 13)
 
 
-@lru_cache(maxsize=None)
-def params_for(p: int) -> TQFTParams:
-    return TQFTParams(p)
-
-
 def twist_op(params: TQFTParams):
     return diagonal([params.mu(i) for i in range(params.d)], params.ctx.zero)
 
@@ -129,7 +123,7 @@ def test_criterion_02_twist_integrality() -> None:
 def test_criterion_03_genus1_determinants() -> None:
     start = time.monotonic()
     for p in PRIMES:
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         d = params.d
         cert = verify_unimodular(params, gram(basis_e(params)), "e")
         assert cert["ok"] and cert["associate_exponent"] == d * (d - 1)
@@ -142,7 +136,7 @@ def test_criterion_03_genus1_determinants() -> None:
 
 def test_criterion_04_basis_equivalences() -> None:
     for p in PRIMES:
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         ctx = params.ctx
         w_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_omega(params)])
         v_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_v(params)])
@@ -154,7 +148,7 @@ def test_criterion_04_basis_equivalences() -> None:
 
 def test_criterion_05_stabilization() -> None:
     for p in (5, 7):
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         ctx = params.ctx
         seed = [x.coords for x in basis_e(params)]
         report = saturate(ctx, seed, [twist_op(params), s_matrix(params)])
@@ -179,10 +173,10 @@ def test_criterion_06_genus2_reports() -> None:
         assert reports["G"].associate_exponent == 2 * n_curves
         assert reports["Av"].unimodular
         for color in ("z", "v"):
-            cert = triangular_certificate_genus2(params_for(p), color)
+            cert = triangular_certificate_genus2(TQFTParams.for_prime(p), color)
             assert cert["ok"], (p, color)
     # diagram oracle at p = 5: the certified grams are honest state sums
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus2(5)
     rep_a = gram_genus2(5, "A")
     assert mat_eq([list(r) for r in rep_a.gram], gram_bracket(params, arrs, "z"))
@@ -197,7 +191,7 @@ def test_criterion_07_genus3_p5() -> None:
         assert rep.rank == 15 and rep.curve_total == 22, color
         assert rep.associate_exponent == 1 and rep.unit_cofactor, color
         assert rep.plus_subring is True, color
-        witness = non_unimodular_witness(5, 3, rep)
+        witness = non_unimodular_witness(rep)
         assert witness is not None and witness["parity_anchor"] == 45
         assert witness["parity_anchor"] % 2 == 1
     same = ("rank", "curve_total", "rank_term", "base_change_valuation",
@@ -247,14 +241,14 @@ def test_criterion_09_divisibility_corpus() -> None:
 def test_criterion_10_oracle_coherence() -> None:
     # every closed form equals the bracket state sum bit for bit
     for p in (5, 7):
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         closed = hopf_matrix(params)
         e_vecs = basis_e(params)
         state_sum = [
             [hopf_bracket(params, x, y) for y in e_vecs] for x in e_vecs
         ]
         assert mat_eq(closed, state_sum), p
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     ctx = params.ctx
     arrs = arrangement_set_genus2(5)
     honest = gram_bracket(params, arrs, "z")

@@ -349,6 +349,38 @@ def test_verify_all_output_pinned_through_p11(capsys) -> None:
     )
 
 
+# sha256 of the stdout of single verbs, which exit 0
+VERB_PINS = {
+    "genus1 --p 7 --basis v":
+        "2202e27a7a713ed3384e8a5be522ec58e9daff94c36511e1268073bdb3d41013",
+    "genus2 --p 5 --basis Av":
+        "402396899a0d607049f7574b4615d73c78e7364c92674f373f4572d3c2218fcb",
+    "genus2 --p 5 --basis Av --emit table":
+        "3580d552ba55a612722a360cd6cc326486111b17c12a4880d35e3d0ba0a40578",
+    "genus3p5 --color omega --emit table":
+        "412219e7eec3760418f1daa3912f28fb64720db1e76ff60a8b2d523a0710f525",
+    "rank --p 13 --genus 3":
+        "7bff71118c02b55b45f1193280dae424f2d567159422efd215510d4107e91928",
+    "rank --p 13 --genus 3 --emit table":
+        "950440993cb25d2323ec176f2c2cf003d75d74f7eead26f3842de6ab67dfafc4",
+    "stabilize --p 5":
+        "ac873933c9b81c68fa28d742aa8f9725cb5964b3e44967b8e9f8cd229128aea9",
+}
+
+
+def argv_id(argv: str) -> str:
+    return argv.replace(" --", "-").replace(" ", "=")
+
+
+@pytest.mark.parametrize("argv", VERB_PINS, ids=argv_id)
+def test_verb_output_pinned(capsys, argv) -> None:
+    # the table form prints a report's keys in insertion order, so a verb
+    # whose entry is rebuilt must keep that order as well as every value
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERB_PINS[argv]
+
+
 def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:
     built = []
     init = TQFTParams.__init__
@@ -364,46 +396,30 @@ def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:
     assert sorted(built) == [5, 7]
 
 
-def test_verify_all_unchanged_under_optimize_flag() -> None:
-    # no correctness check may live in an assert that python -O strips
-    src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "skeinlat.cli", "verify-all", "--p", "5"],
-            capture_output=True, env=env, timeout=300, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("basis", ("A", "Av"))
-def test_genus2_unchanged_under_optimize_flag(basis) -> None:
-    # the genus-2 report's checks (pivots, entrywise closed form, exponent)
-    # must raise, not assert, so -O changes neither stdout nor exit code
-    src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    runs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "skeinlat.cli", "genus2", "--p", "7", "--basis", basis],
-            capture_output=True, env=env, timeout=300, check=False,
-        )
-        runs.append((proc.returncode, proc.stdout))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and runs[0][1]
-
-
-def test_bracket_unchanged_under_optimize_flag() -> None:
-    # the state sum's "did not close up" check must raise, not assert
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify-all --p 5",
+        "genus1 --p 7 --basis v",
+        "genus2 --p 7 --basis A",
+        "genus2 --p 7 --basis Av",
+        "genus3p5 --color omega",
+        "rank --p 13 --genus 3",
+        "bracket --cap-crossings 8",
+        "stabilize --p 5",
+    ],
+    ids=argv_id,
+)
+def test_verb_unchanged_under_optimize_flag(argv) -> None:
+    # no correctness check may live in an assert that python -O strips: the
+    # genus-2 pivots and closed form, the state sum's "did not close up" and
+    # every other check must raise, so -O changes neither stdout nor exit code
     src = os.path.dirname(os.path.dirname(os.path.abspath(skeinlat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     runs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "skeinlat.cli", "bracket", "--cap-crossings", "8"],
+            [sys.executable, *flags, "-m", "skeinlat.cli", *argv.split()],
             capture_output=True, env=env, timeout=300, check=False,
         )
         runs.append((proc.returncode, proc.stdout))

@@ -25,13 +25,8 @@ PRIMES = (5, 7, 11, 13)
 
 
 @lru_cache(maxsize=None)
-def params_for(p: int) -> TQFTParams:
-    return TQFTParams(p)
-
-
-@lru_cache(maxsize=None)
 def lattice_for(p: int, name: str) -> OLattice:
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     builder = {"e": basis_e, "omega": basis_omega, "v": basis_v}[name]
     return OLattice.from_vectors(params.ctx, [x.coords for x in builder(params)])
 
@@ -118,10 +113,10 @@ def test_hnf_canonical_under_row_operations() -> None:
 
 
 def test_from_vectors_rejects_empty_and_ragged() -> None:
-    ctx = params_for(5).ctx
+    ctx = TQFTParams.for_prime(5).ctx
     with pytest.raises(ValueError):
         OLattice.from_vectors(ctx, [])
-    e0, e1 = basis_e(params_for(5))
+    e0, e1 = basis_e(TQFTParams.for_prime(5))
     with pytest.raises(ValueError):
         OLattice.from_vectors(ctx, [e0.coords, e1.coords[:1]])
 
@@ -130,7 +125,7 @@ def test_from_vectors_rejects_empty_and_ragged() -> None:
 @pytest.mark.parametrize("name", ("e", "omega", "v"))
 def test_full_rank_and_zeta_stable(p: int, name: str) -> None:
     lat = lattice_for(p, name)
-    assert lat.rank == params_for(p).d * params_for(p).ctx.phi
+    assert lat.rank == TQFTParams.for_prime(p).d * TQFTParams.for_prime(p).ctx.phi
     assert lat.zeta_stable()
 
 
@@ -142,7 +137,7 @@ def test_vectors_roundtrip(p: int) -> None:
 
 
 def test_contains_generators_and_scalings() -> None:
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     lat = lattice_for(7, "v")
     zeta = params.ctx.zeta_pow(1)
     for vec in basis_v(params):
@@ -154,7 +149,15 @@ def test_contains_generators_and_scalings() -> None:
 def test_contains_rejects_wrong_width() -> None:
     lat = lattice_for(5, "e")
     with pytest.raises(ValueError):
-        lat.contains_vector(basis_e(params_for(5))[0].coords[:1])
+        lat.contains_vector(basis_e(TQFTParams.for_prime(5))[0].coords[:1])
+
+
+def test_contains_rejects_a_vector_from_another_ring() -> None:
+    # three p = 5 entries pass the width check of the width-3 p = 7 lattice;
+    # shorter coordinate rows must not reach the reduction
+    lat = lattice_for(7, "v")
+    with pytest.raises(ValueError, match="cannot mix"):
+        lat.contains_vector([TQFTParams.for_prime(5).ctx.one] * 3)
 
 
 def test_ambient_mismatch_rejected() -> None:
@@ -192,7 +195,7 @@ def test_index_requires_containment() -> None:
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_stable_lattice_is_mapping_class_invariant(p: int) -> None:
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     lat = lattice_for(p, "v")
     for op in (twist_op(params), s_matrix(params, basis="e")):
         for vec in lat.vectors():
@@ -204,7 +207,7 @@ def test_stable_lattice_is_mapping_class_invariant(p: int) -> None:
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_e_seed_saturates_to_v_lattice(p: int) -> None:
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     seed = [e.coords for e in basis_e(params)]
     report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
     assert report.stabilized
@@ -213,21 +216,21 @@ def test_e_seed_saturates_to_v_lattice(p: int) -> None:
 
 
 def test_v_seed_already_twist_stable() -> None:
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     seed = [v.coords for v in basis_v(params)]
     report = saturate(params.ctx, seed, [twist_op(params)])
     assert report.stabilized and report.iterations == 0
 
 
 def test_omega_seed_twist_orbit() -> None:
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     report = saturate(params.ctx, [omega(params).coords], [twist_op(params)])
     assert report.stabilized
     assert lattice_equal(report.lattice, lattice_for(5, "omega"))
 
 
 def test_saturation_is_monotone() -> None:
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     seed = [e.coords for e in basis_e(params)]
     report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
     for vec in seed:
@@ -235,7 +238,7 @@ def test_saturation_is_monotone() -> None:
 
 
 def test_cap_reports_instead_of_asserting() -> None:
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     ctx = params.ctx
     # dividing by a non-unit grows the denominator forever
     shrink = diagonal([ctx.inv(ctx.one + ctx.A)] * params.d, ctx.zero)
@@ -248,7 +251,7 @@ def test_cap_reports_instead_of_asserting() -> None:
 
 def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
     # at p = 7 the e seed needs two enlargements, so cap=1 stops after the first
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     ctx = params.ctx
     ops = [twist_op(params), s_matrix(params, basis="e")]
     seed = [e.coords for e in basis_e(params)]
@@ -262,6 +265,6 @@ def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
 
 
 def test_cap_must_be_positive() -> None:
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     with pytest.raises(ValueError):
         saturate(params.ctx, [basis_e(params)[0].coords], [], cap=0)

@@ -39,11 +39,6 @@ PRIMES = (5, 7, 11)
 
 
 @lru_cache(maxsize=None)
-def params_for(p: int) -> TQFTParams:
-    return TQFTParams(p)
-
-
-@lru_cache(maxsize=None)
 def genus2_report(p: int, basis: str) -> HigherGramReport:
     return gram_genus2(p, basis=basis)
 
@@ -184,14 +179,14 @@ def test_genus3_colorings_p7_are_admissible_and_sorted():
 
 
 def test_expand_empty_arrangement():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     coords = expand_arrangement(params, monomial_arrangement(0, 0, 0))
     assert set(coords) == {(0, 0, 0)}
     assert coords[(0, 0, 0)] == params.ctx.one
 
 
 def test_expand_single_curve_is_exact():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     coords = expand_arrangement(params, monomial_arrangement(1, 0, 0))
     assert set(coords) == {(1, 0, 0)}
     assert coords[(1, 0, 0)] == params.ctx.one
@@ -199,7 +194,7 @@ def test_expand_single_curve_is_exact():
 
 def test_expand_c110_support():
     # two curves around different holes never meet: single graph term
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     coords = expand_arrangement(params, monomial_arrangement(1, 1, 0))
     assert set(coords) == {(1, 1, 0)}
     assert coords[(1, 1, 0)] == params.ctx.one
@@ -207,7 +202,7 @@ def test_expand_c110_support():
 
 def test_expand_two_parallel_curves_split():
     # z^2 = e_2 + e_0 around one hole
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     coords = expand_arrangement(params, monomial_arrangement(2, 0, 0))
     assert set(coords) == {(0, 0, 0), (2, 0, 0)}
     assert coords[(0, 0, 0)] == params.ctx.one
@@ -215,14 +210,14 @@ def test_expand_two_parallel_curves_split():
 
 
 def test_expand_needs_genus2():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     with pytest.raises(ValueError):
         expand_arrangement(params, arrangement_set_genus3()[0])
 
 
 def test_expand_unknown_color():
     # genus-2 cables are z or v; omega is refused by both genus-2 routes
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     for color in ("w", "omega"):
         with pytest.raises(ValueError):
             expand_arrangement(params, monomial_arrangement(1, 0, 0), color)
@@ -233,13 +228,13 @@ def test_expand_unknown_color():
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("color", ("z", "v"))
 def test_triangular_certificate(p, color):
-    cert = triangular_certificate_genus2(params_for(p), color)
+    cert = triangular_certificate_genus2(TQFTParams.for_prime(p), color)
     assert cert["ok"] and cert["support_ok"] and cert["diagonal_ok"]
 
 
 def test_triangular_certificate_rejects_omega():
     with pytest.raises(ValueError):
-        triangular_certificate_genus2(params_for(5), "omega")
+        triangular_certificate_genus2(TQFTParams.for_prime(5), "omega")
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +244,13 @@ def test_triangular_certificate_rejects_omega():
 @pytest.mark.parametrize("p", (5, 7))
 @pytest.mark.parametrize("color", ("z", "v"))
 def test_fusion_route_equals_projection_route(p, color):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     assert mat_eq(fusion_gram(params, color), gram_closed_genus2(params, color))
 
 
 @pytest.mark.parametrize("color", ("z", "v"))
 def test_gram_bracket_oracle_p5(color):
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus2(5)
     assert mat_eq(
         gram_bracket(params, arrs, color), gram_closed_genus2(params, color)
@@ -263,7 +258,7 @@ def test_gram_bracket_oracle_p5(color):
 
 
 def test_pairing_is_hermitian():
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     x = monomial_arrangement(1, 0, 1)
     y = monomial_arrangement(0, 1, 1)
     fwd = pairing_closed_genus2(params, x, y, "v")
@@ -272,13 +267,13 @@ def test_pairing_is_hermitian():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_empty_pairing_is_d_squared(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     empty = monomial_arrangement(0, 0, 0)
     assert pairing_closed_genus2(params, empty, empty) == params.D * params.D
 
 
 def test_pairing_closed_needs_genus2():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     empty3 = arrangement_set_genus3()[0]
     with pytest.raises(ValueError):
         pairing_closed_genus2(params, empty3, empty3)
@@ -287,7 +282,7 @@ def test_pairing_closed_needs_genus2():
 @pytest.mark.parametrize("p", (5, 7))
 def test_ldl_recovers_expansion_and_norms(p):
     # Gram_A = L diag L* with L the expansion matrix and diag the graph norms
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     gram = gram_closed_genus2(params, "z")
     lower, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
@@ -320,7 +315,7 @@ def test_ldl_of_a_diagonal_matrix_multiplies_nothing(monkeypatch):
 
 def test_ldl_diag_v_color_p5():
     # v-diagonal picks up |1+A|^(-2n) against the z norms
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     ctx = params.ctx
     gram = gram_closed_genus2(params, "v")
     _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
@@ -366,15 +361,15 @@ def test_gram_genus2_v_basis_unimodular(p):
 @pytest.mark.parametrize("basis", ("G", "A", "Av"))
 def test_genus2_pivot_product_matches_bareiss(p, basis):
     rep = genus2_report(p, basis)
-    assert rep.det == torus._det(params_for(p), [list(row) for row in rep.gram])
+    assert rep.det == torus._det(TQFTParams.for_prime(p), [list(row) for row in rep.gram])
 
 
 def test_pivot_list_off_by_one_entry_is_refuted():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     rep = genus2_report(5, "A")
     gram = [list(row) for row in rep.gram]
     pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
-    args = (gram, pivots, rep.curve_total, rep.rank_term, 0, None)
+    args = (arrangement_set_genus2(5), gram, pivots)
     assert planar._certified_report(params, 2, "A", "z", *args).det == rep.det
     pivots[2] = pivots[2] + params.ctx.one
     with pytest.raises(RefutationError, match="LDL pivots"):
@@ -462,7 +457,7 @@ def test_av_report_factors_an_integral_gram(monkeypatch):
 
     monkeypatch.setattr(planar, "ldl_decomposition", captured)
     rep = gram_genus2(7, "Av")
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     [(gram, diag)] = factored
     assert all(v.den == 1 for row in gram for v in row)
     assert diag == [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(7)]
@@ -476,7 +471,7 @@ def test_gram_genus2_rejects_unknown_basis():
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_genus2_witness_is_vacuous(p):
-    assert non_unimodular_witness(p, 2, genus2_report(p, "A")) is None
+    assert non_unimodular_witness(genus2_report(p, "A")) is None
 
 
 def test_report_json_round_trip_fields():
@@ -492,7 +487,7 @@ def test_report_json_round_trip_fields():
 
 def test_genus3_block_diagonal_by_loop_colors():
     # arrangements with different hole covers pair to zero
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus3()
     gram = gram_bracket(params, arrs, "z")
     for i, x in enumerate(arrs):
@@ -503,7 +498,7 @@ def test_genus3_block_diagonal_by_loop_colors():
 
 def test_genus3_singleton_norms_match_closed_form():
     # all-singleton families expand to a single graph term: norms on the nose
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus3()
     gram = gram_bracket(params, arrs, "z")
     for i, arr in enumerate(arrs):
@@ -526,13 +521,13 @@ def test_genus3_report(color):
 @pytest.mark.parametrize("color", ("v", "omega"))
 def test_genus3_pivot_product_matches_bareiss(color):
     rep = genus3_report(color)
-    assert rep.det == torus._det(params_for(5), [list(row) for row in rep.gram])
+    assert rep.det == torus._det(TQFTParams.for_prime(5), [list(row) for row in rep.gram])
 
 
 @pytest.mark.parametrize("color", ("v", "omega"))
 def test_genus3_witness(color):
     rep = genus3_report(color)
-    w = non_unimodular_witness(5, 3, rep)
+    w = non_unimodular_witness(rep)
     assert w["ok"] and w["gram_valuation"] == 1 and w["parity_anchor"] == 45
 
 
@@ -544,7 +539,7 @@ def test_genus3_report_rejects_other_colors():
 def test_gram_bracket_rejects_mixed_genus():
     arrs = [arrangement_set_genus2(5)[0], arrangement_set_genus3()[0]]
     with pytest.raises(ValueError, match="genus"):
-        gram_bracket(params_for(5), arrs)
+        gram_bracket(TQFTParams.for_prime(5), arrs)
 
 
 def test_genus3_reports_share_the_necklace_table(monkeypatch):
@@ -565,12 +560,6 @@ def test_genus3_reports_share_the_necklace_table(monkeypatch):
     assert len(calls) == 792
 
 
-def test_witness_rejects_mismatched_instance():
-    rep = genus3_report("v")
-    with pytest.raises(ValueError):
-        non_unimodular_witness(7, 3, rep)
-
-
 def test_witness_refutes_even_valuation_on_odd_instance():
     rep = genus3_report("v")
     fake = HigherGramReport(
@@ -581,7 +570,7 @@ def test_witness_refutes_even_valuation_on_odd_instance():
         det=rep.det, gram=rep.gram,
     )
     with pytest.raises(RefutationError):
-        non_unimodular_witness(5, 3, fake)
+        non_unimodular_witness(fake)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +608,6 @@ def test_verlinde_float_cross_check(genus, p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_top_color_has_reflected_dimensions(p):
     # <p-2-r> = <r>: the fold behind the projection closed form
-    ctx = params_for(p).ctx
+    ctx = TQFTParams.for_prime(p).ctx
     for r in range(p - 1):
         assert quantum_dim_at(ctx, p - 2 - r) == quantum_dim_at(ctx, r)

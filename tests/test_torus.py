@@ -1,5 +1,4 @@
 import random
-from functools import lru_cache
 
 import pytest
 
@@ -51,11 +50,6 @@ from skeinlat.torus import (
 PRIMES = (3, 5, 7, 11, 13)
 
 
-@lru_cache(maxsize=None)
-def params_for(p: int) -> TQFTParams:
-    return TQFTParams(p)
-
-
 def rand_vector(params, rng) -> TorusVector:
     coords = [params.ctx.from_int(rng.randrange(-4, 5)) for _ in range(params.d)]
     return TorusVector(params, coords)
@@ -67,7 +61,7 @@ def rand_vector(params, rng) -> TorusVector:
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_params_d_and_ring(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     assert params.d == (p - 1) // 2
     assert params.ctx.p == p
 
@@ -75,14 +69,14 @@ def test_params_d_and_ring(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_d_valuation(p):
     # D is associate to (1-q)^(d-1)
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     cert = associate_certificate(params, params.D, "D")
     assert cert["ok"] and cert["associate_exponent"] == params.d - 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_eta_inverts_d(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     assert params.D * params.eta == 1
     cert = associate_certificate(params, params.eta, "eta")
     assert cert["ok"] and cert["associate_exponent"] == -(params.d - 1)
@@ -90,7 +84,7 @@ def test_eta_inverts_d(p):
 
 def test_dims_squared_sum_to_d_squared():
     for p in PRIMES:
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         total = params.ctx.zero
         for dim in params.dims:
             total = total + dim * dim
@@ -99,12 +93,12 @@ def test_dims_squared_sum_to_d_squared():
 
 def test_kappa_square():
     for p in PRIMES:
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         assert params.kappa * params.kappa == params.ctx.A_pow(-6 - p * (p + 1) // 2)
 
 
 def test_p3_d_is_one():
-    assert params_for(3).D == 1
+    assert TQFTParams.for_prime(3).D == 1
 
 
 def test_for_prime_is_canonical():
@@ -123,7 +117,7 @@ def test_params_refute_wrong_constants(monkeypatch):
 
 
 def test_vectors_of_two_primes_do_not_mix():
-    x, y = basis_e(params_for(5))[0], basis_e(params_for(7))[0]
+    x, y = basis_e(TQFTParams.for_prime(5))[0], basis_e(TQFTParams.for_prime(7))[0]
     for op in (lambda: x + y, lambda: hermitian_pairing(x, y), lambda: pairing_bracket(x, y)):
         with pytest.raises(ValueError, match="cannot mix"):
             op()
@@ -134,7 +128,7 @@ def test_vectors_of_two_primes_do_not_mix():
 
 
 def test_reduce_folds_e_d():
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     d = params.d
     assert reduce_e(params, [0] * d + [1]) == basis_e(params)[d - 1]
     # e_{d+i} = e_{d-1-i}
@@ -147,7 +141,7 @@ def test_reduce_folds_e_d():
 
 
 def test_z_action_matches_recursion():
-    params = params_for(11)
+    params = TQFTParams.for_prime(11)
     es = basis_e(params)
     d = params.d
     for i in range(d - 1):
@@ -158,13 +152,13 @@ def test_z_action_matches_recursion():
 
 def test_z_action_at_p3_is_identity():
     # d = 1: z e_0 = e_1 folds straight back to e_0
-    params = params_for(3)
+    params = TQFTParams.for_prime(3)
     e0 = basis_e(params)[0]
     assert e0.z_action() == e0
 
 
 def test_reduce_skein_matches_iterated_z():
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     e0 = basis_e(params)[0]
     cur = e0
     for k in range(1, 6):
@@ -173,14 +167,14 @@ def test_reduce_skein_matches_iterated_z():
 
 
 def test_twist_eigenvector():
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     for i, e in enumerate(basis_e(params)):
         assert e.twist() == e.scale(params.mu(i))
         assert e.twist(3).twist(-3) == e
 
 
 def test_vector_linearity():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     rng = random.Random(11)
     x, y = rand_vector(params, rng), rand_vector(params, rng)
     assert (x + y) - y == x
@@ -193,7 +187,7 @@ def test_vector_linearity():
 
 def test_omega_p5_closed_form():
     # omega = D^-1 (e_0 - [2] e_1)
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     om = omega(params)
     two = params.ctx.from_q_laurent(qint(2))
     assert om.coords[0] == params.eta
@@ -202,14 +196,14 @@ def test_omega_p5_closed_form():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_product_route_agrees(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     assert omega_product(params) == omega(params)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_hopf_projection(p):
     # the omega-colored meridian keeps only e_0, scaled by D
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     om = omega(params)
     h = hopf_matrix(params)
     for j in range(params.d):
@@ -225,7 +219,7 @@ def test_omega_hopf_projection(p):
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_pairing_engine_on_e_basis(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     es = basis_e(params)
     for i in range(params.d):
         for j in range(params.d):
@@ -236,7 +230,7 @@ def test_pairing_engine_on_e_basis(p):
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_pairing_engine_on_v_basis(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     vs = basis_v(params)
     closed = v_gram_closed(params)
     for i in range(params.d):
@@ -245,7 +239,7 @@ def test_pairing_engine_on_v_basis(p):
 
 
 def test_pairing_engine_random_vectors():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     rng = random.Random(23)
     for _ in range(4):
         x, y = rand_vector(params, rng), rand_vector(params, rng)
@@ -253,7 +247,7 @@ def test_pairing_engine_random_vectors():
 
 
 def test_pairing_sesquilinear():
-    params = params_for(7)
+    params = TQFTParams.for_prime(7)
     rng = random.Random(5)
     x, y = rand_vector(params, rng), rand_vector(params, rng)
     c = params.ctx.A_pow(3) + 2
@@ -263,7 +257,7 @@ def test_pairing_sesquilinear():
 
 def test_pairing_hermitian_symmetry():
     for p in (5, 7, 11):
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         rng = random.Random(p)
         x, y = rand_vector(params, rng), rand_vector(params, rng)
         assert hermitian_pairing(x, y) == hermitian_pairing(y, x).conj()
@@ -275,7 +269,7 @@ def test_pairing_hermitian_symmetry():
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_hopf_oracle_matches_closed_form(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     es = basis_e(params)
     for i in range(params.d):
         for j in range(params.d):
@@ -285,13 +279,13 @@ def test_hopf_oracle_matches_closed_form(p):
 
 def test_hopf_row_zero_is_quantum_dimension():
     for p in (5, 7, 11):
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         h = hopf_matrix(params)
         assert h[0] == params.dims
 
 
 def test_hopf_is_symmetric_and_real():
-    params = params_for(11)
+    params = TQFTParams.for_prime(11)
     h = hopf_matrix(params)
     assert mat_eq(h, transpose(h))
     assert all(x.conj() == x for row in h for x in row)
@@ -303,7 +297,7 @@ def test_hopf_is_symmetric_and_real():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_e_gram(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ge = gram(basis_e(params))
     assert mat_eq(ge, e_gram_closed(params))
     cert = verify_unimodular(params, ge, "e")
@@ -315,7 +309,7 @@ def test_e_gram(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_gram_unimodular(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     cert = verify_unimodular(params, gram(basis_omega(params)), "omega")
     assert cert["ok"] and cert["unit"]
     assert cert["associate_exponent"] == 0
@@ -323,7 +317,7 @@ def test_omega_gram_unimodular(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_v_gram_unimodular_and_integral(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     gv = gram(basis_v(params))
     assert mat_eq(gv, v_gram_closed(params))
     # integral entries even where i+j >= d, where p | c_{i+j}
@@ -334,7 +328,7 @@ def test_v_gram_unimodular_and_integral(p):
 
 def test_v_gram_p5_determinant():
     # det = D^2 A / (1+A)^2, unit; the (0,0) entry is D itself
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     ctx = params.ctx
     gv = v_gram_closed(params)
     assert gv[0][0] == params.D
@@ -346,7 +340,7 @@ def test_v_gram_p5_determinant():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_det_w_certificate(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     d = params.d
     cert = det_w_certificate(params)
     assert cert["associate_exponent"] == -(d * (d - 1) // 2)
@@ -354,7 +348,7 @@ def test_det_w_certificate(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_vandermonde_certificate(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     d = params.d
     cert = vandermonde_certificate(params)
     assert cert["associate_exponent"] == d * (d - 1) // 2
@@ -364,7 +358,7 @@ def test_vandermonde_certificate(p):
 def test_v_in_e_determinant_valuation(p):
     # the v-basis coordinate matrix over e has det (1+A)^(-d(d-1)/2), a pure
     # unit times the same power of (1-q)
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     det = ctx.one
     vm = v_matrix(params)
@@ -376,14 +370,14 @@ def test_v_in_e_determinant_valuation(p):
 
 
 def test_gram_of_dependent_vectors_degenerates():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     e0 = basis_e(params)[0]
     with pytest.raises(DegeneracyError):
         verify_unimodular(params, gram([e0, e0.scale(2)]), "bogus")
 
 
 def test_associate_certificate_rejects_stray_prime():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     cert = associate_certificate(params, params.ctx.from_int(2), "two")
     assert not cert["ok"] and not cert["unit"]
     assert cert["associate_exponent"] == 0
@@ -395,7 +389,7 @@ def test_associate_certificate_rejects_stray_prime():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_v_in_omega_span_integral_both_ways(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     c = v_in_omega_span(params)
     ctx = params.ctx
     # reconstruct v^j from the coordinates
@@ -406,7 +400,7 @@ def test_v_in_omega_span_integral_both_ways(p):
 
 def test_omega_in_v_coordinates_integral():
     for p in (5, 7, 11, 13):
-        params = params_for(p)
+        params = TQFTParams.for_prime(p)
         ctx = params.ctx
         vinv = mat_inverse(v_matrix(params), ctx.one, ctx.zero, ctx.inv)
         coords = mat_vec(vinv, list(omega(params).coords), ctx.zero)
@@ -419,7 +413,7 @@ def test_omega_in_v_coordinates_integral():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_s_matrix_is_involution(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     s = s_matrix(params)
     assert mat_eq(mat_mul(s, s, ctx.zero), identity(params.d, ctx.one, ctx.zero))
@@ -427,7 +421,7 @@ def test_s_matrix_is_involution(p):
 
 
 def test_s_matrix_anchor_entries():
-    params = params_for(5)
+    params = TQFTParams.for_prime(5)
     s = s_matrix(params)
     assert s[0][0] == params.eta
     # column 0 of eta H is eta <e_j>
@@ -437,7 +431,7 @@ def test_s_matrix_anchor_entries():
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_s_matrix_v_basis_integral(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     sv = s_matrix(params, "v")
     assert all(x.is_integral() for row in sv for x in row)
     # conjugation, not the form push-forward: eta H(v^0, v^0) alone is eta,
@@ -447,12 +441,12 @@ def test_s_matrix_v_basis_integral(p):
 
 def test_s_matrix_rejects_unknown_basis():
     with pytest.raises(ValueError):
-        s_matrix(params_for(5), "w")
+        s_matrix(TQFTParams.for_prime(5), "w")
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_twist_preserves_form(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     t_e = diagonal([params.mu(i) for i in range(params.d)], ctx.zero)
     assert form_preserved(gram(basis_e(params)), t_e, ctx.zero)
@@ -462,7 +456,7 @@ def test_twist_preserves_form(p):
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_s_preserves_form(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     assert form_preserved(gram(basis_e(params)), s_matrix(params), ctx.zero)
     assert form_preserved(gram(basis_v(params)), s_matrix(params, "v"), ctx.zero)
@@ -470,7 +464,7 @@ def test_s_preserves_form(p):
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_twist_matrix_v_is_conjugated_eigenvalue_matrix(p):
-    params = params_for(p)
+    params = TQFTParams.for_prime(p)
     ctx = params.ctx
     vm = v_matrix(params)
     vinv = mat_inverse(vm, ctx.one, ctx.zero, ctx.inv)
@@ -481,6 +475,6 @@ def test_twist_matrix_v_is_conjugated_eigenvalue_matrix(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_modular_relation_scalar(p):
-    cert = modular_relation_scalar(params_for(p))
+    cert = modular_relation_scalar(TQFTParams.for_prime(p))
     assert cert["ok"]
     assert cert["scalar"].is_unit()
