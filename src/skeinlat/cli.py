@@ -54,8 +54,9 @@ BASES_G2 = ("G", "A", "Av")
 # The largest inputs each verb accepts: the largest at which its cost is
 # measured (single runs on a 2-core Xeon).  Beyond them a verb would run
 # without a stated bound, so larger inputs are refused as bad input.
-# genus2 --p 13 takes about 6 s over the three bases, stabilize --p 13
-# about 20 s.
+# genus2 --p 13 takes about 2.5 s over the three bases, stabilize --p 13
+# about 20 s.  Both verbs share the limit, so it stays at 13 until the p = 17
+# lattices are cheap.
 MAX_P_HEAVY = 13
 # genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.
 MAX_P_GENUS1 = 43

@@ -6,11 +6,23 @@ unity and q = A^2.  When p = 3 mod 4 the ring of interest is Z[zeta_2p]
 and everything lives in Z[zeta_4p].  Elements are integer coordinate
 vectors in the power basis of zeta_n modulo the n-th cyclotomic
 polynomial, over a positive integer denominator.
+
+A product is the schoolbook convolution of two vectors, reduced mod Phi_n.
+A sum of products of integral elements (CycContext.dot) runs on Kronecker
+substitution instead (Schoenhage 1982; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009): a vector evaluated at X = 2^w is one int, a term's product is
+one int product, and the sum is unpacked and reduced once.  The slot width
+w must hold every coefficient of the sum with its sign: a term of k factors
+of bit lengths b_1..b_k has coefficients below phi^(k-1) 2^(b_1+...+b_k),
+so T terms fit in w = sum b + bitlen(phi^(k-1) T) + 1 bits.  Each element
+keeps its last packing, so an operand read by many terms is packed once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -109,6 +121,46 @@ def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
     return ValueError(f"cannot mix elements of {a} and {b}")
 
 
+def _pack(vec: tuple[int, ...], w: int) -> int:
+    """The vector evaluated at X = 2^w."""
+    out = shift = 0
+    for c in vec:
+        if c:
+            out += c << shift
+        shift += w
+    return out
+
+
+def _unpack(total: int, w: int, slots: int) -> list[int]:
+    """The signed w-bit slots of a Kronecker-packed int, low to high.
+
+    Adding 2^(w-1) to every slot makes each one a nonnegative w-bit digit, so
+    the signed borrow between slots is settled by one addition and the
+    digits are read off one byte string; anything left above the top slot
+    means w was too narrow."""
+    bias, words = _slot_layout(w, slots)
+    biased = total + bias
+    if biased < 0 or biased.bit_length() > w * slots:
+        raise ArithmeticError(f"Kronecker unpacking left a high part at slot width {w}")
+    size = w // 8
+    raw = biased.to_bytes(size * slots, "little")
+    if words is None:
+        digits = [int.from_bytes(raw[k:k + size], "little") for k in range(0, size * slots, size)]
+    else:
+        digits = words.unpack(raw)
+    half = 1 << (w - 1)
+    return [v - half for v in digits]
+
+
+@lru_cache(maxsize=None)
+def _slot_layout(w: int, slots: int) -> tuple[int, struct.Struct | None]:
+    """2^(w-1) in each of the slots, and a struct reading them as words
+    when w is 32 or 64."""
+    bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * slots, "little")
+    code = {32: "I", 64: "Q"}.get(w)
+    return bias, None if code is None else struct.Struct(f"<{slots}{code}")
+
+
 class CycContext:
     """Shared tables for one ring Z[zeta_n], n = 2p (p = 3 mod 4) or 4p."""
 
@@ -136,6 +188,8 @@ class CycContext:
                 row = [a + ov * b for a, b in zip(row, top)]
             red.append(tuple(row))
         self._red = red
+        # the nonzero (index, coefficient) pairs of each row of red
+        self._red_support = [[(i, v) for i, v in enumerate(row) if v] for row in red]
         self._phi_poly = phi_poly
         self._inv_cache: dict[CycNum, CycNum] = {}
         # exponent of the Galois element cutting out the real-over-q subring:
@@ -177,48 +231,76 @@ class CycContext:
     def from_A_laurent(self, f: IntLaurent) -> "CycNum":
         vec = [0] * self.phi
         for e, v in f.c.items():
-            row = self._red[(self.a_exp * e) % self.n]
-            for i in range(self.phi):
-                vec[i] += v * row[i]
+            for i, r in self._red_support[(self.a_exp * e) % self.n]:
+                vec[i] += v * r
         return CycNum(self, tuple(vec), 1)
 
     def from_q_laurent(self, f: IntLaurent) -> "CycNum":
         return self.from_A_laurent(f.substitute_power(2))
 
     def _reduce(self, conv: list[int]) -> tuple[int, ...]:
-        """Power-basis vector of a length-(2 phi - 1) convolution mod Phi_n."""
-        phi = self.phi
+        """Power-basis vector mod Phi_n of a convolution at least phi long.
+
+        zeta^(n/2) = -1 folds every degree from n/2 on down, top first, and
+        the rows of red take the few degrees left between phi and n/2."""
+        phi, half = self.phi, self.n // 2
+        for idx in range(len(conv) - 1, half - 1, -1):
+            conv[idx - half] -= conv[idx]
         vec = conv[:phi]
-        red = self._red
-        for idx in range(phi, 2 * phi - 1):
+        red = self._red_support
+        for idx in range(phi, min(half, len(conv))):
             c = conv[idx]
             if c:
-                row = red[idx]
-                for i in range(phi):
-                    if row[i]:
-                        vec[i] += c * row[i]
+                for i, r in red[idx]:
+                    vec[i] += c * r
         return tuple(vec)
 
-    def dot(self, pairs: Iterable[tuple[CycNum, CycNum]]) -> CycNum:
-        """Sum of a * b over pairs of integral elements.
+    def dot(self, terms: Iterable[tuple[CycNum, ...]]) -> CycNum:
+        """Sum over the terms of the product of each term's integral factors.
 
-        The convolutions are summed first, then reduced mod Phi_n and
-        normalised once: the delayed reduction of Dumas, Giorgi & Pernet,
-        ACM TOMS 35 (2008).  An operand with a denominator raises ValueError
-        instead of falling back to field arithmetic, whose common
-        denominator can grow without bound."""
-        conv = [0] * (2 * self.phi - 1)
-        for x, y in pairs:
-            for z in (x, y):
-                if z.ctx is not self and z.ctx.n != self.n:
+        A term is a tuple of any number of factors.  Kronecker substitution
+        (Schoenhage 1982; Harvey 2009; see the module docstring) with the
+        delayed reduction of Dumas, Giorgi & Pernet, ACM TOMS 35 (2008):
+        one int product per term, one unpacking and one reduction mod Phi_n
+        per sum.  w is the module docstring's bound for the largest bit sum
+        and the most factors of any term, rounded up to a multiple of 32 so
+        that an element read by many dots keeps hitting its cached pack.  An operand with a denominator raises
+        ValueError instead of falling back to field arithmetic, whose common
+        denominator can grow without bound.  CycNum.__mul__ is the
+        schoolbook oracle."""
+        terms = list(terms)
+        if not terms:
+            return self.zero
+        n = self.n
+        most_bits = most_factors = 0
+        for term in terms:
+            bits = 0
+            for z in term:
+                if z.ctx is not self and z.ctx.n != n:
                     raise mixed_rings(self, z.ctx)
                 if z.den != 1:
                     raise ValueError(f"dot needs integral operands, got denominator {z.den}")
-            right = [(j, b) for j, b in enumerate(y.vec) if b]
-            for i, a in enumerate(x.vec):
-                if a:
-                    for j, b in right:
-                        conv[i + j] += a * b
+                b = z._bits
+                if b is None:
+                    b = z._bits = max(map(abs, z.vec)).bit_length()
+                bits += b
+            if bits > most_bits:
+                most_bits = bits
+            if len(term) > most_factors:
+                most_factors = len(term)
+        phi = self.phi
+        w = most_bits + (phi ** (most_factors - 1) * len(terms)).bit_length() + 1
+        w += -w % 32
+        total = 0
+        for term in terms:
+            prod = 1
+            for z in term:
+                packed = z._packed
+                if packed is None or packed[0] != w:
+                    packed = z._packed = (w, _pack(z.vec, w))
+                prod *= packed[1]
+            total += prod
+        conv = _unpack(total, w, most_factors * (phi - 1) + 1)
         return CycNum(self, self._reduce(conv), 1)
 
     def inv(self, x: "CycNum") -> "CycNum":
@@ -239,10 +321,11 @@ class CycNum:
     """Element of Q(zeta_n): integer vector over a positive denominator.
 
     Normalized so gcd of the entries and the denominator is 1, making
-    equality structural.
+    equality structural.  _bits (the largest coefficient's bit length) and
+    _packed (the last (w, Kronecker pack)) are filled by CycContext.dot.
     """
 
-    __slots__ = ("ctx", "vec", "den")
+    __slots__ = ("ctx", "vec", "den", "_bits", "_packed")
 
     def __init__(self, ctx: CycContext, vec: tuple[int, ...], den: int = 1):
         if den < 0:
@@ -264,6 +347,7 @@ class CycNum:
         self.ctx = ctx
         self.vec = vec
         self.den = den
+        self._bits = self._packed = None
 
     def is_zero(self) -> bool:
         return not any(self.vec)
@@ -346,12 +430,11 @@ class CycNum:
         if math.gcd(k, ctx.n) != 1:
             raise ValueError("not a Galois exponent")
         vec = [0] * ctx.phi
+        red = ctx._red_support
         for j, v in enumerate(self.vec):
             if v:
-                row = ctx._red[(j * k) % ctx.n]
-                for i in range(ctx.phi):
-                    if row[i]:
-                        vec[i] += v * row[i]
+                for i, r in red[(j * k) % ctx.n]:
+                    vec[i] += v * r
         return CycNum(ctx, tuple(vec), self.den)
 
     def conj(self) -> "CycNum":

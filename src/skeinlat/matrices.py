@@ -130,7 +130,7 @@ def mat_inverse(a: Matrix, one: Any, zero: Any, inv: Callable[[Any], Any]) -> Ma
 
 def ldl_decomposition(
     a: Matrix, one: Any, zero: Any, inv: Callable[[Any], Any],
-    conj: Callable[[Any], Any],
+    conj: Callable[[Any], Any], dot: Callable[[list[tuple[Any, Any]]], Any] | None = None,
 ) -> tuple[Matrix, list[Any]]:
     """a = L diag(d) L*, L unit-lower-triangular, for Hermitian a.
 
@@ -139,25 +139,33 @@ def ldl_decomposition(
     as whatever inv raises once a nonzero entry below it needs dividing.
     Row i keeps L[i][k] d[k], the value it divides by d[k] (Golub & Van Loan,
     Matrix Computations, 4.1), and each finished row of L is conjugated
-    once, so an update costs one product.  Products with a zero entry of L
-    are skipped, so a sparse a (a diagonal one, say) costs only the products
-    its nonzero entries need.
+    once, so an update is one sum of products: a[i][j] minus dot over the
+    pairs (L[i][k] d[k], conj(L[j][k])).  dot defaults to summing the
+    products one by one; a caller whose L is integral may pass a fused
+    integral sum such as CycContext.dot, which then raises on a denominator
+    in L.  Pairs with a zero entry are left out (an entry never set stays
+    the zero object itself), so a sparse a (a diagonal one, say) costs only
+    the products its nonzero entries need.
     """
+    if dot is None:
+        def dot(pairs: list[tuple[Any, Any]]) -> Any:
+            acc = zero
+            for x, y in pairs:
+                acc = acc + x * y
+            return acc
+
     n = _square(a)
     lower = [[zero] * n for _ in range(n)]
-    lower_conj: list[list[Any]] = []
+    lower_conj: list[list[tuple[int, Any]]] = []  # (k, conj(L[j][k])), L[j][k] != 0
     diag: list[Any] = [zero] * n
     for i in range(n):
         row = lower[i]
         row_d = [zero] * i  # row_d[k] = L[i][k] d[k]
         for j in range(i + 1):
             if j == i:
-                lower_conj.append([conj(x) for x in row[:i]])
-            cj = lower_conj[j]
-            s = a[i][j]
-            for k in range(j):
-                if not (row_d[k] == zero or cj[k] == zero):
-                    s = s - row_d[k] * cj[k]
+                lower_conj.append([(k, conj(x)) for k, x in enumerate(row[:i]) if x is not zero])
+            terms = [(row_d[k], c) for k, c in lower_conj[j] if row_d[k] is not zero]
+            s = a[i][j] - dot(terms) if terms else a[i][j]
             if j == i:
                 diag[i] = s
                 row[i] = one

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum
@@ -464,13 +465,18 @@ def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     <m> because <p-2-r> = <r>).  A meridian around two small-colored cables
     keeps only their matching channel, which forces the folded colors equal
     and leaves D^2/<m> once both meridians have fired.  P, Q, R depend on the
-    two curve counts only, and come from the memo of _pair_product."""
-    counts = [_counts(arr) for arr in arrangement_set_genus2(params.p)]
+    two curve counts only, and come from the memo of _pair_product.  A v
+    cable is the integral (z+2)^count times the unit (1+A)^-count, and the
+    pairing is multilinear, so the v Gram is the integral one rescaled."""
+    arrs = arrangement_set_genus2(params.p)
+    counts = [_counts(arr) for arr in arrs]
     weights = _meridian_weights(params)
-    return hermitian_fill(
+    cable = _V_INTEGRAL if color == "v" else color
+    gram = hermitian_fill(
         len(counts),
-        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
+        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], cable, weights),
     )
+    return _rescaled(gram, _v_units(params, arrs)) if color == "v" else gram
 
 
 def pairing_closed_genus2(
@@ -480,7 +486,12 @@ def pairing_closed_genus2(
     arrangements."""
     if x.genus != 2 or y.genus != 2:
         raise ValueError("this closed form is the genus-2 pairing")
-    return _pairing_from_counts(params, _counts(x), _counts(y), color, _meridian_weights(params))
+    cable = _V_INTEGRAL if color == "v" else color
+    got = _pairing_from_counts(params, _counts(x), _counts(y), cable, _meridian_weights(params))
+    if color != "v":
+        return got
+    ux, uy = _v_units(params, [x, y])
+    return ux * got * uy.conj()
 
 
 def _counts(arr: CurveArrangement) -> tuple[int, int, int]:
@@ -497,13 +508,30 @@ def _pairing_from_counts(
     params: TQFTParams, counts_x: tuple[int, int, int], counts_y: tuple[int, int, int],
     color: str, weights: list[CycNum],
 ) -> CycNum:
-    """One closed-form entry from the two (alpha, beta, gamma) and the weights."""
+    """One closed-form entry from the two (alpha, beta, gamma) and the
+    weights: one ctx.dot over the channels m of w_m P_m Q_m R_m, so the
+    cables must be integral (z or _V_INTEGRAL)."""
     pq = [_pair_product(params, color, cx, cy) for cx, cy in zip(counts_x, counts_y)]
-    acc = params.ctx.zero
-    for w, px, py, pz in zip(weights, *pq):
-        if px and py and pz:
-            acc = acc + px * py * pz * w
-    return acc
+    return params.ctx.dot(zip(weights, *pq))
+
+
+def _v_units(params: TQFTParams, arrs: list[CurveArrangement]) -> list[CycNum]:
+    """(1+A)^-n per arrangement, n its curve count: a v row over its integral one."""
+    return [params.inv1a ** arr.curve_count for arr in arrs]
+
+
+def _rescaled(gram: Matrix, units: list[CycNum]) -> Matrix:
+    """The Hermitian matrix units[i] gram[i][j] conj(units[j]), one unit
+    product per distinct pair of units."""
+    scales: dict[tuple[CycNum, CycNum], CycNum] = {}
+
+    def entry(i: int, j: int) -> CycNum:
+        key = (units[i], units[j])
+        if key not in scales:
+            scales[key] = units[i] * units[j].conj()
+        return scales[key] * gram[i][j]
+
+    return hermitian_fill(len(gram), entry)
 
 
 def _gram_from_rows(
@@ -580,9 +608,10 @@ class HigherGramReport:
     rank_term is the valuation (d-1) * genus * rank of the graph Gram;
     base_change_valuation is twice the valuation of the change-of-basis
     determinant.  Their sum must equal the observed associate exponent, and
-    unimodular records whether the determinant is a unit outright.  gram is
-    the Gram of the basis itself, even where the LDL ran on a rescaled one
-    (the genus-2 Av report factors its integral rows).
+    unimodular records whether the determinant is a unit outright.
+    factored is the Gram the LDL ran on.  units, when given, rescale it to
+    the Gram of the basis itself (the genus-2 Av report factors its integral
+    rows); gram is that Gram, built on first read.
     """
 
     p: int
@@ -598,7 +627,14 @@ class HigherGramReport:
     unimodular: bool
     plus_subring: bool | None
     det: CycNum = field(repr=False)
-    gram: tuple = field(repr=False)
+    factored: tuple = field(repr=False)
+    units: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def gram(self) -> tuple:
+        if self.units is None:
+            return self.factored
+        return tuple(tuple(row) for row in _rescaled(self.factored, self.units))
 
     @property
     def expected_exponent(self) -> int:
@@ -640,26 +676,30 @@ def _certified_report(
     and base_change_valuation is -2 curve_total for v- or omega-colored
     curves and 0 otherwise.  units, when given, turn the factored gram into
     the basis Gram: its entries are units[i] gram[i][j] conj(units[j]), and
-    its determinant picks up every |units[i]|^2."""
+    its determinant picks up every |units[i]|^2.
+
+    A genus-2 gram is factored over the integers: its rows are
+    unit-triangular over the graph basis, so L is integral and every update
+    is one ctx.dot.  A denominator in L makes that dot raise, which refutes
+    the triangularity.  Genus 3 sums its field products one by one."""
     ctx = params.ctx
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * genus * len(arrs)
     base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
-    _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
+    dot = ctx.dot if genus == 2 else None
+    try:
+        _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), dot)
+    except ValueError as exc:
+        if dot is None:
+            raise
+        raise RefutationError(
+            f"genus-{genus} {basis} gram: rows are not unit-triangular ({exc})"
+        ) from exc
     if diag != pivots:
         raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
     det = math.prod(pivots, start=ctx.one)
     if units is not None:
         det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
-        scales: dict[tuple[CycNum, CycNum], CycNum] = {}
-
-        def rescaled(i: int, j: int) -> CycNum:
-            key = (units[i], units[j])
-            if key not in scales:
-                scales[key] = units[i] * units[j].conj()
-            return scales[key] * gram[i][j]
-
-        gram = hermitian_fill(len(gram), rescaled)
     cert = expect_exponent(
         associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
         rank_term + base_change_valuation,
@@ -678,7 +718,8 @@ def _certified_report(
         unimodular=bool(cert["unit"]),
         plus_subring=plus_subring,
         det=det,
-        gram=tuple(tuple(row) for row in gram),
+        factored=tuple(tuple(row) for row in gram),
+        units=None if units is None else tuple(units),
     )
 
 
@@ -716,8 +757,8 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
         )
     if basis == "A":
         return _certified_report(params, 2, basis, "z", arrs, gram, pivots)
-    units = [params.inv1a ** arr.curve_count for arr in arrs]
-    return _certified_report(params, 2, basis, "v", arrs, gram, pivots, units=units)
+    return _certified_report(params, 2, basis, "v", arrs, gram, pivots,
+                             units=_v_units(params, arrs))
 
 
 def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import skeinlat
-from skeinlat import bracket, cli
+from skeinlat import bracket, cli, planar
 from skeinlat.bracket import load_corpus
 from skeinlat.cli import RunConfig, main
 from skeinlat.recoupling import count_spine_colorings, verlinde_float
@@ -201,6 +201,28 @@ def test_verb_refutes_on_any_arithmetic_error(capsys, monkeypatch) -> None:
     assert err.startswith("refuted:")
 
 
+def test_genus2_rows_that_are_not_unit_triangular_exit_1(capsys, monkeypatch) -> None:
+    # a denominator in the integral LDL is a refutation (exit 1), not bad
+    # input (exit 2): the G Gram gets a unit next to a non-unit pivot
+    real = planar.diagonal
+
+    def coupled(entries, zero):
+        out = real(entries, zero)
+        out[0][1] = out[1][0] = zero + 1
+        return out
+
+    monkeypatch.setattr(planar, "diagonal", coupled)
+    code, out, err = run(capsys, "genus2", "--p", "5", "--basis", "G")
+    assert code == 1 and out == ""
+    assert err.startswith("refuted:") and "not unit-triangular" in err
+    # verify-all records it as one failing entry and runs the rest
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == ["genus-2 G-basis gram determinant exponent"]
+    assert "not unit-triangular" in failing[0]["error"]
+
+
 # --- bracket corpus ---------------------------------------------------------
 
 
@@ -357,6 +379,10 @@ VERB_PINS = {
         "402396899a0d607049f7574b4615d73c78e7364c92674f373f4572d3c2218fcb",
     "genus2 --p 5 --basis Av --emit table":
         "3580d552ba55a612722a360cd6cc326486111b17c12a4880d35e3d0ba0a40578",
+    "genus2 --p 13 --basis A":
+        "dbcc0c7d62a96dc3b2cf539fbd91923d3669d2a4f5902d23ab36dc69117c3222",
+    "genus2 --p 13 --basis Av":
+        "40e04813e601bf9c6768e2ceb97a48595dbb79e5faedf93b7db96eb51f681278",
     "genus3p5 --color omega --emit table":
         "412219e7eec3760418f1daa3912f28fb64720db1e76ff60a8b2d523a0710f525",
     "rank --p 13 --genus 3":

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, poly_resultant
+from skeinlat.cyclotomic import CycContext, CycNum, _unpack, cyclotomic_poly, poly_resultant
 from skeinlat.laurent import IntLaurent
 
 
@@ -239,3 +239,89 @@ def test_dot_refuses_another_ring():
         with pytest.raises(ValueError, match="cannot mix"):
             c5.dot([pair])
     assert CycContext(5).dot([(c5.A, c5.A)]) == c5.q
+
+
+def schoolbook_sum(ctx, terms):
+    # the oracle: each term's product by CycNum.__mul__, summed one by one
+    out = ctx.zero
+    for term in terms:
+        prod = ctx.one
+        for z in term:
+            prod = prod * z
+        out = out + prod
+    return out
+
+
+def extreme_element(ctx, rng, bits, same_sign):
+    # every coefficient at the largest magnitude of its bit length
+    top = (1 << bits) - 1
+    sign = rng.choice((1, -1))
+    return CycNum(ctx, tuple((sign if same_sign else rng.choice((1, -1))) * top
+                             for _ in range(ctx.phi)))
+
+
+def split(total, parts, rng):
+    # total as a sum of `parts` positive ints
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@pytest.mark.parametrize("factors", (1, 2, 4))
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17))
+def test_packed_dot_at_the_slot_boundary_matches_schoolbook_seeded(p, factors):
+    # coefficient sizes chosen so that the unrounded slot width is exactly a
+    # multiple of 32: no rounding slack hides a slot that overflows
+    ctx = CycContext(p)
+    assert ctx.phi == {5: 8, 7: 6, 11: 10, 13: 24, 17: 32}[p]
+    rng = random.Random(1700 + 10 * p + factors)
+    for _ in range(6):
+        count = rng.randrange(1, 7)
+        spare = (ctx.phi ** (factors - 1) * count).bit_length() + 1
+        width = 32 * rng.randrange(1, 4)
+        while width - spare < factors:
+            width += 32
+        terms = []
+        for _ in range(count):
+            same = rng.random() < 0.5
+            terms.append(tuple(extreme_element(ctx, rng, b, same)
+                               for b in split(width - spare, factors, rng)))
+        assert ctx.dot(terms) == schoolbook_sum(ctx, terms)
+        assert {z._packed[0] for term in terms for z in term} == {width}
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17))
+def test_packed_dot_of_mixed_term_lengths_matches_schoolbook_seeded(p):
+    ctx = CycContext(p)
+    rng = random.Random(1800 + p)
+    for _ in range(6):
+        terms = [tuple(CycNum(ctx, tuple(rng.randrange(-(1 << 40), 1 << 40) if rng.random() < 0.5
+                                         else 0 for _ in range(ctx.phi)))
+                       for _ in range(rng.choice((1, 2, 4))))
+                 for _ in range(rng.randrange(1, 9))]
+        assert ctx.dot(terms) == schoolbook_sum(ctx, terms)
+
+
+def test_dot_repacks_an_operand_read_at_another_width():
+    ctx = CycContext(7)
+    rng = random.Random(1907)
+    x = integral_element(ctx, rng)
+    small = ctx.dot([(x, x)])
+    narrow = x._packed[0]
+    big = CycNum(ctx, tuple(c << 90 for c in integral_element(ctx, rng).vec))
+    assert ctx.dot([(x, big), (x, x)]) == x * big + x * x
+    assert x._packed[0] > narrow
+    assert ctx.dot([(x, x)]) == small == x * x
+    assert x._packed[0] == narrow
+
+
+@pytest.mark.parametrize("w", (32, 64, 96))
+def test_unpack_reads_signed_slots_at_the_boundary(w):
+    half = 1 << (w - 1)
+    coeffs = [half - 1, -half, 0, -1, 1, half - 1, -half]
+    total = sum(c << (w * i) for i, c in enumerate(coeffs))
+    assert _unpack(total, w, len(coeffs)) == coeffs
+    # the top slot left over is a high part, not a silent wrap
+    with pytest.raises(ArithmeticError, match="high part"):
+        _unpack(total, w, len(coeffs) - 1)
+    with pytest.raises(ArithmeticError, match="high part"):
+        _unpack(total + (1 << (w * len(coeffs))), w, len(coeffs))

@@ -87,3 +87,26 @@ def test_ldl_costs_one_product_per_update(monkeypatch):
     divisions = n * (n - 1) // 2
     assert counted[0] <= updates + divisions
     assert all(diag) and all(lower[i][j] for i in range(n) for j in range(i))
+
+
+@pytest.mark.parametrize("n", (1, 4, 9))
+def test_integral_ldl_returns_the_pivots_seeded(n):
+    # the genus-2 path: a = R diag(N) R* with R integral and unit lower
+    # triangular factors on ctx.dot, and gives back R and the pivots N
+    ctx = CycContext(7)
+    rng = random.Random(7070 + n)
+    entry = lambda: CycNum(ctx, tuple(rng.randrange(-40, 41) for _ in range(ctx.phi)))
+    r = [[ctx.one if i == j else entry() if j < i and rng.random() < 0.7 else ctx.zero
+          for j in range(n)] for i in range(n)]
+    pivots = []
+    while len(pivots) < n:
+        x = entry()
+        if x:
+            pivots.append(x)
+    d = [[pivots[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    r_star = transpose([[conj(x) for x in row] for row in r])
+    a = mat_mul(mat_mul(r, d, ctx.zero), r_star, ctx.zero)
+    assert all(x.den == 1 for row in a for x in row)
+    lower, diag = ldl_decomposition(a, ctx.one, ctx.zero, ctx.inv, conj, ctx.dot)
+    assert diag == pivots
+    assert mat_eq(lower, r)

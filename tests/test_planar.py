@@ -376,6 +376,19 @@ def test_pivot_list_off_by_one_entry_is_refuted():
         planar._certified_report(params, 2, "A", "z", *args)
 
 
+def test_a_denominator_in_l_refutes_the_genus2_report():
+    # the genus-2 LDL runs on integral dots: a Gram whose L needs 1/N_0 is
+    # not unit-triangular over the graph basis, and that is a refutation
+    params = TQFTParams.for_prime(5)
+    ctx = params.ctx
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
+    assert ctx.inv(pivots[0]).den != 1
+    gram = diagonal(pivots, ctx.zero)
+    gram[0][1] = gram[1][0] = ctx.one
+    with pytest.raises(RefutationError, match="not unit-triangular"):
+        planar._certified_report(params, 2, "G", None, arrangement_set_genus2(5), gram, pivots)
+
+
 def count_eliminations(monkeypatch) -> dict:
     # every module binding of the two eliminations, wrapped by a counter
     calls = {"ldl_decomposition": 0, "determinant": 0}
@@ -461,6 +474,7 @@ def test_av_report_factors_an_integral_gram(monkeypatch):
     [(gram, diag)] = factored
     assert all(v.den == 1 for row in gram for v in row)
     assert diag == [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(7)]
+    assert "gram" not in vars(rep)  # the v Gram is built on first read
     assert mat_eq([list(row) for row in rep.gram], gram_closed_genus2(params, "v"))
 
 
@@ -567,7 +581,7 @@ def test_witness_refutes_even_valuation_on_odd_instance():
         rank=rep.rank, curve_total=rep.curve_total, rank_term=45,
         base_change_valuation=-44, associate_exponent=2,
         unit_cofactor=True, unimodular=False, plus_subring=True,
-        det=rep.det, gram=rep.gram,
+        det=rep.det, factored=rep.factored,
     )
     with pytest.raises(RefutationError):
         non_unimodular_witness(fake)
