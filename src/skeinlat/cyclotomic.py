@@ -116,6 +116,10 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+class NotIntegralError(ValueError):
+    """An operand of an integral-only operation has a denominator."""
+
+
 def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
     """The error for an operation whose operands live in different rings."""
     return ValueError(f"cannot mix elements of {a} and {b}")
@@ -138,12 +142,12 @@ def _unpack(total: int, w: int, slots: int) -> list[int]:
     the signed borrow between slots is settled by one addition and the
     digits are read off one byte string; anything left above the top slot
     means w was too narrow."""
-    bias, words = _slot_layout(w, slots)
-    biased = total + bias
+    biased = total + _slot_bias(w, slots)
     if biased < 0 or biased.bit_length() > w * slots:
         raise ArithmeticError(f"Kronecker unpacking left a high part at slot width {w}")
     size = w // 8
     raw = biased.to_bytes(size * slots, "little")
+    words = _slot_words(w, slots)
     if words is None:
         digits = [int.from_bytes(raw[k:k + size], "little") for k in range(0, size * slots, size)]
     else:
@@ -153,12 +157,21 @@ def _unpack(total: int, w: int, slots: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _slot_layout(w: int, slots: int) -> tuple[int, struct.Struct | None]:
-    """2^(w-1) in each of the slots, and a struct reading them as words
-    when w is 32 or 64."""
-    bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * slots, "little")
+def _slot_bias(w: int, slots: int) -> int:
+    """2^(w-1) in each of the slots."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * slots, "little")
+
+
+@lru_cache(maxsize=None)
+def _slot_words(w: int, slots: int) -> struct.Struct | None:
+    """A struct reading all the slots as machine words when w is 32 or 64.
+
+    Reading them slot by slot with int.from_bytes instead, which works at
+    every width, made benchmark rounds about 5% slower on genus2 --p 11 and
+    about 8% slower on the bracket corpus with its p = 7 root check (2-core
+    Xeon, CPython 3.11), where most dots are narrow."""
     code = {32: "I", 64: "Q"}.get(w)
-    return bias, None if code is None else struct.Struct(f"<{slots}{code}")
+    return None if code is None else struct.Struct(f"<{slots}{code}")
 
 
 class CycContext:
@@ -264,8 +277,9 @@ class CycContext:
         one int product per term, one unpacking and one reduction mod Phi_n
         per sum.  w is the module docstring's bound for the largest bit sum
         and the most factors of any term, rounded up to a multiple of 32 so
-        that an element read by many dots keeps hitting its cached pack.  An operand with a denominator raises
-        ValueError instead of falling back to field arithmetic, whose common
+        that an element read by many dots keeps hitting its cached pack.
+        An operand with a denominator raises NotIntegralError (a ValueError)
+        instead of falling back to field arithmetic, whose common
         denominator can grow without bound.  CycNum.__mul__ is the
         schoolbook oracle."""
         terms = list(terms)
@@ -279,7 +293,7 @@ class CycContext:
                 if z.ctx is not self and z.ctx.n != n:
                     raise mixed_rings(self, z.ctx)
                 if z.den != 1:
-                    raise ValueError(f"dot needs integral operands, got denominator {z.den}")
+                    raise NotIntegralError(f"dot needs integral operands, got denominator {z.den}")
                 b = z._bits
                 if b is None:
                     b = z._bits = max(map(abs, z.vec)).bit_length()

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, NotIntegralError
 from .matrices import (Matrix, diagonal, hermitian_fill, ldl_decomposition, map_entries, mat_eq,
                        mat_mul, transpose)
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
@@ -680,8 +680,10 @@ def _certified_report(
 
     A genus-2 gram is factored over the integers: its rows are
     unit-triangular over the graph basis, so L is integral and every update
-    is one ctx.dot.  A denominator in L makes that dot raise, which refutes
-    the triangularity.  Genus 3 sums its field products one by one."""
+    is one ctx.dot.  A denominator in L makes that dot raise
+    NotIntegralError, which refutes the triangularity; any other error (a
+    non-square gram, mixed rings) propagates.  Genus 3 sums its field
+    products one by one."""
     ctx = params.ctx
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * genus * len(arrs)
@@ -689,9 +691,7 @@ def _certified_report(
     dot = ctx.dot if genus == 2 else None
     try:
         _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), dot)
-    except ValueError as exc:
-        if dot is None:
-            raise
+    except NotIntegralError as exc:
         raise RefutationError(
             f"genus-{genus} {basis} gram: rows are not unit-triangular ({exc})"
         ) from exc

@@ -389,6 +389,23 @@ def test_a_denominator_in_l_refutes_the_genus2_report():
         planar._certified_report(params, 2, "G", None, arrangement_set_genus2(5), gram, pivots)
 
 
+def test_a_malformed_genus2_gram_is_an_error_not_a_refutation():
+    # only a denominator in L refutes triangularity; a gram that is not
+    # square, or mixes rings, is a bad input and keeps its ValueError
+    params = TQFTParams.for_prime(5)
+    ctx = params.ctx
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
+    arrs = arrangement_set_genus2(5)
+    ragged = diagonal(pivots, ctx.zero)
+    ragged[1].pop()
+    with pytest.raises(ValueError, match="square"):
+        planar._certified_report(params, 2, "G", None, arrs, ragged, pivots)
+    mixed = diagonal(pivots, ctx.zero)
+    mixed[0][1], mixed[1][0] = ctx.one, CycContext(7).one
+    with pytest.raises(ValueError, match="cannot mix"):
+        planar._certified_report(params, 2, "G", None, arrs, mixed, pivots)
+
+
 def count_eliminations(monkeypatch) -> dict:
     # every module binding of the two eliminations, wrapped by a counter
     calls = {"ldl_decomposition": 0, "determinant": 0}
