@@ -13,16 +13,17 @@ def main() -> None:
         print(f"genus 2, p = {p}:")
         for basis in ("G", "A", "Av"):
             rep = gram_genus2(p, basis)
-            tag = "unit" if rep.unimodular else f"(1-q)^{rep.associate_exponent} times a unit"
-            print(f"  {basis:>2}-basis: rank {rep.rank}, det {tag}")
+            exponent = rep["associate_exponent"]
+            tag = "unit" if rep["unimodular"] else f"(1-q)^{exponent} times a unit"
+            print(f"  {basis:>2}-basis: rank {rep['rank']}, det {tag}")
 
     print("genus 3, p = 5:")
     for color in ("v", "omega"):
         rep = genus3_p5_report(color)
         print(
-            f"  {color}-recolored basis: rank {rep.rank} on {rep.curve_total} curves, "
-            f"det valuation {rep.associate_exponent}, "
-            f"entries in the real subring: {rep.plus_subring}"
+            f"  {color}-recolored basis: rank {rep['rank']} on {rep['curve_total']} curves, "
+            f"det valuation {rep['associate_exponent']}, "
+            f"entries in the real subring: {rep['plus_subring']}"
         )
     witness = non_unimodular_witness(genus3_p5_report("v"))
     print(f"  witness: {witness['claim']}")

@@ -22,7 +22,7 @@ from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
 from .bracket import COLORINGS, LinkDiagram, divisibility_certificate, load_corpus
 from .cyclotomic import _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
-from .matrices import mat_eq
+from .matrices import Matrix, mat_eq
 from .planar import genus3_p5_report, gram_genus2, non_unimodular_witness
 from .recoupling import count_spine_colorings, verlinde_float
 from .torus import (
@@ -80,6 +80,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.p_list:
             raise ValueError("need at least one p")
+        if len(set(self.p_list)) != len(self.p_list):
+            raise ValueError(f"each p may be given once, got {list(self.p_list)}")
         for p in self.p_list:
             if not _is_odd_prime(p):
                 raise ValueError(f"p must be an odd prime, got {p}")
@@ -193,17 +195,22 @@ def genus1_exponent(d: int, basis: str) -> int:
     return d * (d - 1) if basis == "e" else 0
 
 
+def genus1_cert(params: TQFTParams, basis: str, gram_mat: Matrix) -> dict:
+    """The genus-1 determinant claim for one basis, refuted unless the
+    exponent is genus1_exponent."""
+    expect = genus1_exponent(params.d, basis)
+    return {
+        **expect_exponent(verify_unimodular(params, gram_mat, basis), expect),
+        "claim": f"genus-1 {basis}-basis gram determinant is associate to (1-q)^{expect}",
+    }
+
+
 def genus1_certs(params: TQFTParams) -> list[dict]:
     p = params.p
-    certs = []
     grams = {name: gram(build(params)) for name, build in BASES_G1.items()}
-    for name in BASES_G1:
-        expect = genus1_exponent(params.d, name)
-        claim = f"genus-1 {name}-basis gram determinant is associate to (1-q)^{expect}"
-        cert = _guarded(claim, p, lambda: expect_exponent(
-            verify_unimodular(params, grams[name], name), expect))
-        cert["claim"] = claim
-        certs.append(cert)
+    certs = [_guarded(f"genus-1 {name}-basis gram determinant exponent", p,
+                      lambda name=name: genus1_cert(params, name, grams[name]))
+             for name in BASES_G1]
     certs += [
         _holds("closed-form e-basis gram equals the paired gram", p,
                lambda: mat_eq(grams["e"], e_gram_closed(params))),
@@ -267,10 +274,10 @@ def genus2_cert(p: int, basis: str) -> dict:
     of 1-q (gram_genus2 refutes it otherwise) and a unit exactly for Av."""
     rep = gram_genus2(p, basis)
     return {
-        **rep.to_json(),
+        **rep,
         "claim": f"genus-2 {basis}-basis gram determinant is associate to "
-                 f"(1-q)^{rep.expected_exponent}",
-        "ok": rep.unimodular == (basis == "Av"),
+                 f"(1-q)^{rep['expected_exponent']}",
+        "ok": rep["unimodular"] == (basis == "Av"),
     }
 
 
@@ -285,11 +292,11 @@ def genus3_cert(color: str) -> dict:
     rep = genus3_p5_report(color)
     witness = non_unimodular_witness(rep)
     return {
-        **rep.to_json(),
+        **rep,
         "witness": witness,
         "claim": f"genus-3 {color}-recolored gram determinant has valuation "
                  "one over the real subring",
-        "ok": rep.plus_subring is True and witness is not None,
+        "ok": rep["plus_subring"] is True and witness is not None,
     }
 
 
@@ -343,8 +350,7 @@ def cmd_genus1(args) -> tuple[int, object]:
     if args.emit == "gram":
         return 0, {"p": args.p, "basis": args.basis,
                    "gram": [[x.to_json() for x in row] for row in g]}
-    cert = verify_unimodular(params, g, args.basis)
-    return 0, expect_exponent(cert, genus1_exponent(params.d, args.basis))
+    return _verb(genus1_cert(params, args.basis, g))
 
 
 def _verb(cert: dict, *hidden: str) -> tuple[int, dict]:

@@ -120,7 +120,7 @@ class NotIntegralError(ValueError):
     """An operand of an integral-only operation has a denominator."""
 
 
-def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
+def mixed_rings(a: "CycContext", b: "CycContext | str") -> ValueError:
     """The error for an operation whose operands live in different rings."""
     return ValueError(f"cannot mix elements of {a} and {b}")
 
@@ -537,9 +537,10 @@ class CycNum:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, ctx: CycContext | None = None) -> "CycNum":
-        if ctx is None:
-            ctx = CycContext(int(obj["p"]))
+    def from_json(cls, obj: dict, ctx: CycContext) -> "CycNum":
+        """The element of ctx that to_json wrote as obj; obj must name ctx's ring."""
+        if (int(obj["p"]), int(obj["n"])) != (ctx.p, ctx.n):
+            raise mixed_rings(ctx, f"CycContext(p={obj['p']}, n={obj['n']})")
         vec = [0] * ctx.phi
         for i, v in obj["coeffs"].items():
             vec[int(i)] = int(v)

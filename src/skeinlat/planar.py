@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum, NotIntegralError
@@ -601,64 +600,6 @@ def gram_bracket(
 # determinant reports
 
 
-@dataclass(frozen=True)
-class HigherGramReport:
-    """Gram determinant certificate for one basis of a handlebody module.
-
-    rank_term is the valuation (d-1) * genus * rank of the graph Gram;
-    base_change_valuation is twice the valuation of the change-of-basis
-    determinant.  Their sum must equal the observed associate exponent, and
-    unimodular records whether the determinant is a unit outright.
-    factored is the Gram the LDL ran on.  units, when given, rescale it to
-    the Gram of the basis itself (the genus-2 Av report factors its integral
-    rows); gram is that Gram, built on first read.
-    """
-
-    p: int
-    genus: int
-    basis: str
-    color: str | None
-    rank: int
-    curve_total: int
-    rank_term: int
-    base_change_valuation: int
-    associate_exponent: int
-    unit_cofactor: bool
-    unimodular: bool
-    plus_subring: bool | None
-    det: CycNum = field(repr=False)
-    factored: tuple = field(repr=False)
-    units: tuple | None = field(default=None, repr=False)
-
-    @cached_property
-    def gram(self) -> tuple:
-        if self.units is None:
-            return self.factored
-        return tuple(tuple(row) for row in _rescaled(self.factored, self.units))
-
-    @property
-    def expected_exponent(self) -> int:
-        return self.rank_term + self.base_change_valuation
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "genus": self.genus,
-            "basis": self.basis,
-            "color": self.color,
-            "rank": self.rank,
-            "curve_total": self.curve_total,
-            "rank_term": self.rank_term,
-            "base_change_valuation": self.base_change_valuation,
-            "expected_exponent": self.expected_exponent,
-            "associate_exponent": self.associate_exponent,
-            "unit_cofactor": self.unit_cofactor,
-            "unimodular": self.unimodular,
-            "plus_subring": self.plus_subring,
-            "det": self.det.to_json(),
-        }
-
-
 def _certified_report(
     params: TQFTParams,
     genus: int,
@@ -669,14 +610,16 @@ def _certified_report(
     pivots: list[CycNum],
     plus_subring: bool | None = None,
     units: list[CycNum] | None = None,
-) -> HigherGramReport:
+) -> dict:
     """One LDL factorization of gram, whose pivots must be the closed-form ones.
 
     The exponents come from arrs: rank_term is (d-1) genus per arrangement,
     and base_change_valuation is -2 curve_total for v- or omega-colored
-    curves and 0 otherwise.  units, when given, turn the factored gram into
-    the basis Gram: its entries are units[i] gram[i][j] conj(units[j]), and
-    its determinant picks up every |units[i]|^2.
+    curves and 0 otherwise.  units, when given, rescale the factored gram to
+    the basis Gram units[i] gram[i][j] conj(units[j]), whose determinant
+    picks up every |units[i]|^2.  The report is the entry the genus2 and
+    genus3p5 verbs print, its keys in their table order; unimodular says
+    whether the determinant is a unit outright.
 
     A genus-2 gram is factored over the integers: its rows are
     unit-triangular over the graph basis, so L is integral and every update
@@ -700,30 +643,29 @@ def _certified_report(
     det = math.prod(pivots, start=ctx.one)
     if units is not None:
         det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
+    expected = rank_term + base_change_valuation
     cert = expect_exponent(
-        associate_certificate(params, det, f"genus-{genus} gram determinant", basis),
-        rank_term + base_change_valuation,
+        associate_certificate(params, det, f"genus-{genus} gram determinant", basis), expected
     )
-    return HigherGramReport(
-        p=params.p,
-        genus=genus,
-        basis=basis,
-        color=color,
-        rank=len(gram),
-        curve_total=curve_total,
-        rank_term=rank_term,
-        base_change_valuation=base_change_valuation,
-        associate_exponent=cert["associate_exponent"],
-        unit_cofactor=cert["ok"],
-        unimodular=bool(cert["unit"]),
-        plus_subring=plus_subring,
-        det=det,
-        factored=tuple(tuple(row) for row in gram),
-        units=None if units is None else tuple(units),
-    )
+    return {
+        "p": params.p,
+        "genus": genus,
+        "basis": basis,
+        "color": color,
+        "rank": len(gram),
+        "curve_total": curve_total,
+        "rank_term": rank_term,
+        "base_change_valuation": base_change_valuation,
+        "expected_exponent": expected,
+        "associate_exponent": cert["associate_exponent"],
+        "unit_cofactor": cert["ok"],
+        "unimodular": bool(cert["unit"]),
+        "plus_subring": plus_subring,
+        "det": det,
+    }
 
 
-def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
+def gram_genus2(p: int, basis: str = "A") -> dict:
     """Gram determinant certificate in genus 2.
 
     Bases: "G" the graph basis (diagonal, exponent 2(d-1)r); "A" plain curve
@@ -735,8 +677,7 @@ def gram_genus2(p: int, basis: str = "A") -> HigherGramReport:
     v-row times (1+A)^n, n its curve count, is unit-triangular over G, and
     both routes build that Gram from the same integral cables (the closed
     form memoized per count pair).  Its determinant then takes the units
-    back, prod N * |1+A|^(-2 curve_total), and the report's gram is the
-    Gram of the v basis itself.
+    back, prod N * |1+A|^(-2 curve_total).
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
@@ -792,7 +733,7 @@ def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: s
     return out
 
 
-def genus3_p5_report(color: str = "v") -> HigherGramReport:
+def genus3_p5_report(color: str = "v") -> dict:
     """Genus-3 Gram certificate at p = 5 over the index-two real subring.
 
     The 15 arrangements pair through the state sum; the triangular recolor
@@ -825,7 +766,7 @@ def genus3_p5_report(color: str = "v") -> HigherGramReport:
     return _certified_report(params, 3, "A" + color, color, arrs, twisted, pivots, plus_ok)
 
 
-def non_unimodular_witness(report: HigherGramReport) -> dict | None:
+def non_unimodular_witness(report: dict) -> dict | None:
     """Parity obstruction to a unimodular basis, or None when there is none.
 
     Any two bases differ by a change with determinant contributing an even
@@ -835,18 +776,18 @@ def non_unimodular_witness(report: HigherGramReport) -> dict | None:
     exponent is the concrete witness.  A claimed odd instance whose report
     shows an even exponent is a refutation, not a witness.
     """
-    if report.rank_term % 2 == 0:
+    if report["rank_term"] % 2 == 0:
         return None
-    if report.associate_exponent % 2 == 0:
+    if report["associate_exponent"] % 2 == 0:
         raise RefutationError(
             "odd-parity instance produced an even determinant valuation"
         )
     return {
         "claim": "no basis of this module has a unit Gram determinant",
-        "p": report.p,
-        "genus": report.genus,
-        "basis": report.basis,
-        "gram_valuation": report.associate_exponent,
-        "parity_anchor": report.rank_term,
+        "p": report["p"],
+        "genus": report["genus"],
+        "basis": report["basis"],
+        "gram_valuation": report["associate_exponent"],
+        "parity_anchor": report["rank_term"],
         "ok": True,
     }

@@ -162,42 +162,37 @@ def test_criterion_06_genus2_reports() -> None:
     for p in (5, 7, 11):
         d = (p - 1) // 2
         reports = {b: gram_genus2(p, b) for b in ("G", "A", "Av")}
-        rank = reports["G"].rank
+        rank = reports["G"]["rank"]
         assert rank == d * (d + 1) * (2 * d + 1) // 6, p
         n_curves = (d - 1) * rank
         for rep in reports.values():
-            assert rep.rank == rank
-            assert rep.curve_total == n_curves
-            assert rep.unit_cofactor
-            assert rep.associate_exponent == rep.expected_exponent
-        assert reports["G"].associate_exponent == 2 * n_curves
-        assert reports["Av"].unimodular
+            assert rep["rank"] == rank
+            assert rep["curve_total"] == n_curves
+            assert rep["unit_cofactor"]
+            assert rep["associate_exponent"] == rep["expected_exponent"]
+        assert reports["G"]["associate_exponent"] == 2 * n_curves
+        assert reports["Av"]["unimodular"]
         for color in ("z", "v"):
             cert = triangular_certificate_genus2(TQFTParams.for_prime(p), color)
             assert cert["ok"], (p, color)
-    # diagram oracle at p = 5: the certified grams are honest state sums
-    params = TQFTParams.for_prime(5)
-    arrs = arrangement_set_genus2(5)
-    rep_a = gram_genus2(5, "A")
-    assert mat_eq([list(r) for r in rep_a.gram], gram_bracket(params, arrs, "z"))
-    rep_av = gram_genus2(5, "Av")
-    assert mat_eq([list(r) for r in rep_av.gram], gram_bracket(params, arrs, "v"))
+    # each report checks its Gram against the closed form entry by entry, and
+    # criterion 10 arbitrates the closed form by the state sum at p = 5
     assert time.monotonic() - start < 600
 
 
 def test_criterion_07_genus3_p5() -> None:
     reports = {color: genus3_p5_report(color) for color in ("v", "omega")}
     for color, rep in reports.items():
-        assert rep.rank == 15 and rep.curve_total == 22, color
-        assert rep.associate_exponent == 1 and rep.unit_cofactor, color
-        assert rep.plus_subring is True, color
+        assert rep["rank"] == 15 and rep["curve_total"] == 22, color
+        assert rep["associate_exponent"] == 1 and rep["unit_cofactor"], color
+        assert rep["plus_subring"] is True, color
         witness = non_unimodular_witness(rep)
         assert witness is not None and witness["parity_anchor"] == 45
         assert witness["parity_anchor"] % 2 == 1
     same = ("rank", "curve_total", "rank_term", "base_change_valuation",
             "associate_exponent", "unimodular", "plus_subring")
     for key in same:
-        assert getattr(reports["v"], key) == getattr(reports["omega"], key), key
+        assert reports["v"][key] == reports["omega"][key], key
 
 
 def test_criterion_08_rank_checks() -> None:

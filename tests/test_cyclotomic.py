@@ -174,8 +174,14 @@ def test_json_roundtrip():
     obj = x.to_json()
     assert obj["p"] == 5
     assert CycNum.from_json(obj, ctx) == x
-    y = CycNum.from_json(obj)
-    assert y.vec == x.vec and y.den == x.den
+    # the JSON names its ring; read with another prime's context it is an
+    # error, not a vector zipped or indexed into the wrong ring
+    c7 = CycContext(7)
+    for y, other in ((c7.one + c7.A, ctx), (x, c7)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            CycNum.from_json(y.to_json(), other)
+    with pytest.raises(ValueError, match="cannot mix"):
+        CycNum.from_json({**obj, "n": 10}, ctx)
 
 
 def test_mixing_rings_raises():
