@@ -391,15 +391,16 @@ def divisibility_certificate(diagram: LinkDiagram) -> list[dict]:
 
     Coloring a component z+c keeps it (z) or deletes it with weight c, so
     <L(z+c)> = sum_k c^k s_k, evaluated by Horner's rule: both colorings
-    share one pass of sublink state sums.
+    share one pass of sublink state sums, which also gives mu = len(sums) - 1.
     """
     sums = sublink_sums(diagram)
+    mu = len(sums) - 1
     certs = []
     for name, const in COLORINGS.items():
         value = sums[-1]
         for s in reversed(sums[:-1]):
             value = value * const + s
-        certs.append(_power_certificate(f"(1+A)^mu divides <L({name})>", value, diagram.mu))
+        certs.append(_power_certificate(f"(1+A)^mu divides <L({name})>", value, mu))
     return certs
 
 

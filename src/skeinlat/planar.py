@@ -22,18 +22,19 @@ color and the transparent color p-2 (quantum dimension one), each scaled by
 D.  On graph elements this collapses the pairing to a product of theta
 coefficients: distinct colorings are orthogonal and the norms have the
 closed forms below.  Arrangements expand over graph colorings through
-two-strand fusion, so their Gram matrix is a triangular change of basis away
-from the diagonal graph Gram; the same matrix also comes straight from the
-projection rule once every cable is folded over e_r = e_{p-2-r}, and the two
-routes are compared entry by entry.  Both genus-2 routes build z and v
-cables only, and the closed form is memoized per count pair: each pair of
-cable counts gives one folded annulus product, kept on the parameters, so
-an entry costs only its sum over the channels below d.  The v-colored Gram
-is factored on integral rows, the v cables without their units
-(1+A)^-count, and takes the units back in its determinant.  At p = 5 the
-honest state sum over necklace diagrams arbitrates both.  Determinants are
-reported as associate certificates against powers of 1-q, never as bare
-booleans.
+two-strand fusion, so their Gram matrix is R N R*, with R the
+unit-lower-triangular expansion and N the diagonal graph Gram.  The same
+matrix also comes straight from the projection rule once every cable is
+folded over e_r = e_{p-2-r}.  An LDL factorization is unique, so the two
+routes are compared by factoring the closed form once: its factor must be R
+and its pivots N.  Both genus-2 routes build z and v cables only, and the
+closed form is memoized per count pair: each pair of cable counts gives one
+folded annulus product, kept on the parameters, so an entry costs only its
+sum over the channels below d.  The v-colored Gram is factored on integral
+rows, the v cables without their units (1+A)^-count, and takes the units
+back in its determinant.  At p = 5 the honest state sum over necklace
+diagrams arbitrates both.  Determinants are reported as associate
+certificates against powers of 1-q, never as bare booleans.
 """
 
 from __future__ import annotations
@@ -342,8 +343,8 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
 
     Nothing is folded back: the arrangement bounds keep every hole cover
     below d, so a z or v cable never reaches a channel s >= d, and an
-    expansion that lost a term would be refuted by the entrywise comparison
-    with the projection closed form."""
+    expansion that lost a term would be refuted by the LDL factor of the
+    projection closed form."""
     key = (color, count, m, c)
     got = params.loop_table.get(key)
     if got is None:
@@ -402,8 +403,9 @@ def expand_arrangement(
 
 
 def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
-    """Oracle for gram_closed_genus2, the LDL factor of its Gram matrix.
-    Rows: arrangements; columns: graph colorings, both in their lex order."""
+    """The expansion matrix R, which gram_genus2 requires as the LDL factor
+    of gram_closed_genus2.  Rows: arrangements; columns: graph colorings,
+    both in their lex order."""
     cols = {col: n for n, col in enumerate(graph_colorings_genus2(params.p))}
     mat = []
     for arr in arrangement_set_genus2(params.p):
@@ -415,7 +417,7 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
 
 
 def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
-    """Oracle for the LDL pivots of gram_genus2.
+    """Oracle for the LDL factor and pivots of gram_genus2.
 
     Support bound and lead coefficient of the expansion.  Claim: every
     coloring in the support of an arrangement is componentwise at most its
@@ -533,24 +535,6 @@ def _rescaled(gram: Matrix, units: list[CycNum]) -> Matrix:
     return hermitian_fill(len(gram), entry)
 
 
-def _gram_from_rows(
-    params: TQFTParams, rows: list[dict], norms: dict
-) -> Matrix:
-    """Gram_ij = sum_tau row_i[tau] norm_tau conj(row_j[tau]).
-
-    Each row is weighted by the norms once and conjugated once, and each
-    entry is one ctx.dot, so rows and norms must be integral."""
-    dot = params.ctx.dot
-    weighted = [{tau: a * norms[tau] for tau, a in row.items()} for row in rows]
-    conjugated = [{tau: b.conj() for tau, b in row.items()} for row in rows]
-
-    def entry(i: int, j: int) -> CycNum:
-        right = conjugated[j]
-        return dot((a, right[tau]) for tau, a in weighted[i].items() if tau in right)
-
-    return hermitian_fill(len(rows), entry)
-
-
 def _curve_z_terms(params: TQFTParams, color: str) -> dict[int, CycNum]:
     """One colored curve as a polynomial in its own core: degree -> weight."""
     if color == "z":
@@ -610,8 +594,12 @@ def _certified_report(
     pivots: list[CycNum],
     plus_subring: bool | None = None,
     units: list[CycNum] | None = None,
+    lower: Matrix | None = None,
 ) -> dict:
-    """One LDL factorization of gram, whose pivots must be the closed-form ones.
+    """One LDL factorization of gram, whose pivots must be the expected ones
+    and, when lower is given, whose factor L must equal lower entry for
+    entry.  The factorization is unique, so that proves gram = lower
+    diag(pivots) lower*, the entrywise comparison of the two routes.
 
     The exponents come from arrs: rank_term is (d-1) genus per arrangement,
     and base_change_valuation is -2 curve_total for v- or omega-colored
@@ -633,13 +621,15 @@ def _certified_report(
     base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
     dot = ctx.dot if genus == 2 else None
     try:
-        _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), dot)
+        factor, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), dot)
     except NotIntegralError as exc:
         raise RefutationError(
             f"genus-{genus} {basis} gram: rows are not unit-triangular ({exc})"
         ) from exc
     if diag != pivots:
         raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
+    if lower is not None and not mat_eq(factor, lower):
+        raise RefutationError(f"genus-{genus} {basis} gram: LDL factor is not the graph expansion")
     det = math.prod(pivots, start=ctx.one)
     if units is not None:
         det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
@@ -671,9 +661,9 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     Bases: "G" the graph basis (diagonal, exponent 2(d-1)r); "A" plain curve
     arrangements (unit-triangular over G, same exponent); "Av" v-colored
     arrangements (diagonal picks up (1+A)^-n per arrangement and the
-    determinant is a unit).  For A and Av the expansion route through the
-    graph basis must agree entrywise with the projection closed form, and the
-    LDL pivots with the graph norms.  Av is factored on integral rows: each
+    determinant is a unit).  For A and Av the projection closed form is
+    factored once, and its LDL factor must be the graph expansion matrix
+    and its pivots the graph norms.  Av is factored on integral rows: each
     v-row times (1+A)^n, n its curve count, is unit-triangular over G, and
     both routes build that Gram from the same integral cables (the closed
     form memoized per count pair).  Its determinant then takes the units
@@ -681,25 +671,19 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
-    cols = graph_colorings_genus2(p)
-    norms = {col: graph_norm_genus2(params, *col) for col in cols}
-    pivots = [norms[col] for col in cols]
+    pivots = [graph_norm_genus2(params, *col) for col in graph_colorings_genus2(p)]
     if basis == "G":
         gram = diagonal(pivots, params.ctx.zero)
         return _certified_report(params, 2, basis, None, arrs, gram, pivots)
     if basis not in ("A", "Av"):
         raise ValueError(f"unknown basis {basis!r}; pick G, A, or Av")
     cable = "z" if basis == "A" else _V_INTEGRAL
-    rows = [expand_arrangement(params, arr, cable) for arr in arrs]
-    gram = _gram_from_rows(params, rows, norms)
-    if not mat_eq(gram, gram_closed_genus2(params, cable)):
-        raise RefutationError(
-            "genus-2 gram: graph expansion disagrees with the projection closed form"
-        )
+    gram = gram_closed_genus2(params, cable)
+    lower = expansion_matrix_genus2(params, cable)
     if basis == "A":
-        return _certified_report(params, 2, basis, "z", arrs, gram, pivots)
+        return _certified_report(params, 2, basis, "z", arrs, gram, pivots, lower=lower)
     return _certified_report(params, 2, basis, "v", arrs, gram, pivots,
-                             units=_v_units(params, arrs))
+                             units=_v_units(params, arrs), lower=lower)
 
 
 def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:

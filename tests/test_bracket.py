@@ -369,18 +369,32 @@ def test_unknot_loops_attain_double_valuation():
 
 
 def test_divisibility_certificate_refutation_shape():
-    # force the claimed exponent past the true valuation to see the
-    # refutation payload; honest diagrams never reach this branch
-    class InflatedMu(LinkDiagram):
-        @property
-        def mu(self):
-            return 5
-
-    z2, zq2 = divisibility_certificate(InflatedMu((), 2))
+    # claim an exponent past the true valuation to see the refutation
+    # payload; honest diagrams never reach this branch, since the
+    # certificate reads mu off its own sublink pass
+    z2, zq2 = (
+        bracket_module._power_certificate(c["claim"], IntLaurent.from_json(c["value"]), 5)
+        for c in divisibility_certificate(LinkDiagram((), 2))
+    )
     assert not z2["ok"]
     assert z2["refutation"]["attained_valuation"] == 4
     # the z+[2] value is zero, which every power of (1+A) divides
     assert zq2["ok"] and zq2["mu"] == 5
+
+
+def test_divisibility_certificate_finds_the_components_once(monkeypatch):
+    # the sublink pass finds the components, and mu is its length less one
+    calls = []
+    inner = LinkDiagram.components
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(LinkDiagram, "components", counted)
+    hopf = braid_pd([1, 1], 2)
+    assert [c["mu"] for c in divisibility_certificate(hopf)] == [2, 2]
+    assert calls == [hopf]
 
 
 def test_derivative_congruence_rejects_constant():

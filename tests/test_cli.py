@@ -223,6 +223,31 @@ def test_genus2_rows_that_are_not_unit_triangular_exit_1(capsys, monkeypatch) ->
     assert "not unit-triangular" in failing[0]["error"]
 
 
+def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch) -> None:
+    # the A report factors the closed form once and matches L to the graph
+    # expansion: one z-expansion entry below the diagonal, moved by one, is
+    # a refutation that names the factor, and only the A entry fails
+    real = planar.expansion_matrix_genus2
+
+    def perturbed(params, color="z"):
+        out = real(params, color)
+        if color == "z":
+            out[2][0] = out[2][0] + params.ctx.one
+        return out
+
+    monkeypatch.setattr(planar, "expansion_matrix_genus2", perturbed)
+    with pytest.raises(planar.RefutationError, match="LDL factor is not the graph expansion"):
+        planar.gram_genus2(5, "A")
+    code, out, err = run(capsys, "genus2", "--p", "5", "--basis", "A")
+    assert code == 1 and out == ""
+    assert err.startswith("refuted:") and "LDL factor" in err
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == ["genus-2 A-basis gram determinant exponent"]
+    assert "LDL factor" in failing[0]["error"]
+
+
 # --- bracket corpus ---------------------------------------------------------
 
 
@@ -513,6 +538,8 @@ def test_every_library_name_is_used_or_labeled() -> None:
     # def is reached only from tests, so its docstring must say why it stays:
     # an oracle for a claim-path name, or a certificate a ROADMAP item
     # promotes; words in docstrings, comments and strings are not uses.
+    # Conversely a name so labeled must have no such use: once the claim
+    # path reaches it, the label is stale.
     # Uses are pooled by bare name, not by class: a method counts as used
     # when any method of that name is, so check same-named methods by hand
     uses: dict[str, set] = {}
@@ -529,7 +556,7 @@ def test_every_library_name_is_used_or_labeled() -> None:
                     continue
                 for word in words:
                     uses.setdefault(word, set()).add((folder, name, n.lineno))
-    unlabeled = []
+    unlabeled, stale = [], []
     for name, text in sources(PKG):
         tree = ast.parse(text, name)
         defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
@@ -540,12 +567,12 @@ def test_every_library_name_is_used_or_labeled() -> None:
         ]
         for node in defs:
             own = {(PKG, name, no) for no in range(node.lineno, node.end_lineno + 1)}
-            if uses.get(node.name, set()) - own:
-                continue
+            used = bool(uses.get(node.name, set()) - own)
             first = (ast.get_docstring(node) or "").split("\n")[0]
-            if not first.startswith(("Oracle", "Certificate")):
-                unlabeled.append(f"{name}:{node.lineno} {node.name}")
-    assert unlabeled == []
+            labeled = first.startswith(("Oracle", "Certificate"))
+            if used == labeled:
+                (stale if used else unlabeled).append(f"{name}:{node.lineno} {node.name}")
+    assert unlabeled == [] and stale == []
 
 
 def test_shared_method_names_are_the_reviewed_set() -> None:
