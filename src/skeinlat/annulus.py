@@ -8,9 +8,11 @@ map preserves the integral span of the v-powers; the certifying polynomials
     S_{m,i,n}(A) = (1/n) sum_{k=i}^n k^m C(2n, n-k) C(k+i-1, k-i) A^(k^2)
 
 are divisible by (1+A)^(n-i), which is what makes the twist matrix in the
-v-basis integral.  The twist-square variant replaces A by q, inserts a sign
-(-1)^k in the sum, and localizes at (1-q); under the formal substitution
-q -> -A it coincides with the plain story, which gives a free cross-check.
+v-basis integral: each entry is an exact division in Z[A, A^-1], and a
+remainder refutes it.  The twist-square variant replaces A by q, inserts a
+sign (-1)^k in the sum, and divides by powers of (1-q) instead; under the
+formal substitution q -> -A it coincides with the plain story, which gives a
+free cross-check.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import IntLaurent, LocLaurent, RefutationError
+from .laurent import ONE_PLUS_A, IntLaurent, RefutationError
 from .matrices import Matrix
+
+ONE_MINUS_Q = IntLaurent({0: 1, 1: -1})
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +139,22 @@ def twist_sq_eigenvalue(i: int) -> IntLaurent:
 def v_in_e_matrix(size: int) -> Matrix:
     """Oracle for twist_matrix_v, the change of basis that diagonalizes it.
 
-    Columns are v^j in the e-basis, entries in the localization at 1+A.
-    Upper triangular with diagonal (1+A)^-j, hence invertible there.
+    Column j holds the integral e-coordinates of (z+2)^j, so v^j is column j
+    over (1+A)^j.  Upper triangular with unit diagonal.
     """
     cols = [z_plus2_pow_in_e(j + 1) for j in range(size)]
     return [
-        [
-            LocLaurent(IntLaurent(cols[j][k]), j) if k <= j else LocLaurent(0)
-            for j in range(size)
-        ]
+        [IntLaurent(cols[j][k]) if k <= j else IntLaurent() for j in range(size)]
         for k in range(size)
     ]
+
+
+def _divided(f: IntLaurent, divisor: IntLaurent, what: str) -> IntLaurent:
+    """f / divisor in Z[A, A^-1]; a remainder refutes the entry."""
+    try:
+        return f.exact_div(divisor)
+    except ValueError:
+        raise RefutationError(f"dividing {what} leaves a remainder") from None
 
 
 def twist_matrix_v(size: int) -> Matrix:
@@ -154,21 +163,20 @@ def twist_matrix_v(size: int) -> Matrix:
     out = [[IntLaurent() for _ in range(size)] for _ in range(size)]
     for c in range(size):
         for r in range(c + 1):
-            w = LocLaurent(s_poly(1, r + 1, c + 1), c - r)
-            entry = w.as_int_laurent().shift(-1)
+            what = f"S_(1,{r + 1},{c + 1}) by (1+A)^{c - r}"
+            entry = _divided(s_poly(1, r + 1, c + 1), ONE_PLUS_A ** (c - r), what).shift(-1)
             out[r][c] = entry if r % 2 == 0 else -entry
     return out
 
 
 def twist_sq_matrix_vtilde(size: int) -> Matrix:
     """Matrix of the squared twist in the basis of powers of (z+2)/(1-q),
-    written in the variable q.  Built from the variant polynomials; the
-    localization at (1-q) is carried out through the substitution q -> -A."""
+    written in the variable q.  Built from the variant polynomials, each
+    divided by (1-q)^(n-i) in q."""
     out = [[IntLaurent() for _ in range(size)] for _ in range(size)]
     for c in range(size):
         for r in range(c + 1):
-            s_t = s_tilde_poly(1, r + 1, c + 1)
-            w = LocLaurent(s_t.substitute_negate(), c - r)
-            entry = w.as_int_laurent().substitute_negate().shift(-1)
+            what = f"S~_(1,{r + 1},{c + 1}) by (1-q)^{c - r}"
+            entry = _divided(s_tilde_poly(1, r + 1, c + 1), ONE_MINUS_Q ** (c - r), what).shift(-1)
             out[r][c] = entry if r % 2 else -entry
     return out

@@ -36,35 +36,14 @@ def _poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quo = [0] * (len(num) - dd)
-    for k in range(len(quo) - 1, -1, -1):
-        c = num[k + dd]
-        if c % lead:
-            raise ValueError("not divisible")
-        q = c // lead
-        quo[k] = q
-        if q:
-            for j, b in enumerate(den):
-                num[k + j] -= q * b
-    if any(num):
-        raise ValueError("not divisible")
-    return quo
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_n, low to high, via X^n - 1 = prod Phi_d."""
-    if n == 1:
-        return (-1, 1)
-    f = [-1] + [0] * (n - 1) + [1]
+    f = IntLaurent({0: -1, n: 1})
     for d in range(1, n):
         if n % d == 0:
-            f = _poly_exact_div(f, list(cyclotomic_poly(d)))
-    return tuple(f)
+            f = f.exact_div(IntLaurent(dict(enumerate(cyclotomic_poly(d)))))
+    return tuple(f.coeff(e) for e in range(f.max_exp() + 1))
 
 
 def poly_resultant(f: list[int], g: list[int]) -> int:
@@ -120,7 +99,7 @@ class NotIntegralError(ValueError):
     """An operand of an integral-only operation has a denominator."""
 
 
-def mixed_rings(a: "CycContext", b: "CycContext | str") -> ValueError:
+def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
     """The error for an operation whose operands live in different rings."""
     return ValueError(f"cannot mix elements of {a} and {b}")
 
@@ -535,16 +514,6 @@ class CycNum:
             "coeffs": {str(i): str(v) for i, v in enumerate(self.vec) if v},
             "den": str(self.den),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict, ctx: CycContext) -> "CycNum":
-        """The element of ctx that to_json wrote as obj; obj must name ctx's ring."""
-        if (int(obj["p"]), int(obj["n"])) != (ctx.p, ctx.n):
-            raise mixed_rings(ctx, f"CycContext(p={obj['p']}, n={obj['n']})")
-        vec = [0] * ctx.phi
-        for i, v in obj["coeffs"].items():
-            vec[int(i)] = int(v)
-        return cls(ctx, tuple(vec), int(obj.get("den", "1")))
 
     def __repr__(self) -> str:
         terms = [f"{v}*z^{i}" for i, v in enumerate(self.vec) if v] or ["0"]

@@ -1,7 +1,9 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-Everything downstream lives in Z[A, A^-1] or its localization at (1 + A), so
-coefficients are plain Python ints keyed by exponent.  No floats anywhere.
+Everything downstream lives in Z[A, A^-1], so coefficients are plain Python
+ints keyed by exponent.  No floats anywhere.  exact_div is the one exact
+division: a quotient that must lie in Z[A, A^-1] is computed there, and a
+remainder refutes it.
 """
 
 from __future__ import annotations
@@ -151,13 +153,6 @@ class IntLaurent:
             raise ValueError("substitution must keep A invertible")
         return IntLaurent({e * k: v for e, v in self.c.items()})
 
-    def conj(self) -> "IntLaurent":
-        return self.substitute_power(-1)
-
-    def substitute_negate(self) -> "IntLaurent":
-        """Ring map A -> -A."""
-        return IntLaurent({e: -v if e % 2 else v for e, v in self.c.items()})
-
     def derivative(self) -> "IntLaurent":
         return IntLaurent({e - 1: v * e for e, v in self.c.items() if e})
 
@@ -169,48 +164,33 @@ class IntLaurent:
         return total
 
     def exact_div(self, divisor: "IntLaurent") -> "IntLaurent":
-        """Exact division in Z[A, A^-1]; raises ValueError when not divisible."""
+        """Exact division in Z[A, A^-1]; raises ValueError when not divisible.
+
+        Long division on dense coefficient lists, one pass from the top
+        degree down.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return IntLaurent()
-        # shift both to honest polynomials, divide, shift back
         sm, dm = self.min_exp(), divisor.min_exp()
-        num = {e - sm: v for e, v in self.c.items()}
-        den = {e - dm: v for e, v in divisor.c.items()}
-        dd = max(den)
-        lead = den[dd]
+        num = [0] * (self.max_exp() - sm + 1)
+        for e, v in self.c.items():
+            num[e - sm] = v
+        dd = divisor.max_exp() - dm
+        lead = divisor.c[dm + dd]
+        den = [(e - dm, v) for e, v in divisor.c.items()]
         quo: dict[int, int] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise ValueError("not divisible")
-            q, r = divmod(num[nd], lead)
+        for k in range(len(num) - 1 - dd, -1, -1):
+            q, r = divmod(num[k + dd], lead)
             if r:
                 raise ValueError("not divisible")
-            quo[nd - dd] = q
-            for e, v in den.items():
-                t = e + nd - dd
-                w = num.get(t, 0) - q * v
-                if w:
-                    num[t] = w
-                else:
-                    num.pop(t, None)
-        return IntLaurent({e + sm - dm: v for e, v in quo.items()})
-
-    def try_div_one_plus_var(self) -> "IntLaurent | None":
-        """Quotient by (1 + A) if divisible, else None."""
-        if self.is_zero():
-            return IntLaurent()
-        m, mx = self.min_exp(), self.max_exp()
-        quo: dict[int, int] = {}
-        carry = 0
-        for e in range(m, mx):
-            carry = self.c.get(e, 0) - carry
-            if carry:
-                quo[e] = carry
-        if carry != self.c.get(mx, 0):
-            return None
+            if q:
+                quo[k + sm - dm] = q
+                for j, v in den:
+                    num[k + j] -= q * v
+        if any(num):
+            raise ValueError("not divisible")
         return IntLaurent(quo)
 
     def val_one_plus_var(self) -> tuple[int, "IntLaurent"]:
@@ -218,13 +198,13 @@ class IntLaurent:
 
         The zero polynomial reports valuation 0.
         """
-        k = 0
-        cur = self
-        while not cur.is_zero():
-            nxt = cur.try_div_one_plus_var()
-            if nxt is None:
+        k, cur = 0, self
+        while cur:
+            try:
+                cur = cur.exact_div(ONE_PLUS_A)
+            except ValueError:
                 break
-            cur, k = nxt, k + 1
+            k += 1
         return k, cur
 
     def to_json(self) -> dict:
@@ -304,88 +284,3 @@ def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
         r = prem(a, b)
         a, b = b, primitive(shift0(r)) if r else {}
     return IntLaurent(a)
-
-
-class LocLaurent:
-    """Element num * (1 + A)^-k of Z[A, A^-1] localized at (1 + A).
-
-    Kept canonical: k >= 0, and (1 + A) does not divide num while k > 0, so
-    equality is structural.
-    """
-
-    __slots__ = ("num", "k")
-
-    def __init__(self, num: IntLaurent | int, k: int = 0):
-        if isinstance(num, int):
-            num = IntLaurent(num)
-        if k < 0:
-            num = num * ONE_PLUS_A ** (-k)
-            k = 0
-        while k > 0 and not num.is_zero():
-            nxt = num.try_div_one_plus_var()
-            if nxt is None:
-                break
-            num, k = nxt, k - 1
-        if num.is_zero():
-            k = 0
-        self.num = num
-        self.k = k
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_integral(self) -> bool:
-        return self.k == 0
-
-    def as_int_laurent(self) -> IntLaurent:
-        if self.k:
-            raise ValueError("denominator (1 + A)^k remains")
-        return self.num
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, IntLaurent)):
-            other = LocLaurent(other)
-        if not isinstance(other, LocLaurent):
-            return NotImplemented
-        return self.k == other.k and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.num))
-
-    def __add__(self, other: "LocLaurent | IntLaurent | int") -> "LocLaurent":
-        if isinstance(other, (int, IntLaurent)):
-            other = LocLaurent(other)
-        if not isinstance(other, LocLaurent):
-            return NotImplemented
-        k = max(self.k, other.k)
-        num = self.num * ONE_PLUS_A ** (k - self.k) + other.num * ONE_PLUS_A ** (k - other.k)
-        return LocLaurent(num, k)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LocLaurent":
-        return LocLaurent(-self.num, self.k)
-
-    def __sub__(self, other: "LocLaurent | IntLaurent | int") -> "LocLaurent":
-        if isinstance(other, (int, IntLaurent)):
-            other = LocLaurent(other)
-        return self + (-other)
-
-    def __rsub__(self, other: "IntLaurent | int") -> "LocLaurent":
-        return LocLaurent(other) + (-self)
-
-    def __mul__(self, other: "LocLaurent | IntLaurent | int") -> "LocLaurent":
-        if isinstance(other, (int, IntLaurent)):
-            other = LocLaurent(other)
-        if not isinstance(other, LocLaurent):
-            return NotImplemented
-        # (1 + A) is prime in Z[A, A^-1]; two reduced numerators stay reduced,
-        # the constructor only has to catch the zero product
-        return LocLaurent(self.num * other.num, self.k + other.k)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if self.k == 0:
-            return repr(self.num)
-        return f"({self.num!r}) / (1+A)^{self.k}"

@@ -278,8 +278,8 @@ def basis_omega(params: TQFTParams) -> list[TorusVector]:
 
 
 def basis_v(params: TQFTParams) -> list[TorusVector]:
-    """Powers of v = (z+2)/(1+A); triangular integer coordinates over the
-    localization, diagonal (1+A)^-j."""
+    """Powers of v = (z+2)/(1+A): v^j is the integral e-coordinates of
+    (z+2)^j times (1+A)^-j, triangular with diagonal (1+A)^-j."""
     ctx, d = params.ctx, params.d
     out = []
     for j in range(d):
@@ -536,18 +536,23 @@ def s_matrix(params: TQFTParams, basis: str = "e") -> Matrix:
     preserves the v-lattice, and it is invisible entrywise (eta H(v^i, v^j)
     alone is not integral).
     """
-    ctx = params.ctx
     se = map_entries(lambda h: params.eta * h, hopf_matrix(params))
     if basis == "e":
         return se
     if basis != "v":
         raise ValueError(f"unknown basis {basis!r}")
-    vm = v_matrix(params)
-    vinv = mat_inverse(vm, ctx.one, ctx.zero, ctx.inv)
-    sv = mat_mul(vinv, mat_mul(se, vm, ctx.zero), ctx.zero)
+    sv = _in_v_basis(params, se)
     if any(not x.is_integral() for row in sv for x in row):
         raise RefutationError("S-matrix entries in the v-basis are not integral")
     return sv
+
+
+def _in_v_basis(params: TQFTParams, op: Matrix) -> Matrix:
+    """V^-1 op V: the e-basis operator op written in the v-basis."""
+    ctx = params.ctx
+    vm = v_matrix(params)
+    vinv = mat_inverse(vm, ctx.one, ctx.zero, ctx.inv)
+    return mat_mul(vinv, mat_mul(op, vm, ctx.zero), ctx.zero)
 
 
 def twist_matrix_v_at(params: TQFTParams) -> Matrix:
@@ -555,9 +560,12 @@ def twist_matrix_v_at(params: TQFTParams) -> Matrix:
 
     The symbolic matrix has Z[A, A^-1] entries; here they become integral
     CycNum, and conjugating the eigenvalue matrix by the basis change must
-    reproduce them.
+    reproduce them, or the matrix is refuted.
     """
-    return map_entries(params.ctx.from_A_laurent, twist_matrix_v(params.d))
+    tv = map_entries(params.ctx.from_A_laurent, twist_matrix_v(params.d))
+    if not mat_eq(tv, _in_v_basis(params, twist_matrix(params))):
+        raise RefutationError("twist matrix in the v-basis is not V^-1 t V at the root")
+    return tv
 
 
 def twist_matrix(params: TQFTParams) -> Matrix:

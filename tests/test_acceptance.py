@@ -8,7 +8,7 @@ except the single labeled float cross-check in the rank criterion.
 import time
 
 from skeinlat.annulus import (
-    LocLaurent,
+    ONE_MINUS_Q,
     s_poly,
     twist_eigenvalue,
     twist_matrix_v,
@@ -25,7 +25,7 @@ from skeinlat.bracket import (
     root_divisibility,
 )
 from skeinlat.cyclotomic import CycContext
-from skeinlat.laurent import IntLaurent
+from skeinlat.laurent import ONE_PLUS_A, IntLaurent
 from skeinlat.lattice import OLattice, lattice_equal, saturate
 from skeinlat.matrices import (
     diagonal,
@@ -90,34 +90,26 @@ def test_criterion_01_polynomial_suite() -> None:
                 assert lhs == rhs
     for n in range(1, 31):
         for i in range(1, n + 1):
-            f = s_poly(1, i, n)
-            for _ in range(n - i):
-                f = f.try_div_one_plus_var()
-                assert f is not None, (i, n)
+            s_poly(1, i, n).exact_div(ONE_PLUS_A ** (n - i))  # raises unless divisible
     assert time.monotonic() - start < 30
 
 
 def test_criterion_02_twist_integrality() -> None:
-    # construction succeeds with integral entries, and P T = diag(mu) P holds
-    # symbolically over the localization
-    for size in range(1, 13):
-        t = [[LocLaurent(x) for x in row] for row in twist_matrix_v(size)]
-        p = v_in_e_matrix(size)
-        mus = [LocLaurent(twist_eigenvalue(i)) for i in range(size)]
-        lhs = mat_mul(p, t, LocLaurent(0))
-        rhs = mat_mul(diagonal(mus, LocLaurent(0)), p, LocLaurent(0))
-        assert mat_eq(lhs, rhs)
-    for size in range(1, 9):
-        tq = twist_sq_matrix_vtilde(size)
-        t_b = [[LocLaurent(x.substitute_negate()) for x in row] for row in tq]
-        p = v_in_e_matrix(size)
-        nus = [
-            LocLaurent(twist_sq_eigenvalue(i).substitute_negate())
-            for i in range(size)
+    # construction succeeds with integral entries, and V' T~ = diag(mu) V'
+    # holds symbolically over Z[A, A^-1], where V' holds the e-coordinates of
+    # the (z+2)^j and T~[r][c] = t[r][c] (1+A)^(c-r); the squared twist with
+    # (1-q) in place of (1+A)
+    zero = IntLaurent()
+    cases = [(twist_matrix_v(n), ONE_PLUS_A, twist_eigenvalue) for n in range(1, 13)]
+    cases += [(twist_sq_matrix_vtilde(n), ONE_MINUS_Q, twist_sq_eigenvalue) for n in range(1, 9)]
+    for t, unit, eigenvalue in cases:
+        size = len(t)
+        t_cleared = [
+            [x * unit ** max(c - r, 0) for c, x in enumerate(row)] for r, row in enumerate(t)
         ]
-        lhs = mat_mul(p, t_b, LocLaurent(0))
-        rhs = mat_mul(diagonal(nus, LocLaurent(0)), p, LocLaurent(0))
-        assert mat_eq(lhs, rhs)
+        v = v_in_e_matrix(size)
+        mus = diagonal([eigenvalue(i) for i in range(size)], zero)
+        assert mat_eq(mat_mul(v, t_cleared, zero), mat_mul(mus, v, zero))
 
 
 def test_criterion_03_genus1_determinants() -> None:

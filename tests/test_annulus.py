@@ -3,6 +3,7 @@ import math
 import pytest
 
 from skeinlat.annulus import (
+    ONE_MINUS_Q,
     e_in_z_plus2,
     e_poly,
     e_product_in_e,
@@ -18,7 +19,7 @@ from skeinlat.annulus import (
     z_poly_to_e,
     z_power_in_e,
 )
-from skeinlat.laurent import ONE_PLUS_A, IntLaurent, LocLaurent
+from skeinlat.laurent import ONE_PLUS_A, IntLaurent
 from skeinlat.matrices import diagonal, mat_eq, mat_mul
 
 
@@ -111,7 +112,9 @@ def test_s_poly_derivative_identity():
 def test_s_tilde_matches_substitution():
     for n in range(1, 7):
         for i in range(1, n + 1):
-            assert s_tilde_poly(1, i, n) == s_poly(1, i, n).substitute_negate()
+            s = s_poly(1, i, n)
+            negated = IntLaurent({e: -v if e % 2 else v for e, v in s.c.items()})
+            assert s_tilde_poly(1, i, n) == negated
 
 
 def test_twist_matrix_frozen_small():
@@ -122,27 +125,29 @@ def test_twist_matrix_frozen_small():
     assert t[1][1] == IntLaurent({3: -1})
 
 
+def diagonalized(t, unit, eigenvalues) -> bool:
+    """V' T~ = diag(eigenvalues) V' over Z[A, A^-1], where V' holds the
+    e-coordinates of the (z+2)^j and T~[r][c] = t[r][c] unit^(c-r): the
+    change of basis V = V' diag(unit^-j) diagonalizes t, cleared of the
+    denominators."""
+    size = len(t)
+    t_cleared = [[x * unit ** max(c - r, 0) for c, x in enumerate(row)] for r, row in enumerate(t)]
+    v = v_in_e_matrix(size)
+    zero = IntLaurent()
+    return mat_eq(mat_mul(v, t_cleared, zero), mat_mul(diagonal(eigenvalues, zero), v, zero))
+
+
 @pytest.mark.parametrize("size", [6])
 def test_twist_diagonalization(size):
-    # P T = diag(mu) P over the localization, column by column
-    p = v_in_e_matrix(size)
-    t = [[LocLaurent(x) for x in row] for row in twist_matrix_v(size)]
-    mus = [LocLaurent(twist_eigenvalue(i)) for i in range(size)]
-    lhs = mat_mul(p, t, LocLaurent(0))
-    rhs = mat_mul(diagonal(mus, LocLaurent(0)), p, LocLaurent(0))
-    assert mat_eq(lhs, rhs)
+    mus = [twist_eigenvalue(i) for i in range(size)]
+    assert diagonalized(twist_matrix_v(size), ONE_PLUS_A, mus)
 
 
 @pytest.mark.parametrize("size", [5])
 def test_twist_sq_diagonalization(size):
-    # the variant in the variable q, checked through the q -> -A relabeling
-    tq = twist_sq_matrix_vtilde(size)
-    t_b = [[LocLaurent(x.substitute_negate()) for x in row] for row in tq]
-    p = v_in_e_matrix(size)
-    nus = [LocLaurent(twist_sq_eigenvalue(i).substitute_negate()) for i in range(size)]
-    lhs = mat_mul(p, t_b, LocLaurent(0))
-    rhs = mat_mul(diagonal(nus, LocLaurent(0)), p, LocLaurent(0))
-    assert mat_eq(lhs, rhs)
+    # the variant in the variable q, with (1-q) in place of (1+A)
+    nus = [twist_sq_eigenvalue(i) for i in range(size)]
+    assert diagonalized(twist_sq_matrix_vtilde(size), ONE_MINUS_Q, nus)
 
 
 def test_twist_sq_entries_integral_in_q():

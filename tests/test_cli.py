@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 import skeinlat
-from skeinlat import bracket, cli, planar
+from skeinlat import annulus, bracket, cli, planar, torus
 from skeinlat.bracket import load_corpus
 from skeinlat.cli import RunConfig, main
 from skeinlat.recoupling import count_spine_colorings, verlinde_float
@@ -246,6 +246,52 @@ def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch
     assert code == 1
     assert [c["claim"] for c in failing] == ["genus-2 A-basis gram determinant exponent"]
     assert "LDL factor" in failing[0]["error"]
+
+
+TWIST_CLAIM = "twist matrix in the v-basis specializes integrally at the root"
+
+
+def test_refuted_twist_divisibility_fails_its_entries_and_exits_1(capsys, monkeypatch) -> None:
+    # S_{1,1,2} and its variant gain 1, so (1+A) and (1-q) no longer divide
+    # them: the division refutes the twist matrices, and verify-all records
+    # the two polynomial entries and the genus-1 twist entry instead of
+    # stopping with a bad-input error
+    for name in ("s_poly", "s_tilde_poly"):
+        real = getattr(annulus, name)
+        monkeypatch.setattr(
+            annulus, name,
+            lambda m, i, n, real=real: real(m, i, n) + (1 if (m, i, n) == (1, 1, 2) else 0),
+        )
+    with pytest.raises(annulus.RefutationError, match=r"S_\(1,1,2\) by \(1\+A\)\^1"):
+        annulus.twist_matrix_v(2)
+    with pytest.raises(annulus.RefutationError, match=r"by \(1-q\)\^1"):
+        annulus.twist_sq_matrix_vtilde(2)
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c["claim"] for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert failing == [
+        "twist matrix on v-powers has integral entries up to size 12",
+        "squared-twist matrix on rescaled v-powers has integral entries up to size 8",
+        TWIST_CLAIM,
+    ]
+
+
+def test_twist_matrix_v_off_by_one_fails_the_genus1_twist_entry(capsys, monkeypatch) -> None:
+    # an integral but wrong entry still specializes integrally; the entry
+    # checks that it is the e-basis twist conjugated into the v-basis
+    real = torus.twist_matrix_v
+
+    def perturbed(size):
+        out = real(size)
+        out[0][1] = out[0][1] + 1
+        return out
+
+    monkeypatch.setattr(torus, "twist_matrix_v", perturbed)
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == [TWIST_CLAIM]
+    assert "V^-1 t V" in failing[0]["error"]
 
 
 # --- bracket corpus ---------------------------------------------------------
@@ -590,7 +636,7 @@ def test_shared_method_names_are_the_reviewed_set() -> None:
                         owners.setdefault(m.name, set()).add(c.name)
     shared = {m for m, classes in owners.items() if len(classes) > 1}
     assert shared == {
-        "a_pow", "conj", "dot", "from_json", "is_integral", "is_zero", "mu", "scale", "to_json",
+        "a_pow", "dot", "from_json", "is_zero", "mu", "scale", "to_json",
     }
 
 

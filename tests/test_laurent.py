@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinlat.laurent import A, ONE, ONE_PLUS_A, ZERO, IntLaurent, LocLaurent
+from skeinlat.laurent import A, ONE, ONE_PLUS_A, ZERO, IntLaurent
 
 
 def test_construct_and_eq():
@@ -34,8 +34,9 @@ def test_shift_substitute_conj():
     f = IntLaurent({0: 1, 3: 2})
     assert f.shift(-1) == IntLaurent({-1: 1, 2: 2})
     assert f.substitute_power(2) == IntLaurent({0: 1, 6: 2})
-    assert f.conj() == IntLaurent({0: 1, -3: 2})
-    assert f.conj().conj() == f
+    # A -> A^-1, the mirror/conjugation on Z[A, A^-1], is an involution
+    assert f.substitute_power(-1) == IntLaurent({0: 1, -3: 2})
+    assert f.substitute_power(-1).substitute_power(-1) == f
 
 
 def test_derivative():
@@ -58,8 +59,9 @@ def test_exact_div():
 
 def test_div_one_plus_var():
     f = IntLaurent({1: 2, 4: 2})  # 2A + 2A^4 = 2A (1+A)(1 - A + A^2)
-    assert f.try_div_one_plus_var() == IntLaurent({1: 2, 2: -2, 3: 2})
-    assert IntLaurent(5).try_div_one_plus_var() is None
+    assert f.exact_div(ONE_PLUS_A) == IntLaurent({1: 2, 2: -2, 3: 2})
+    with pytest.raises(ValueError):
+        IntLaurent(5).exact_div(ONE_PLUS_A)
     k, cof = (ONE_PLUS_A ** 3 * IntLaurent({0: 2, 1: -1})).val_one_plus_var()
     assert (k, cof) == (3, IntLaurent({0: 2, 1: -1}))
     assert ZERO.val_one_plus_var() == (0, ZERO)
@@ -70,25 +72,6 @@ def test_json_roundtrip():
     obj = f.to_json()
     assert obj["var"] == "A"
     assert IntLaurent.from_json(obj) == f
-
-
-def test_loc_normalization():
-    x = LocLaurent(ONE_PLUS_A ** 2 * 5, 3)
-    assert x.k == 1 and x.num == 5
-    assert LocLaurent(ZERO, 4) == LocLaurent(0)
-    assert LocLaurent(ONE, -2) == LocLaurent(ONE_PLUS_A ** 2)
-
-
-def test_loc_arithmetic():
-    half = LocLaurent(ONE, 1)  # 1/(1+A)
-    assert half + 1 == LocLaurent(IntLaurent({0: 2, 1: 1}), 1)
-    assert half * ONE_PLUS_A == LocLaurent(1)
-    assert half - half == LocLaurent(0)
-    assert (half * half).k == 2
-    y = LocLaurent(IntLaurent({0: 1, 1: 1}), 1)  # normalizes to 1
-    assert y.is_integral() and y.as_int_laurent() == ONE
-    with pytest.raises(ValueError):
-        half.as_int_laurent()
 
 
 def test_dot_is_the_sum_of_products_seeded():
@@ -108,3 +91,43 @@ def test_dot_is_the_sum_of_products_seeded():
 
 def test_dot_of_nothing_is_zero():
     assert IntLaurent.dot([]) == ZERO
+
+
+def random_laurent(rng: random.Random, terms: int) -> IntLaurent:
+    return IntLaurent({rng.randrange(-6, 7): rng.randrange(-9, 10) for _ in range(terms)})
+
+
+def test_exact_div_inverts_the_product_seeded():
+    # divisors (1+A)^k, (1-A)^k and a random nonzero g; the quotient of a
+    # product by one factor is the other factor
+    rng = random.Random(20)
+    one_minus_a = IntLaurent({0: 1, 1: -1})
+    for _ in range(60):
+        f = random_laurent(rng, rng.randrange(6))
+        k = rng.randrange(6)
+        g = random_laurent(rng, rng.randrange(1, 5)) or A
+        for divisor in (ONE_PLUS_A ** k, one_minus_a ** k, g):
+            assert (f * divisor).exact_div(divisor) == f
+
+
+def test_exact_div_refuses_a_remainder_seeded():
+    # f (1+A)^k + 1 takes the value 1 at A = -1, so (1+A) never divides it
+    rng = random.Random(21)
+    for _ in range(60):
+        f = random_laurent(rng, rng.randrange(6))
+        k = rng.randrange(1, 6)
+        with pytest.raises(ValueError):
+            (f * ONE_PLUS_A ** k + 1).exact_div(ONE_PLUS_A ** k)
+        with pytest.raises(ValueError):
+            (f * ONE_PLUS_A ** k + 1).exact_div(ONE_PLUS_A)
+
+
+def test_val_one_plus_var_seeded():
+    rng = random.Random(22)
+    for _ in range(60):
+        f = random_laurent(rng, rng.randrange(1, 6)) or ONE
+        k = rng.randrange(6)
+        val, cof = (f * ONE_PLUS_A ** k).val_one_plus_var()
+        assert val >= k and cof * ONE_PLUS_A ** val == f * ONE_PLUS_A ** k
+        if f.evaluate(-1) != 0:
+            assert val == k
