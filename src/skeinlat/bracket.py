@@ -8,11 +8,12 @@ separate counter since they never touch an arc label.
 The evaluator is a frontier state sum: crossings are resolved one at a time
 and partial resolutions are merged whenever they induce the same planar
 matching on the dangling arc ends.  Arc ends are ints (end k of the i-th arc
-met is 2i + k, so an end's partner is end ^ 1); each step groups the
-resolutions by the matching they leave, and a new state's value is one
-coefficient-ring dot over the terms reaching it, each term a state value
-times one of the six weights A^(+-1) delta^closed.  Loop closures contribute
-delta = -A^2 - A^-2, and the empty diagram evaluates to 1.
+met is 2i + k, so an end's partner is end ^ 1), and a matching is a byte
+string with one entry per end.  The coefficient adapter decides how a term,
+a state value times a weight A^(+-1) delta^closed, enters the state it
+reaches and how the final value is read out: a few shifts of one packed int
+over Z[A, A^-1], one ctx.dot per merged state at a root of unity.  Loop
+closures contribute delta = -A^2 - A^-2, and the empty diagram evaluates to 1.
 
 Divisibility certificates color every component z + c for each coloring in
 COLORINGS.  One pass over the 2^mu sublinks, grouped by how many components
@@ -23,53 +24,95 @@ coloring is applied afterwards, by Horner's rule.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycContext, CycNum
-from .laurent import IntLaurent, ONE, ONE_PLUS_A, ZERO, RefutationError
+from .cyclotomic import CycContext, _unpack
+from .laurent import IntLaurent, ONE_PLUS_A, ZERO, RefutationError
 
 
 class LaurentCoeffs:
-    """Coefficient adapter for generic evaluation over Z[A, A^-1]."""
+    """Coefficient adapter for generic evaluation over Z[A, A^-1].
 
-    one = ONE
+    After k crossings a state's value is A^(5k) times its partial bracket, a
+    polynomial in A^2 packed as one int at A^2 = 2^w.  The weights
+    A^5 A^(+-1) delta^closed are polynomials in A^2 of degree at most 5 with
+    coefficients +-1 and 2, so a term enters by at most three shifts.  Each
+    of the 2^n resolutions adds at most 4^n to a coefficient in size, so all
+    are below 8^n, and w = 3n + 2 bits rounded up to a multiple of 32 hold
+    them with their signs; the sum is unpacked once."""
+
     delta = IntLaurent({2: -1, -2: -1})
-    dot = staticmethod(IntLaurent.dot)
 
     @staticmethod
-    def a_pow(k: int) -> IntLaurent:
-        return IntLaurent.monomial(1, k)
+    def state_sum(n: int):
+        """(start value, weights, merge, read-out) of a state sum over n crossings."""
+        w = 3 * n + 2
+        w += -w % 32
+        w2, w3, w4, w5 = 2 * w, 3 * w, 4 * w, 5 * w
+        weights = (
+            # A^6, -A^8 - A^4, A^10 + 2 A^6 + A^2
+            (lambda v: v << w3, lambda v: -((v << w4) + (v << w2)),
+             lambda v: (v << w5) + (v << w3 + 1) + (v << w)),
+            # A^4, -A^6 - A^2, A^8 + 2 A^4 + 1
+            (lambda v: v << w2, lambda v: -((v << w3) + (v << w)),
+             lambda v: (v << w4) + (v << w2 + 1) + v),
+        )
+
+        def read(total: int) -> IntLaurent:
+            coeffs = _unpack(total, w, 5 * n + 1)
+            return IntLaurent({2 * j - 5 * n: c for j, c in enumerate(coeffs)})
+
+        return 1, weights, sum, read
 
 
 class RootCoeffs:
-    """Coefficient adapter for evaluation with A specialized to a root of unity."""
+    """Coefficient adapter for evaluation with A specialized to a root of unity.
+
+    A state's value is a CycNum, and the terms reaching a state are merged
+    by one ctx.dot, which reduces their sum mod Phi_n."""
 
     def __init__(self, ctx: CycContext):
         self.ctx = ctx
-        self.one = ctx.one
         self.delta = -(ctx.A_pow(2) + ctx.A_pow(-2))
-        self.dot = ctx.dot
+        # weights[0 or 1][closed] pairs a value with A^(+1 or -1) delta^closed
+        self.weights = tuple(
+            tuple(lambda v, c=ctx.dot([(a,) + (self.delta,) * k]): (v, c) for k in range(3))
+            for a in (ctx.A, ctx.A_pow(-1))
+        )
 
-    def a_pow(self, k: int) -> CycNum:
-        return self.ctx.A_pow(k)
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    """Union-find root of x with path halving; an unseen x is its own root."""
-    parent.setdefault(x, x)
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+    def state_sum(self, n: int):
+        """(start value, weights, merge, read-out) of a state sum over n crossings."""
+        return self.ctx.one, self.weights, self.ctx.dot, lambda value: value
 
 
-def _union(parent: dict[int, int], x: int, y: int) -> None:
-    """Merge the classes of x and y; the root of x's class moves under y's."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[rx] = ry
+def _slot_walks(pd: Sequence[tuple[int, int, int, int]]) -> list[list[int]]:
+    """Each crossing component as the slots through which a walk along it
+    enters its arcs, from its least arc on; components by least arc.
+
+    Slot k of crossing i is 4i + k: slot ^ 2 is the other end of its passage
+    through the crossing, and slot ^ 1 lies on the strand crossing it."""
+    flat = [x for cr in pd for x in cr]
+    slots: dict[int, list[int]] = {}
+    for s, x in enumerate(flat):
+        slots.setdefault(x, []).append(s)
+    seen: set[int] = set()
+    walks = []
+    for x in sorted(slots):
+        if x in seen:
+            continue
+        s = start = slots[x][0]
+        walk: list[int] = []
+        while not walk or s != start:
+            t = s ^ 2
+            walk.append(t)
+            seen.add(flat[t])
+            here, there = slots[flat[t]]
+            s = there if here == t else here
+        walks.append(walk)
+    return walks
 
 
 @dataclass(frozen=True)
@@ -98,14 +141,8 @@ class LinkDiagram:
 
     def components(self) -> list[tuple[int, ...]]:
         """Arc sets of the link components; crossing-free loops come last as ()."""
-        parent: dict[int, int] = {}
-        for a, b, c, d in self.pd:
-            _union(parent, a, c)
-            _union(parent, b, d)
-        groups: dict[int, list[int]] = {}
-        for a in parent:
-            groups.setdefault(_find(parent, a), []).append(a)
-        comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
+        pd = self.pd
+        comps = [tuple(sorted(pd[t >> 2][t & 3] for t in walk)) for walk in _slot_walks(pd)]
         return comps + [()] * self.loops
 
     @property
@@ -144,79 +181,65 @@ def _crossing_order(pd: Sequence[tuple[int, int, int, int]]) -> list[int]:
     return order
 
 
-def _join(m: dict[int, int], u: int, v: int) -> int:
+def _join(m, u: int, v: int) -> int:
     """Connect dangling ends u and v in the matching m; 1 if a loop closed.
 
-    m pairs the far ends of the partial strands.  An end not in m is on an
-    arc met for the first time, so its strand runs to the arc's other end,
-    u ^ 1."""
-    pu = m.pop(u, None)
-    if pu is None:
+    m[e] is the partner + 1 of the far end e of a partial strand; 0 marks an
+    end on an arc met for the first time, whose strand runs to e ^ 1, and an
+    end already joined, so equal matchings have equal bytes."""
+    pu = m[u] - 1
+    if pu < 0:
         pu = u ^ 1
-    else:
-        del m[pu]
+    m[u] = 0
     if pu == v:
+        m[v] = 0
         return 1
-    pv = m.pop(v, None)
-    if pv is None:
+    pv = m[v] - 1
+    if pv < 0:
         pv = v ^ 1
-    else:
-        del m[pv]
-    m[pu] = pv
-    m[pv] = pu
+    m[v] = 0
+    m[pu] = pv + 1
+    m[pv] = pu + 1
     return 0
 
 
 def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
     """Evaluate the bracket; <empty> = 1 and each loop closure contributes delta."""
     pd = diagram.pd
-    order = _crossing_order(pd)
-
-    # weights[0 or 1][closed] = A^(+1 or -1) delta^closed
-    delta = coeffs.delta
-    weights = []
-    for k in (1, -1):
-        w = coeffs.a_pow(k)
-        weights.append((w, w * delta, w * delta * delta))
-    dot = coeffs.dot
+    one, weights, merge, read = coeffs.state_sum(len(pd))
 
     # End k of the i-th arc met is 2i + k, so its partner is end ^ 1.
     first: dict[int, int] = {}
     resolutions = []
-    for idx in order:
-        ends = []
-        for a in pd[idx]:
-            got = first.get(a)
-            if got is None:
-                first[a] = got = 2 * len(first)
-                ends.append(got)
-            else:
-                ends.append(got + 1)
-        e0, e1, e2, e3 = ends
+    for idx in _crossing_order(pd):
+        e0, e1, e2, e3 = (first[a] + 1 if a in first else first.setdefault(a, 2 * len(first))
+                          for a in pd[idx])
         resolutions.append(((e0, e1, e2, e3, weights[0]), (e0, e3, e1, e2, weights[1])))
 
-    # A state is a matching of the dangling ends with its value.  Each step
-    # groups the resolutions by the matching they produce and sums the terms
-    # reaching a matching in one dot.
-    states = [({}, coeffs.one)]
+    # A state is a matching of the dangling ends, one entry per end (bytes
+    # while every partner + 1 fits in one, wider words past 255 ends), with
+    # its value.  Each step groups the resolutions by the matching they
+    # produce and merges the terms reaching a matching at once.
+    size = 2 * len(first)
+    states = [(bytearray(size) if size < 256 else array("L", [0]) * size, one)]
     for pairs in resolutions:
-        grouped: dict[frozenset, tuple[dict, list]] = {}
+        grouped: dict[bytes, tuple] = {}
         for m, val in states:
             for u, v, x, y, w in pairs:
-                m2 = m.copy()
-                term = (val, w[_join(m2, u, v) + _join(m2, x, y)])
-                key = frozenset(m2.items())
+                m2 = m[:]
+                term = w[_join(m2, u, v) + _join(m2, x, y)](val)
+                key = bytes(m2)
                 got = grouped.get(key)
                 if got is None:
                     grouped[key] = (m2, [term])
                 else:
                     got[1].append(term)
-        states = [(m, dot(terms)) for m, terms in grouped.values()]
-    if len(states) != 1 or states[0][0]:
+        states = [(m, merge(terms)) for m, terms in grouped.values()]
+    if len(states) != 1 or any(states[0][0]):
         raise RefutationError("state sum did not close up to the empty state")
-    out = states[0][1]
+    out = read(states[0][1])
     for _ in range(diagram.loops):
-        out = out * delta
+        out = out * coeffs.delta
     return out
 
 
@@ -249,33 +272,22 @@ def braid_pd(word: Sequence[int], strands: int) -> LinkDiagram:
             crossings.append((y, x, u, v))
         current[i - 1], current[i] = u, v
 
-    # Closure identifies the bottom label at each position with the top label.
-    parent = {a: a for a in range(1, fresh)}
-    for pos in range(strands):
-        _union(parent, pos + 1, current[pos])
-    pd = tuple(tuple(_find(parent, a) for a in cr) for cr in crossings)
-    used = {a for cr in pd for a in cr}
-    roots = {_find(parent, a) for a in range(1, fresh)}
-    loops = sum(1 for r in roots if r not in used)
-    return LinkDiagram(pd, loops)
+    # Closure relabels the top label at each position by the bottom one; a
+    # strand that meets no crossing keeps its label and is a bare loop.
+    glue = {pos + 1: current[pos] for pos in range(strands)}
+    pd = tuple(tuple(glue.get(a, a) for a in cr) for cr in crossings)
+    return LinkDiagram(pd, sum(1 for pos in range(strands) if current[pos] == pos + 1))
 
 
-def braid_permutation(word: Sequence[int], strands: int) -> list[int]:
-    """perm[i] = final position of the strand starting at position i (0-based)."""
+def braid_components(word: Sequence[int], strands: int) -> list[tuple[int, ...]]:
+    """Components of the closure as cycles of starting positions (0-based)."""
     _check_word(word, strands)
     pos = list(range(strands))  # pos[p] = strand currently at position p
     for g in word:
         i = abs(g) - 1
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    perm = [0] * strands
-    for p, s in enumerate(pos):
-        perm[s] = p
-    return perm
-
-
-def braid_components(word: Sequence[int], strands: int) -> list[tuple[int, ...]]:
-    """Components of the closure as cycles of starting positions (0-based)."""
-    perm = braid_permutation(word, strands)
+    # Closing joins the strand that ends at position p, pos[p], to the one
+    # that starts there, p: the components are the cycles of pos.
     seen = [False] * strands
     comps = []
     for s in range(strands):
@@ -286,7 +298,7 @@ def braid_components(word: Sequence[int], strands: int) -> list[tuple[int, ...]]
         while not seen[t]:
             seen[t] = True
             cyc.append(t)
-            t = perm[t]
+            t = pos[t]
         comps.append(tuple(sorted(cyc)))
     return sorted(comps)
 
@@ -326,43 +338,48 @@ def cable_braid(word: Sequence[int], strands: int, widths: Sequence[int]) -> tup
 def delete_components(diagram: LinkDiagram, kill: Iterable[int]) -> LinkDiagram:
     """Oracle for sublink_sums: the diagram left by removing the named
     components (indices into diagram.components())."""
-    return _delete_components(diagram, diagram.components(), kill)
-
-
-def _delete_components(
-    diagram: LinkDiagram, comps: list[tuple[int, ...]], kill: Iterable[int]
-) -> LinkDiagram:
-    """delete_components with the diagram's components already computed."""
+    walks = _crossed_walks(diagram)
     kill = set(kill)
     for k in kill:
-        if not 0 <= k < len(comps):
+        if not 0 <= k < len(walks):
             raise ValueError(f"no component {k}")
-    dead_arcs = {a for k in kill for a in comps[k]}
+    return _sublink(diagram.pd, walks, [k in kill for k in range(len(walks))])
 
-    parent: dict[int, int] = {}
-    kept: list[tuple[int, int, int, int]] = []
-    for a, b, c, d in diagram.pd:
-        under_dead = a in dead_arcs
-        over_dead = b in dead_arcs
-        if under_dead and over_dead:
+
+def _crossed_walks(diagram: LinkDiagram) -> list[list[tuple[int, int]]]:
+    """Each component's arcs in order along it, each with the component
+    crossing the passage into it, components in the order of
+    diagram.components(); a crossing-free loop walks nowhere."""
+    flat = [x for cr in diagram.pd for x in cr]
+    slot_walks = _slot_walks(diagram.pd)
+    comp_of = {flat[t]: k for k, walk in enumerate(slot_walks) for t in walk}
+    walks = [[(flat[t], comp_of[flat[t ^ 1]]) for t in walk] for walk in slot_walks]
+    return walks + [[]] * diagram.loops
+
+
+def _sublink(
+    pd: Sequence[tuple], walks: list[list[tuple[int, int]]], dead: Sequence[int]
+) -> LinkDiagram:
+    """The diagram left by deleting every component k with dead[k].
+
+    A passage crossed by a deleted component vanishes and joins the arcs on
+    either side, so each arc takes the label of the arc its run starts at; a
+    kept component with no passage left is a bare loop."""
+    label: dict[int, int] = {}
+    loops = 0
+    for k, walk in enumerate(walks):
+        if dead[k]:
             continue
-        if under_dead:
-            _union(parent, b, d)
-        elif over_dead:
-            _union(parent, a, c)
-        else:
-            kept.append((a, b, c, d))
-    pd = tuple(tuple(_find(parent, x) for x in cr) for cr in kept)
-    used = {a for cr in pd for a in cr}
-    # Surviving crossing components that lost every crossing become bare loops.
-    freed = 0
-    for ci, arcs in enumerate(comps):
-        if ci in kill or not arcs:
+        run = next((x for x, crosser in reversed(walk) if not dead[crosser]), None)
+        if run is None:
+            loops += 1
             continue
-        if not any(_find(parent, a) in used for a in arcs):
-            freed += 1
-    surviving_loops = sum(1 for ci in range(len(comps)) if ci not in kill and not comps[ci])
-    return LinkDiagram(pd, freed + surviving_loops)
+        for x, crosser in walk:
+            if not dead[crosser]:
+                run = x
+            label[x] = run
+    kept = (cr for cr in pd if cr[0] in label and cr[1] in label)
+    return LinkDiagram(tuple(tuple(label[x] for x in cr) for cr in kept), loops)
 
 
 # The colorings z + c certified for every link, by their constant c: z+2,
@@ -376,13 +393,11 @@ def sublink_sums(diagram: LinkDiagram) -> list[IntLaurent]:
 
     One pass over the 2^mu component subsets; s_0 is <L> itself.
     """
-    comps = diagram.components()
-    n = len(comps)
-    sums = [ZERO] * (n + 1)
-    for mask in range(1 << n):
-        kill = [i for i in range(n) if mask >> i & 1]
-        sub = _delete_components(diagram, comps, kill)
-        sums[len(kill)] = sums[len(kill)] + kauffman_bracket(sub)
+    walks = _crossed_walks(diagram)
+    sums = [ZERO] * (len(walks) + 1)
+    for mask in range(1 << len(walks)):
+        dead = [mask >> k & 1 for k in range(len(walks))]
+        sums[sum(dead)] += kauffman_bracket(_sublink(diagram.pd, walks, dead))
     return sums
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Iterable
 
 
 class RefutationError(ArithmeticError):
@@ -104,20 +103,6 @@ class IntLaurent:
         return IntLaurent(out)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def dot(pairs: Iterable[tuple[IntLaurent, IntLaurent]]) -> IntLaurent:
-        """Sum of a * b over the pairs, accumulated in one exponent dict and
-        built once."""
-        out: dict[int, int] = {}
-        get = out.get
-        for x, y in pairs:
-            right = y.c.items()
-            for e1, v1 in x.c.items():
-                for e2, v2 in right:
-                    e = e1 + e2
-                    out[e] = get(e, 0) + v1 * v2
-        return IntLaurent(out)
 
     def __pow__(self, n: int) -> "IntLaurent":
         if n < 0:

@@ -105,6 +105,7 @@ class TQFTParams:
         self.pair_table: dict[tuple[str, int, int], list[CycNum]] = {}
         self.loop_table: dict[tuple[str, int, int, int], dict[int, CycNum]] = {}
         self.necklace_table: dict[tuple, CycNum] = {}
+        self.necklace_coeffs = RootCoeffs(ctx)
 
     def necklace(self, widths, cores) -> CycNum:
         """Bracket at the root of the necklace diagram: meridian circles
@@ -114,7 +115,7 @@ class TQFTParams:
         key = (tuple(widths), tuple(sorted(tuple(c) for c in cores)))
         got = self.necklace_table.get(key)
         if got is None:
-            got = kauffman_bracket(necklace_pd(*key), RootCoeffs(self.ctx))
+            got = kauffman_bracket(necklace_pd(*key), self.necklace_coeffs)
             self.necklace_table[key] = got
         return got
 

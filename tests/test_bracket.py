@@ -23,7 +23,7 @@ from skeinlat.bracket import (
     sublink_sums,
 )
 from skeinlat.cyclotomic import CycContext
-from skeinlat.laurent import A, ONE, ZERO, IntLaurent
+from skeinlat.laurent import A, ONE, ZERO, IntLaurent, RefutationError
 from skeinlat.recoupling import qint
 
 DELTA = IntLaurent({2: -1, -2: -1})
@@ -172,9 +172,15 @@ def test_seeded_braid_moves_keep_the_bracket(move):
 
 # ---------------------------------------------------------------- state-sum oracle
 
-def brute_force_bracket(diagram, coeffs):
+def brute_force_bracket(diagram, ring):
     """Oracle for kauffman_bracket: the sum over all 2^n resolutions, with
-    the loops of each counted by union-find on the crossing slots."""
+    the loops of each counted by union-find on the crossing slots, over
+    Z[A, A^-1] or at the root of unity of CycContext(ring)."""
+    if ring == "laurent":
+        a_pow = A.__pow__
+    else:
+        a_pow = CycContext(ring).A_pow
+    delta = -(a_pow(2) + a_pow(-2))
     pd = diagram.pd
     slots_of_arc = {}
     for i, cr in enumerate(pd):
@@ -200,9 +206,9 @@ def brute_force_bracket(diagram, coeffs):
         for x, y in joins:
             parent[find(parent, x)] = find(parent, y)
         loops = len({find(parent, x) for x in parent}) + diagram.loops
-        term = coeffs.a_pow(2 * a_sides - len(pd))
+        term = a_pow(2 * a_sides - len(pd))
         for _ in range(loops):
-            term = term * coeffs.delta
+            term = term * delta
         total = term if total is None else total + term
     return total
 
@@ -214,14 +220,79 @@ def random_closure(rng, longest):
     return braid_pd(_word(rng, strands, longest), strands)
 
 
-@pytest.mark.parametrize("ring", ("laurent", 5, 7))
+RINGS = ("laurent", 5, 7)
+
+
+def ring_coeffs(ring):
+    return LaurentCoeffs if ring == "laurent" else RootCoeffs(CycContext(ring))
+
+
+@pytest.mark.parametrize("ring", RINGS)
 def test_state_sum_matches_brute_force_seeded(ring):
-    coeffs = LaurentCoeffs if ring == "laurent" else RootCoeffs(CycContext(ring))
+    coeffs = ring_coeffs(ring)
     rng = random.Random(1510 + (0 if ring == "laurent" else ring))
     for _ in range(25):
         diagram = random_closure(rng, 10)
         assert diagram.crossings <= 10
-        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, coeffs), diagram
+        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, ring), diagram
+
+
+def split_kinks(signs):
+    """Disjoint one-crossing unknots, kinked by the signs, as one diagram."""
+    pd = []
+    for k, sign in enumerate(signs):
+        pd += [tuple(a + 10 * k for a in cr) for cr in braid_pd([sign], 2).pd]
+    return LinkDiagram(tuple(pd))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_split_kinks_match_brute_force(ring):
+    # n split kinks close up to 2n loops in one state, the most any n
+    # crossings have, so the packed values carry the widest coefficients
+    coeffs = ring_coeffs(ring)
+    rng = random.Random(2110)
+    for n in range(1, 10):
+        diagram = split_kinks([rng.choice((1, -1)) for _ in range(n)])
+        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, ring)
+
+
+def test_many_split_kinks_match_their_product():
+    # each kink is -A^(+-3) delta, and at 48 kinks the coefficients of
+    # delta^48 reach binomial(48, 24) > 2^44, past any fixed narrow slot
+    signs = [1, -1, -1] * 16
+    expected = ONE
+    for sign in signs:
+        expected = expected * (-(A ** (3 * sign))) * DELTA
+    assert max(abs(c) for c in expected.c.values()) > 2 ** 44
+    assert kauffman_bracket(split_kinks(signs)) == expected
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("pairs", [30, 31, 70])
+def test_reidemeister_two_padding_past_the_byte_matchings(ring, pairs):
+    # n crossings have 4n arc ends; 30 / 31 / 70 sigma_1 sigma_1^-1 pairs
+    # bring 3 crossings to 252 / 260 / 572 ends, either side of the largest
+    # matching whose entries fit in a byte, and far past it
+    coeffs = ring_coeffs(ring)
+    word = [1, -2, 1]
+    padded = braid_pd([1, -1] * pairs + word, 3)
+    assert padded.crossings == 2 * pairs + 3
+    assert kauffman_bracket(padded, coeffs) == kauffman_bracket(braid_pd(word, 3), coeffs)
+
+
+class UncheckedDiagram(LinkDiagram):
+    def __post_init__(self):
+        pass
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("pd", [((1, 2, 3, 4),), ((1, 1, 2, 3),)], ids=["two-states", "one-state"])
+def test_state_sum_that_does_not_close_up_is_refuted(ring, pd):
+    # arcs that meet the crossing once leave dangling ends: the two
+    # resolutions of the first leave two matchings, those of the second
+    # one matching that is not empty
+    with pytest.raises(RefutationError, match="did not close up"):
+        kauffman_bracket(UncheckedDiagram(pd), ring_coeffs(ring))
 
 
 def greedy_order_reference(pd):
@@ -317,19 +388,57 @@ def test_sublink_sums_start_at_the_bracket():
     assert sublink_sums(braid_pd([1, 1], 2)) == [bracket([1, 1], 2), DELTA * 2, ONE]
 
 
+def braid_word_sublink_sums(word, strands):
+    """Oracle for sublink_sums on a braid closure: each sublink's bracket
+    from the braid word with the deleted components' strands taken out,
+    never from the diagram's arcs."""
+    comps = braid_components(word, strands)
+    sums = [ZERO] * (len(comps) + 1)
+    for mask in range(1 << len(comps)):
+        dead = {s for k, cycle in enumerate(comps) if mask >> k & 1 for s in cycle}
+        pos = list(range(strands))  # pos[p] = starting strand now at position p
+        sub = []
+        for g in word:
+            i = abs(g) - 1
+            if pos[i] not in dead and pos[i + 1] not in dead:
+                rank = 1 + sum(1 for p in range(i) if pos[p] not in dead)
+                sub.append(rank if g > 0 else -rank)
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+        left = strands - len(dead)
+        sums[bin(mask).count("1")] += bracket(sub, left) if left else ONE
+    return sums
+
+
+def test_sublink_sums_match_braid_word_deletions_seeded():
+    # strands that meet no crossing give crossing-free loops, and deleting
+    # a component can strip a kept one of every crossing
+    rng = random.Random(2111)
+    for _ in range(30):
+        strands = rng.randrange(2, 6)
+        word = _word(rng, strands, 14)
+        expected = braid_word_sublink_sums(word, strands)
+        assert sublink_sums(braid_pd(word, strands)) == expected, word
+
+
+def count_component_walks(monkeypatch):
+    """The pd of every walk along a diagram's components, as it happens."""
+    walked = []
+    inner = bracket_module._slot_walks
+
+    def counted(pd):
+        walked.append(pd)
+        return inner(pd)
+
+    monkeypatch.setattr(bracket_module, "_slot_walks", counted)
+    return walked
+
+
 def test_sublink_sums_find_the_components_once(monkeypatch):
-    # the 2^mu deletions share one component search of the parent diagram
+    # the 2^mu deletions share one component walk of the parent diagram
     borr = braid_pd([1, -2, 1, -2, 1, -2], 3)
-    searched = []
-    inner = LinkDiagram.components
-
-    def counted(diagram):
-        searched.append(diagram)
-        return inner(diagram)
-
-    monkeypatch.setattr(LinkDiagram, "components", counted)
+    walked = count_component_walks(monkeypatch)
     sums = sublink_sums(borr)
-    assert searched.count(borr) == 1
+    assert walked == [borr.pd]
     monkeypatch.undo()
     assert sums == [kauffman_bracket(borr), 3 * DELTA * DELTA, 3 * DELTA, ONE]
 
@@ -383,18 +492,11 @@ def test_divisibility_certificate_refutation_shape():
 
 
 def test_divisibility_certificate_finds_the_components_once(monkeypatch):
-    # the sublink pass finds the components, and mu is its length less one
-    calls = []
-    inner = LinkDiagram.components
-
-    def counted(self):
-        calls.append(self)
-        return inner(self)
-
-    monkeypatch.setattr(LinkDiagram, "components", counted)
+    # the sublink pass walks the components, and mu is its length less one
     hopf = braid_pd([1, 1], 2)
+    walked = count_component_walks(monkeypatch)
     assert [c["mu"] for c in divisibility_certificate(hopf)] == [2, 2]
-    assert calls == [hopf]
+    assert walked == [hopf.pd]
 
 
 def test_derivative_congruence_rejects_constant():

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -334,6 +335,40 @@ def test_corpus_certs_cost_one_state_sum_per_sublink(monkeypatch) -> None:
     assert max(sizes) <= cap
 
 
+def seeded_braid_corpus(seed: int, links: int) -> dict:
+    """Closures of random braids on 6 or 7 strands with 20-32 crossings and
+    2-4 components, in the corpus format `bracket --corpus` reads."""
+    rng = random.Random(seed)
+    entries = []
+    while len(entries) < links:
+        strands = rng.choice((6, 7))
+        crossings = rng.randrange(20, 33)
+        word = [rng.choice((-1, 1)) * rng.randrange(1, strands) for _ in range(crossings)]
+        if not 2 <= len(bracket.braid_components(word, strands)) <= 4:
+            continue
+        diagram = bracket.braid_pd(word, strands)
+        entries.append({
+            "name": f"braid{len(entries):02d}", "braid": word, "strands": strands,
+            "pd": [list(cr) for cr in diagram.pd], "loops": diagram.loops,
+            "mu": diagram.mu, "crossings": diagram.crossings,
+        })
+    return {"links": entries}
+
+
+def test_bracket_on_a_seeded_braid_corpus_pinned(capsys, tmp_path) -> None:
+    # the bundled corpus stops at 12 crossings; these closures run the state
+    # sum on frontiers of up to 32 crossings, and any rewrite of it must
+    # leave every byte of the certificates unchanged
+    path = tmp_path / "braids.json"
+    path.write_text(json.dumps(seeded_braid_corpus(2101, 40)))
+    code, out, _ = run(capsys, "bracket", "--corpus", str(path), "--cap-crossings", "32")
+    assert code == 0
+    assert len(json.loads(out)) == 80
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a47e39d9a9f3b2aa6952ab0dff555b6fd1b56810ce2dacd454b7119c9701e2f9"
+    )
+
+
 @pytest.mark.parametrize("cap", ["-3", "0"])
 def test_bracket_refuses_a_nonpositive_cap(capsys, cap) -> None:
     code, out, err = run(capsys, "bracket", "--cap-crossings", cap)
@@ -636,7 +671,7 @@ def test_shared_method_names_are_the_reviewed_set() -> None:
                         owners.setdefault(m.name, set()).add(c.name)
     shared = {m for m, classes in owners.items() if len(classes) > 1}
     assert shared == {
-        "a_pow", "dot", "from_json", "is_zero", "mu", "scale", "to_json",
+        "from_json", "is_zero", "mu", "scale", "state_sum", "to_json",
     }
 
 

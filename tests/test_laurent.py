@@ -74,25 +74,6 @@ def test_json_roundtrip():
     assert IntLaurent.from_json(obj) == f
 
 
-def test_dot_is_the_sum_of_products_seeded():
-    rng = random.Random(15)
-    for _ in range(30):
-        pairs = [
-            tuple(
-                IntLaurent({rng.randrange(-8, 9): rng.randrange(-5, 6) for _ in range(rng.randrange(5))})
-                for _ in range(2)
-            )
-            for _ in range(rng.randrange(1, 6))
-        ]
-        assert IntLaurent.dot(pairs) == sum((x * y for x, y in pairs), ZERO)
-    # terms that cancel leave no zero coefficient behind
-    assert IntLaurent.dot([(A, ONE), (-A, ONE)]).c == {}
-
-
-def test_dot_of_nothing_is_zero():
-    assert IntLaurent.dot([]) == ZERO
-
-
 def random_laurent(rng: random.Random, terms: int) -> IntLaurent:
     return IntLaurent({rng.randrange(-6, 7): rng.randrange(-9, 10) for _ in range(terms)})
 
