@@ -3,7 +3,7 @@
 Each verb computes one family of exact certificates and prints them as JSON
 (the only float anywhere is the explicitly labeled trigonometric rank
 cross-check) or as a terse pass/fail table.  verify-all chains every family
-at the configured primes and exits nonzero if any claim is refuted; its
+at the given primes and exits nonzero if any claim is refuted; its
 output is deterministic byte for byte, so two runs with one config can be
 compared with cmp.  The SKEINLAT_OUT environment variable, when set, names
 a directory where verify-all also writes its bundle; nothing else is ever
@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
 from .bracket import COLORINGS, LinkDiagram, divisibility_certificate, load_corpus
@@ -54,9 +53,9 @@ BASES_G2 = ("G", "A", "Av")
 # The largest inputs each verb accepts: the largest at which its cost is
 # measured (single runs on a 2-core Xeon).  Beyond them a verb would run
 # without a stated bound, so larger inputs are refused as bad input.
-# genus2 --p 13 takes about 2.5 s over the three bases, stabilize --p 13
-# about 20 s.  Both verbs share the limit, so it stays at 13 until the p = 17
-# lattices are cheap.
+# In one process genus2 --p 13 takes 0.19 / 0.62 / 0.81 s for G / A / Av and
+# stabilize --p 13 31 s.  Both verbs share the limit, so it stays at 13 until
+# the p = 17 lattices are cheap.
 MAX_P_HEAVY = 13
 # genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.
 MAX_P_GENUS1 = 43
@@ -66,46 +65,23 @@ MAX_P_RANK = 211
 MAX_GENUS_RANK = 12
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the verbs; construction rejects bad input."""
-
-    p_list: tuple[int, ...] = (5, 7)
-    genus_list: tuple[int, ...] = (1, 2, 3)
-    cap_crossings: int = 16
-    cap_iter: int = 32
-    corpus: str | None = None
-    out_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.p_list:
-            raise ValueError("need at least one p")
-        if len(set(self.p_list)) != len(self.p_list):
-            raise ValueError(f"each p may be given once, got {list(self.p_list)}")
-        for p in self.p_list:
-            if not _is_odd_prime(p):
-                raise ValueError(f"p must be an odd prime, got {p}")
-        if not all(g >= 1 for g in self.genus_list):
-            raise ValueError("genus entries must be >= 1")
-        if any(g >= 2 for g in self.genus_list):
-            low = [p for p in self.p_list if p < 5]
-            if low:
-                raise ValueError(f"genus >= 2 claims need p >= 5, got {low}")
-        if min(self.cap_crossings, self.cap_iter) < 1:
-            raise ValueError("caps must be positive")
-
-    def within_budget(self, max_p: int = MAX_P_HEAVY, max_genus: int | None = None,
-                      what: str = "genus-2 and lattice") -> "RunConfig":
-        """Refuse primes beyond max_p and, if given, genera beyond max_genus;
-        the defaults are those of the verbs that run the genus-2 or lattice
-        family."""
-        over = [p for p in self.p_list if p > max_p]
-        if over:
-            raise ValueError(f"the {what} budget is p <= {max_p}, got {over}")
-        over = [g for g in self.genus_list if max_genus is not None and g > max_genus]
-        if over:
-            raise ValueError(f"the {what} budget is genus <= {max_genus}, got {over}")
-        return self
+def checked_primes(p_list, max_p: int, what: str, min_p: int = 3) -> tuple[int, ...]:
+    """The primes a verb was given, refused unless they are distinct odd
+    primes from min_p (5 for the verbs that make genus >= 2 claims) to
+    max_p, the verb's budget."""
+    p_list = tuple(p_list)
+    if len(set(p_list)) != len(p_list):
+        raise ValueError(f"each p may be given once, got {list(p_list)}")
+    for p in p_list:
+        if not _is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+    low = [p for p in p_list if p < min_p]
+    if low:
+        raise ValueError(f"genus >= 2 claims need p >= {min_p}, got {low}")
+    over = [p for p in p_list if p > max_p]
+    if over:
+        raise ValueError(f"the {what} budget is p <= {max_p}, got {over}")
+    return p_list
 
 
 def _jsonable(x):
@@ -172,21 +148,14 @@ def _holds(claim: str, p: int, check) -> dict:
 
 
 def polynomial_certs() -> list[dict]:
-    certs = []
-    for claim, build, top in (
-        ("twist matrix on v-powers has integral entries up to size 12",
-         twist_matrix_v, 12),
-        ("squared-twist matrix on rescaled v-powers has integral entries up to size 8",
-         twist_sq_matrix_vtilde, 8),
-    ):
-        try:
-            for n in range(1, top + 1):
-                build(n)
-            ok = True
-        except ArithmeticError:
-            ok = False
-        certs.append({"claim": claim, "p": None, "ok": ok})
-    return certs
+    # entry (r, c) does not depend on the size, so the largest matrix holds
+    # every smaller one as its leading block
+    return [
+        _holds("twist matrix on v-powers has integral entries up to size 12", None,
+               lambda: twist_matrix_v(12)),
+        _holds("squared-twist matrix on rescaled v-powers has integral entries up to size 8",
+               None, lambda: twist_sq_matrix_vtilde(8)),
+    ]
 
 
 def genus1_exponent(d: int, basis: str) -> int:
@@ -231,7 +200,7 @@ def genus1_certs(params: TQFTParams) -> list[dict]:
     return certs
 
 
-def lattice_certs(params: TQFTParams, cap_iter: int) -> list[dict]:
+def lattice_certs(params: TQFTParams) -> list[dict]:
     ctx, p = params.ctx, params.p
     w_lat = OLattice.from_vectors(ctx, _basis_vectors(params, "omega"))
     v_lat = _v_lattice(params)
@@ -241,7 +210,7 @@ def lattice_certs(params: TQFTParams, cap_iter: int) -> list[dict]:
     ]
     rep = saturate(
         ctx, _basis_vectors(params, "e"),
-        [twist_matrix(params), s_matrix(params)], cap=cap_iter,
+        [twist_matrix(params), s_matrix(params)],
     )
     certs.append(
         {"claim": "e-basis seed saturates to the v-power lattice within five rounds",
@@ -263,10 +232,6 @@ def rank_cert(p: int, genus: int) -> dict:
     vf = verlinde_float(genus, p)
     return {"claim": f"genus-{genus} rank matches the trigonometric estimate",
             "p": p, "genus": genus, "rank": n, "verlinde_float": vf, "ok": rank_ok(n, vf)}
-
-
-def rank_certs(p: int, genus_list) -> list[dict]:
-    return [rank_cert(p, g) for g in sorted(set(genus_list))]
 
 
 def genus2_cert(p: int, basis: str) -> dict:
@@ -325,18 +290,18 @@ def corpus_certs(links: list[dict], cap_crossings: int) -> list[dict]:
     return certs
 
 
-def bundle(config: RunConfig) -> list[dict]:
-    links = load_corpus(config.corpus)  # a bad corpus fails before any family runs
+def bundle(p_list, corpus: str | None = None, cap_crossings: int = 16) -> list[dict]:
+    links = load_corpus(corpus)  # a bad corpus fails before any family runs
     certs = polynomial_certs()
-    for p in config.p_list:
+    for p in p_list:
         params = TQFTParams.for_prime(p)
         certs.extend(genus1_certs(params))
-        certs.extend(lattice_certs(params, config.cap_iter))
-        certs.extend(rank_certs(p, config.genus_list))
+        certs.extend(lattice_certs(params))
+        certs.extend(rank_cert(p, g) for g in (1, 2, 3))
         certs.extend(genus2_certs(p))
-    if 5 in config.p_list:
+    if 5 in p_list:
         certs.extend(genus3_certs())
-    certs.extend(corpus_certs(links, config.cap_crossings))
+    certs.extend(corpus_certs(links, cap_crossings))
     return certs
 
 
@@ -344,7 +309,7 @@ def bundle(config: RunConfig) -> list[dict]:
 
 
 def cmd_genus1(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(1,)).within_budget(MAX_P_GENUS1, what="genus1")
+    checked_primes((args.p,), MAX_P_GENUS1, "genus1")
     params = TQFTParams.for_prime(args.p)
     g = gram(BASES_G1[args.basis](params))
     if args.emit == "gram":
@@ -360,7 +325,7 @@ def _verb(cert: dict, *hidden: str) -> tuple[int, dict]:
 
 
 def cmd_genus2(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(2,)).within_budget()
+    checked_primes((args.p,), MAX_P_HEAVY, "genus2", min_p=5)
     return _verb(genus2_cert(args.p, args.basis), "claim", "ok")
 
 
@@ -369,21 +334,22 @@ def cmd_genus3p5(args) -> tuple[int, object]:
 
 
 def cmd_rank(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(args.genus,)).within_budget(
-        MAX_P_RANK, MAX_GENUS_RANK, "rank"
-    )
+    checked_primes((args.p,), MAX_P_RANK, "rank")
+    if not 1 <= args.genus <= MAX_GENUS_RANK:
+        raise ValueError(f"the rank budget is 1 <= genus <= {MAX_GENUS_RANK}, got {args.genus}")
     return _verb(rank_cert(args.p, args.genus), "claim")
 
 
 def cmd_bracket(args) -> tuple[int, object]:
-    config = RunConfig(cap_crossings=args.cap_crossings, corpus=args.corpus)
-    certs = corpus_certs(load_corpus(config.corpus), config.cap_crossings)
+    if args.cap_crossings < 1:
+        raise ValueError("caps must be positive")
+    certs = corpus_certs(load_corpus(args.corpus), args.cap_crossings)
     code = 0 if all(c["ok"] for c in certs) else 1
     return code, certs
 
 
 def cmd_stabilize(args) -> tuple[int, object]:
-    RunConfig(p_list=(args.p,), genus_list=(1,), cap_iter=args.cap_iter).within_budget()
+    checked_primes((args.p,), MAX_P_HEAVY, "stabilize")
     params = TQFTParams.for_prime(args.p)
     ctx = params.ctx
     if args.seed == "omega":
@@ -394,7 +360,7 @@ def cmd_stabilize(args) -> tuple[int, object]:
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     if not names or any(n not in op_table for n in names):
         raise ValueError(f"ops must be a comma list drawn from t, s; got {args.ops!r}")
-    rep = saturate(ctx, seed, [op_table[n]() for n in names], cap=args.cap_iter)
+    rep = saturate(ctx, seed, [op_table[n]() for n in names])
     out = {
         "p": args.p,
         "seed": args.seed,
@@ -407,18 +373,16 @@ def cmd_stabilize(args) -> tuple[int, object]:
 
 
 def cmd_verify_all(args) -> tuple[int, object]:
-    config = RunConfig(
-        p_list=tuple(int(x) for x in args.p.split(",")),
-        cap_crossings=args.cap_crossings,
-        cap_iter=args.cap_iter,
-        corpus=args.corpus,
-        out_dir=os.environ.get(OUT_ENV),
-    ).within_budget()
-    certs = _jsonable(bundle(config))
+    p_list = checked_primes((int(x) for x in args.p.split(",")), MAX_P_HEAVY, "verify-all",
+                            min_p=5)
+    if args.cap_crossings < 1:
+        raise ValueError("caps must be positive")
+    out_dir = os.environ.get(OUT_ENV)
+    certs = _jsonable(bundle(p_list, args.corpus, args.cap_crossings))
     ok = all(c["ok"] for c in certs)
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        path = os.path.join(config.out_dir, "verify_all.json")
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "verify_all.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(certs, sort_keys=True, indent=2))
             fh.write("\n")
@@ -468,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--p", type=int, required=True)
     st.add_argument("--seed", choices=BASES_G1, default="e")
     st.add_argument("--ops", default="t,s", help="comma list from {t,s}")
-    st.add_argument("--cap-iter", type=int, default=32)
     emit_flag(st)
     st.set_defaults(func=cmd_stabilize)
 
@@ -476,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--p", default="5,7", help="comma list of odd primes")
     va.add_argument("--corpus", metavar="FILE", default=None)
     va.add_argument("--cap-crossings", type=int, default=16)
-    va.add_argument("--cap-iter", type=int, default=32)
     emit_flag(va)
     va.set_defaults(func=cmd_verify_all)
 

@@ -14,7 +14,7 @@ import pytest
 import skeinlat
 from skeinlat import annulus, bracket, cli, planar, torus
 from skeinlat.bracket import load_corpus
-from skeinlat.cli import RunConfig, main
+from skeinlat.cli import MAX_P_HEAVY, checked_primes, main
 from skeinlat.recoupling import count_spine_colorings, verlinde_float
 from skeinlat.torus import TQFTParams
 
@@ -25,37 +25,72 @@ def run(capsys, *argv):
     return code, out, err
 
 
-# --- config validation ----------------------------------------------------
+# --- input checks ---------------------------------------------------------
 
 
 def test_config_rejects_nine() -> None:
-    with pytest.raises(ValueError):
-        RunConfig(p_list=(9,))
+    with pytest.raises(ValueError, match="odd prime"):
+        checked_primes((9,), MAX_P_HEAVY, "genus2")
 
 
 def test_config_rejects_even_and_small() -> None:
     for p in (2, 4, 15, 1):
-        with pytest.raises(ValueError):
-            RunConfig(p_list=(p,))
+        with pytest.raises(ValueError, match="odd prime"):
+            checked_primes((p,), MAX_P_HEAVY, "genus2")
 
 
 def test_config_genus2_needs_p5() -> None:
-    RunConfig(p_list=(3,), genus_list=(1,))
-    with pytest.raises(ValueError):
-        RunConfig(p_list=(3,), genus_list=(1, 2))
-
-
-def test_config_caps_positive() -> None:
-    with pytest.raises(ValueError):
-        RunConfig(cap_iter=0)
-    with pytest.raises(ValueError):
-        RunConfig(cap_crossings=-1)
+    assert checked_primes((3,), MAX_P_HEAVY, "stabilize") == (3,)
+    with pytest.raises(ValueError, match="genus >= 2 claims need p >= 5"):
+        checked_primes((3,), MAX_P_HEAVY, "genus2", min_p=5)
 
 
 def test_config_budget_keeps_the_measured_primes() -> None:
-    RunConfig(p_list=(5, 7, 11, 13)).within_budget()
+    assert checked_primes((5, 7, 11, 13), MAX_P_HEAVY, "verify-all") == (5, 7, 11, 13)
     with pytest.raises(ValueError, match="p <= 13"):
-        RunConfig(p_list=(5, 17)).within_budget()
+        checked_primes((5, 17), MAX_P_HEAVY, "verify-all")
+
+
+INPUT_CHECKS = [
+    (verb + ["--p", "9"], 2, "odd prime")
+    for verb in (["genus1"], ["genus2"], ["rank", "--genus", "2"], ["stabilize"], ["verify-all"])
+] + [
+    (["verify-all", "--p", "5,5"], 2, "each p may be given once"),
+    (["genus2", "--p", "3"], 2, "genus >= 2 claims need p >= 5"),
+    (["verify-all", "--p", "3"], 2, "genus >= 2 claims need p >= 5"),
+    (["bracket", "--cap-crossings", "0"], 2, "caps must be positive"),
+    (["verify-all", "--p", "5", "--cap-crossings", "-1"], 2, "caps must be positive"),
+    (["rank", "--p", "5", "--genus", "0"], 2, "1 <= genus <= 12"),
+    (["genus1", "--p", "3"], 0, '"ok": true'),
+    (["stabilize", "--p", "3"], 0, '"matches_v_lattice": true'),
+    (["rank", "--p", "3", "--genus", "2"], 0, '"rank": 1,'),
+    (["rank", "--p", "3", "--genus", "12"], 0, '"rank": 1,'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, said",
+    [pytest.param(*row, id=" ".join(row[0])) for row in INPUT_CHECKS],
+)
+def test_each_verb_checks_its_input(capsys, argv, code, said) -> None:
+    # every verb checks the inputs it reads: a refusal is exit 2 with an
+    # error on stderr and nothing on stdout; p = 3 is refused only by the
+    # verbs that make genus >= 2 claims, and the rank there is 1 in every
+    # genus (exit 0 is the verb's ok)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:") and said in err
+    else:
+        assert err == "" and said in out
+
+
+@pytest.mark.parametrize("verb", ["stabilize", "verify-all"])
+def test_cap_iter_is_not_an_option(capsys, verb) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--p", "5", "--cap-iter", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-iter 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -295,6 +330,32 @@ def test_twist_matrix_v_off_by_one_fails_the_genus1_twist_entry(capsys, monkeypa
     assert "V^-1 t V" in failing[0]["error"]
 
 
+def test_polynomial_certs_build_each_matrix_once(monkeypatch) -> None:
+    # the largest matrix holds every smaller one as its leading block
+    sizes = []
+    for name in ("twist_matrix_v", "twist_sq_matrix_vtilde"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda size, real=real, name=name: sizes.append((name, size)) or real(size))
+    assert all(c["ok"] for c in cli.polynomial_certs())
+    assert sizes == [("twist_matrix_v", 12), ("twist_sq_matrix_vtilde", 8)]
+
+
+def test_polynomial_cert_with_a_remainder_at_size_3_fails_with_its_error(monkeypatch) -> None:
+    real = annulus.s_poly
+    monkeypatch.setattr(
+        annulus, "s_poly",
+        lambda m, i, n: real(m, i, n) + (1 if (m, i, n) == (1, 1, 3) else 0),
+    )
+    twist, twist_sq = cli.polynomial_certs()
+    assert twist == {
+        "claim": "twist matrix on v-powers has integral entries up to size 12",
+        "p": None, "ok": False,
+        "error": "dividing S_(1,1,3) by (1+A)^2 leaves a remainder",
+    }
+    assert twist_sq["ok"] is True and "error" not in twist_sq
+
+
 # --- bracket corpus ---------------------------------------------------------
 
 
@@ -444,7 +505,7 @@ def test_verify_all_rejects_bad_prime_list(capsys) -> None:
 
 @lru_cache(maxsize=None)
 def verify_all_p57() -> list[dict]:
-    return json.loads(json.dumps(cli._jsonable(cli.bundle(RunConfig(p_list=(5, 7))))))
+    return json.loads(json.dumps(cli._jsonable(cli.bundle((5, 7)))))
 
 
 @pytest.mark.parametrize(
