@@ -18,24 +18,23 @@ from skeinlat.torus import (
 
 
 def main(p: int) -> None:
-    params = TQFTParams(p)
+    params = TQFTParams.for_prime(p)
     ctx, d = params.ctx, params.d
     print(f"p = {p}: d = {d} colors, ring Z[zeta_{ctx.n}] of degree {ctx.phi}")
 
     for name, builder in (("e", basis_e), ("omega", basis_omega), ("v", basis_v)):
-        cert = verify_unimodular(params, gram(builder(params)), name)
+        cert = verify_unimodular(params, gram(params, builder(params)), name)
         tag = "unit" if cert["unit"] else f"(1-q)^{cert['associate_exponent']} times a unit"
         print(f"  {name}-basis gram determinant: {tag}")
 
     cert = det_w_certificate(params)
     print(f"  det of the omega-orbit matrix: (1-q)^{cert['associate_exponent']} times a unit")
 
-    w_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_omega(params)])
-    v_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_v(params)])
+    w_lat = OLattice.from_vectors(ctx, basis_omega(params))
+    v_lat = OLattice.from_vectors(ctx, basis_v(params))
     print(f"  twist-orbit lattice equals v-power lattice: {lattice_equal(w_lat, v_lat)}")
 
-    seed = [x.coords for x in basis_e(params)]
-    report = saturate(ctx, seed, [twist_matrix(params), s_matrix(params)])
+    report = saturate(ctx, basis_e(params), [twist_matrix(params), s_matrix(params)])
     print(
         f"  e-basis seed under {{t, S}}: stabilized after {report.iterations} "
         f"growth round(s), reaches the v-power lattice: "

@@ -122,12 +122,8 @@ def _as_table(obj) -> str:
     return "\n".join(lines)
 
 
-def _basis_vectors(params: TQFTParams, name: str):
-    return [x.coords for x in BASES_G1[name](params)]
-
-
 def _v_lattice(params: TQFTParams) -> OLattice:
-    return OLattice.from_vectors(params.ctx, _basis_vectors(params, "v"))
+    return OLattice.from_vectors(params.ctx, basis_v(params))
 
 
 def _guarded(claim: str, p: int, fn):
@@ -176,7 +172,7 @@ def genus1_cert(params: TQFTParams, basis: str, gram_mat: Matrix) -> dict:
 
 def genus1_certs(params: TQFTParams) -> list[dict]:
     p = params.p
-    grams = {name: gram(build(params)) for name, build in BASES_G1.items()}
+    grams = {name: gram(params, build(params)) for name, build in BASES_G1.items()}
     certs = [_guarded(f"genus-1 {name}-basis gram determinant exponent", p,
                       lambda name=name: genus1_cert(params, name, grams[name]))
              for name in BASES_G1]
@@ -202,16 +198,13 @@ def genus1_certs(params: TQFTParams) -> list[dict]:
 
 def lattice_certs(params: TQFTParams) -> list[dict]:
     ctx, p = params.ctx, params.p
-    w_lat = OLattice.from_vectors(ctx, _basis_vectors(params, "omega"))
+    w_lat = OLattice.from_vectors(ctx, basis_omega(params))
     v_lat = _v_lattice(params)
     certs = [
         {"claim": "twist-orbit lattice equals the v-power lattice", "p": p,
          "rank": w_lat.rank, "ok": lattice_equal(w_lat, v_lat)}
     ]
-    rep = saturate(
-        ctx, _basis_vectors(params, "e"),
-        [twist_matrix(params), s_matrix(params)],
-    )
+    rep = saturate(ctx, basis_e(params), [twist_matrix(params), s_matrix(params)])
     certs.append(
         {"claim": "e-basis seed saturates to the v-power lattice within five rounds",
          "p": p, "iterations": rep.iterations,
@@ -311,7 +304,7 @@ def bundle(p_list, corpus: str | None = None, cap_crossings: int = 16) -> list[d
 def cmd_genus1(args) -> tuple[int, object]:
     checked_primes((args.p,), MAX_P_GENUS1, "genus1")
     params = TQFTParams.for_prime(args.p)
-    g = gram(BASES_G1[args.basis](params))
+    g = gram(params, BASES_G1[args.basis](params))
     if args.emit == "gram":
         return 0, {"p": args.p, "basis": args.basis,
                    "gram": [[x.to_json() for x in row] for row in g]}
@@ -352,10 +345,7 @@ def cmd_stabilize(args) -> tuple[int, object]:
     checked_primes((args.p,), MAX_P_HEAVY, "stabilize")
     params = TQFTParams.for_prime(args.p)
     ctx = params.ctx
-    if args.seed == "omega":
-        seed = [omega(params).coords]
-    else:
-        seed = _basis_vectors(params, args.seed)
+    seed = [omega(params)] if args.seed == "omega" else BASES_G1[args.seed](params)
     op_table = {"t": lambda: twist_matrix(params), "s": lambda: s_matrix(params)}
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     if not names or any(n not in op_table for n in names):

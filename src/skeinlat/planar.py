@@ -8,8 +8,8 @@ families matter here:
   recorded by the subset of holes it encloses.  In genus 2 an arrangement is
   the monomial x^alpha y^beta ztilde^gamma (curves around hole 0, hole 1,
   and both); in genus 3 it is a laminar multiset of nonempty hole subsets.
-  Every curve may carry the plain strand z or the element v = (z+2)/(1+A);
-  genus-3 curves may also carry the surgery element omega.
+  Every curve may carry the plain strand z, the element z+2, or
+  v = (z+2)/(1+A); genus-3 curves may also carry the surgery element omega.
 
 * graph colorings: admissible colorings of a spine with one loop per hole
   and arms joining the loops (a dumbbell in genus 2, a three-armed wheel in
@@ -27,14 +27,16 @@ unit-lower-triangular expansion and N the diagonal graph Gram.  The same
 matrix also comes straight from the projection rule once every cable is
 folded over e_r = e_{p-2-r}.  An LDL factorization is unique, so the two
 routes are compared by factoring the closed form once: its factor must be R
-and its pivots N.  Both genus-2 routes build z and v cables only, and the
-closed form is memoized per count pair: each pair of cable counts gives one
-folded annulus product, kept on the parameters, so an entry costs only its
-sum over the channels below d.  The v-colored Gram is factored on integral
-rows, the v cables without their units (1+A)^-count, and takes the units
-back in its determinant.  At p = 5 the honest state sum over necklace
-diagrams arbitrates both.  Determinants are reported as associate
-certificates against powers of 1-q, never as bare booleans.
+and its pivots N.  Both genus-2 routes build integral cables only, z and
+z+2, so every lead coefficient is 1, and the closed form is memoized per
+count pair: each pair of cable counts gives one folded annulus product,
+kept on the parameters, so an entry costs only its sum over the channels
+below d.  A v-colored arrangement is its (z+2)-colored one times the unit
+(1+A)^-n, n its curve count, so the v-colored Gram is factored on the
+(z+2) rows and takes the units back in its determinant.  At p = 5 the
+honest state sum over necklace diagrams arbitrates both.  Determinants are
+reported as associate certificates against powers of 1-q, never as bare
+booleans.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .matrices import (Matrix, diagonal, hermitian_fill, ldl_decomposition, map_
                        mat_mul, transpose)
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
 from .torus import (RefutationError, TQFTParams, associate_certificate, expect_exponent,
-                    fold_raw, fold_transparent, omega, omega_pairing)
+                    coords_z, fold_raw, fold_transparent, omega, omega_pairing)
 
 Coloring2 = tuple[int, int, int]
 Coloring3 = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -255,10 +257,7 @@ def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
 # ---------------------------------------------------------------------------
 # class cables and fusion data
 
-COLORS = ("z", "v", "omega")
-# v-cables without their unit (1+A)^-count: the integral (z+2)^count.  A
-# private color of the Av report, which factors its Gram on these rows.
-_V_INTEGRAL = "(1+A)^n v"
+COLORS = ("z", "z+2", "v", "omega")
 
 
 def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> list[CycNum]:
@@ -277,16 +276,14 @@ def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> li
 
 
 def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
-    """e-coordinates over colors 0..p-2 of `count` parallel z- or v-colored
-    copies of one curve."""
+    """e-coordinates over colors 0..p-2 of `count` parallel z- or
+    (z+2)-colored copies of one curve.  (z+2)^count = (1+A)^count v^count is
+    the integral form of a v cable."""
     if color == "z":
         return fold_raw(params, z_power_in_e(count))
-    if color == _V_INTEGRAL:
+    if color == "z+2":
         return fold_raw(params, z_plus2_pow_in_e(count + 1))
-    if color == "v":
-        unit = params.inv1a ** count
-        return [unit * c for c in _class_cable(params, _V_INTEGRAL, count)]
-    raise ValueError(f"genus-2 cables are z or v, got {color!r}")
+    raise ValueError(f"genus-2 cables are z or z+2, got {color!r}")
 
 
 def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
@@ -342,7 +339,7 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
     channels s < d; memoized per (color, count, m, c).
 
     Nothing is folded back: the arrangement bounds keep every hole cover
-    below d, so a z or v cable never reaches a channel s >= d, and an
+    below d, so a z or z+2 cable never reaches a channel s >= d, and an
     expansion that lost a term would be refuted by the LDL factor of the
     projection closed form."""
     key = (color, count, m, c)
@@ -376,7 +373,7 @@ def expand_arrangement(
     The both-holes cable is split along the arm, then each single-hole cable
     fuses onto its loop.  The arrangement bounds keep every channel below d
     and the result is supported under the lead coloring with the lead
-    coefficient a unit.
+    coefficient 1.
     """
     if arr.genus != 2:
         raise ValueError("expansion over the dumbbell basis needs genus 2")
@@ -421,14 +418,13 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
 
     Support bound and lead coefficient of the expansion.  Claim: every
     coloring in the support of an arrangement is componentwise at most its
-    lead coloring, and the lead coefficient is 1 for z-colored curves and
-    (1+A)^-n for v-colored ones (n = curve count).  Componentwise dominance
-    implies lex dominance, so the matrix over the shared order is triangular
-    with unit diagonal.
+    lead coloring, and the lead coefficient is 1, for z- and for
+    (z+2)-colored curves alike.  Componentwise dominance implies lex
+    dominance, so the matrix over the shared order is triangular with unit
+    diagonal.  A v-colored arrangement is its (z+2)-colored one times the
+    unit (1+A)^-n (n = curve count), so its lead coefficient is that unit.
     """
-    if color not in ("z", "v"):
-        raise ValueError("triangularity is claimed for z and v cables only")
-    ctx = params.ctx
+    one = params.ctx.one
     support_ok = True
     diagonal_ok = True
     for arr in arrangement_set_genus2(params.p):
@@ -437,8 +433,7 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
         for (i, j, k) in coords:
             if i > li or j > lj or k > lk:
                 support_ok = False
-        want = ctx.one if color == "z" else params.inv1a ** arr.curve_count
-        if coords.get((li, lj, lk)) != want:
+        if coords.get((li, lj, lk)) != one:
             diagonal_ok = False
     ok = support_ok and diagonal_ok
     return {
@@ -466,18 +461,13 @@ def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     <m> because <p-2-r> = <r>).  A meridian around two small-colored cables
     keeps only their matching channel, which forces the folded colors equal
     and leaves D^2/<m> once both meridians have fired.  P, Q, R depend on the
-    two curve counts only, and come from the memo of _pair_product.  A v
-    cable is the integral (z+2)^count times the unit (1+A)^-count, and the
-    pairing is multilinear, so the v Gram is the integral one rescaled."""
-    arrs = arrangement_set_genus2(params.p)
-    counts = [_counts(arr) for arr in arrs]
+    two curve counts only, and come from the memo of _pair_product."""
+    counts = [_counts(arr) for arr in arrangement_set_genus2(params.p)]
     weights = _meridian_weights(params)
-    cable = _V_INTEGRAL if color == "v" else color
-    gram = hermitian_fill(
+    return hermitian_fill(
         len(counts),
-        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], cable, weights),
+        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
     )
-    return _rescaled(gram, _v_units(params, arrs)) if color == "v" else gram
 
 
 def pairing_closed_genus2(
@@ -487,12 +477,7 @@ def pairing_closed_genus2(
     arrangements."""
     if x.genus != 2 or y.genus != 2:
         raise ValueError("this closed form is the genus-2 pairing")
-    cable = _V_INTEGRAL if color == "v" else color
-    got = _pairing_from_counts(params, _counts(x), _counts(y), cable, _meridian_weights(params))
-    if color != "v":
-        return got
-    ux, uy = _v_units(params, [x, y])
-    return ux * got * uy.conj()
+    return _pairing_from_counts(params, _counts(x), _counts(y), color, _meridian_weights(params))
 
 
 def _counts(arr: CurveArrangement) -> tuple[int, int, int]:
@@ -511,38 +496,22 @@ def _pairing_from_counts(
 ) -> CycNum:
     """One closed-form entry from the two (alpha, beta, gamma) and the
     weights: one ctx.dot over the channels m of w_m P_m Q_m R_m, so the
-    cables must be integral (z or _V_INTEGRAL)."""
+    cables must be integral (z or z+2)."""
     pq = [_pair_product(params, color, cx, cy) for cx, cy in zip(counts_x, counts_y)]
     return params.ctx.dot(zip(weights, *pq))
 
 
-def _v_units(params: TQFTParams, arrs: list[CurveArrangement]) -> list[CycNum]:
-    """(1+A)^-n per arrangement, n its curve count: a v row over its integral one."""
-    return [params.inv1a ** arr.curve_count for arr in arrs]
-
-
-def _rescaled(gram: Matrix, units: list[CycNum]) -> Matrix:
-    """The Hermitian matrix units[i] gram[i][j] conj(units[j]), one unit
-    product per distinct pair of units."""
-    scales: dict[tuple[CycNum, CycNum], CycNum] = {}
-
-    def entry(i: int, j: int) -> CycNum:
-        key = (units[i], units[j])
-        if key not in scales:
-            scales[key] = units[i] * units[j].conj()
-        return scales[key] * gram[i][j]
-
-    return hermitian_fill(len(gram), entry)
-
-
 def _curve_z_terms(params: TQFTParams, color: str) -> dict[int, CycNum]:
     """One colored curve as a polynomial in its own core: degree -> weight."""
+    ctx = params.ctx
     if color == "z":
-        return {1: params.ctx.one}
+        return {1: ctx.one}
+    if color == "z+2":
+        return {0: ctx.from_int(2), 1: ctx.one}
     if color == "v":
         return {0: params.inv1a + params.inv1a, 1: params.inv1a}
     if color == "omega":
-        return omega(params).coords_z()
+        return coords_z(omega(params))
     raise ValueError(f"unknown color {color!r}; pick one of {COLORS}")
 
 
@@ -663,11 +632,12 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     arrangements (diagonal picks up (1+A)^-n per arrangement and the
     determinant is a unit).  For A and Av the projection closed form is
     factored once, and its LDL factor must be the graph expansion matrix
-    and its pivots the graph norms.  Av is factored on integral rows: each
-    v-row times (1+A)^n, n its curve count, is unit-triangular over G, and
-    both routes build that Gram from the same integral cables (the closed
-    form memoized per count pair).  Its determinant then takes the units
-    back, prod N * |1+A|^(-2 curve_total).
+    and its pivots the graph norms.  Av is factored on integral rows: the
+    (z+2)-colored arrangements, each a v-row times (1+A)^n, n its curve
+    count, are unit-triangular over G, and both routes build their Gram
+    from the same integral cables (the closed form memoized per count
+    pair).  Its determinant then takes the units back,
+    prod N * |1+A|^(-2 curve_total).
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(p)
@@ -677,13 +647,13 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
         return _certified_report(params, 2, basis, None, arrs, gram, pivots)
     if basis not in ("A", "Av"):
         raise ValueError(f"unknown basis {basis!r}; pick G, A, or Av")
-    cable = "z" if basis == "A" else _V_INTEGRAL
+    cable = "z" if basis == "A" else "z+2"
     gram = gram_closed_genus2(params, cable)
     lower = expansion_matrix_genus2(params, cable)
     if basis == "A":
         return _certified_report(params, 2, basis, "z", arrs, gram, pivots, lower=lower)
-    return _certified_report(params, 2, basis, "v", arrs, gram, pivots,
-                             units=_v_units(params, arrs), lower=lower)
+    units = [params.inv1a ** arr.curve_count for arr in arrs]
+    return _certified_report(params, 2, basis, "v", arrs, gram, pivots, units=units, lower=lower)
 
 
 def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:

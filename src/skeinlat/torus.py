@@ -5,6 +5,9 @@ folding e_{d+i} = e_{d-1-i} leaves the free module on e_0 .. e_{d-1}.  On it
 live the twist t (diagonal with eigenvalues mu_i), the surgery element
 omega = eta sum <e_i> e_i, the bilinear Hopf pairing H_ij =
 (-1)^(i+j) [(i+1)(j+1)], and a Hermitian form with (e_i, e_j) = D delta_ij.
+A vector is the tuple of its d coordinates over e_0 .. e_{d-1}, the form
+the lattices take; the functions that read vectors take the parameters
+alongside and refuse a tuple of another length.
 
 The form has a diagrammatic definition: put x and the conjugate of y on
 parallel cores of a standardly embedded solid torus and one omega-colored
@@ -27,7 +30,7 @@ import math
 
 from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
 from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
-from .cyclotomic import CycContext, CycNum, mixed_rings
+from .cyclotomic import CycContext, CycNum
 from .laurent import IntLaurent, RefutationError
 from .matrices import (
     Matrix,
@@ -42,6 +45,9 @@ from .matrices import (
     transpose,
 )
 from .recoupling import qint, quantum_dim_at
+
+# A genus-1 vector: its coordinates over e_0 .. e_{d-1}.
+Vector = tuple[CycNum, ...]
 
 
 class DegeneracyError(ArithmeticError):
@@ -127,65 +133,29 @@ class TQFTParams:
         return f"TQFTParams(p={self.p})"
 
 
-class TorusVector:
-    """Element of the quotient module, coordinates over e_0 .. e_{d-1}."""
-
-    __slots__ = ("params", "coords")
-
-    def __init__(self, params: TQFTParams, coords):
-        coords = tuple(coords)
-        if len(coords) != params.d:
-            raise ValueError(f"need {params.d} coordinates, got {len(coords)}")
-        self.params = params
-        self.coords = coords
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusVector):
-            return NotImplemented
-        return self.params.p == other.params.p and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.params.p, self.coords))
-
-    def __add__(self, other: "TorusVector") -> "TorusVector":
-        _same_prime(self, other)
-        return TorusVector(
-            self.params, [a + b for a, b in zip(self.coords, other.coords)]
-        )
-
-    def __sub__(self, other: "TorusVector") -> "TorusVector":
-        return self + (-other)
-
-    def __neg__(self) -> "TorusVector":
-        return TorusVector(self.params, [-a for a in self.coords])
-
-    def scale(self, c: CycNum | int) -> "TorusVector":
-        return TorusVector(self.params, [a * c for a in self.coords])
-
-    def z_action(self) -> "TorusVector":
-        """Multiply by z: e_i -> e_{i-1} + e_{i+1}, then reduce."""
-        zero = self.params.ctx.zero
-        up = (zero,) + self.coords
-        down = self.coords[1:] + (zero, zero)
-        return reduce_e(self.params, [a + b for a, b in zip(up, down)])
-
-    def twist(self, j: int = 1) -> "TorusVector":
-        """t^j, diagonal: coordinate i picks up mu_i^j."""
-        params = self.params
-        return TorusVector(params, [c * params.mu(i) ** j for i, c in enumerate(self.coords)])
-
-    def coords_z(self) -> dict[int, CycNum]:
-        """The same element written in powers of z (degrees below d)."""
-        poly = e_to_z_poly(list(self.coords))
-        return {k: v for k, v in poly.items() if v}
-
-    def __repr__(self) -> str:
-        return f"TorusVector(p={self.params.p}, {list(self.coords)!r})"
+def _coords(params: TQFTParams, x) -> Vector:
+    """x as a tuple of its d coordinates over e_0 .. e_{d-1}.  d = (p-1)/2
+    differs at every prime, so the count also keeps two primes apart."""
+    x = tuple(x)
+    if len(x) != params.d:
+        raise ValueError(f"need {params.d} coordinates at p = {params.p}, got {len(x)}")
+    return x
 
 
-def _same_prime(x: TorusVector, y: TorusVector) -> None:
-    if x.params.p != y.params.p:
-        raise mixed_rings(x.params.ctx, y.params.ctx)
+def z_action(params: TQFTParams, x) -> Vector:
+    """Multiply by z: e_i -> e_{i-1} + e_{i+1}, then reduce."""
+    x = _coords(params, x)
+    zero = params.ctx.zero
+    up = (zero,) + x
+    down = x[1:] + (zero, zero)
+    return reduce_e(params, [a + b for a, b in zip(up, down)])
+
+
+def coords_z(x) -> dict[int, CycNum]:
+    """The element with e-coordinates x written in powers of z (degrees
+    below d)."""
+    poly = e_to_z_poly(list(x))
+    return {k: v for k, v in poly.items() if v}
 
 
 def fold_raw(params: TQFTParams, raw) -> list[CycNum]:
@@ -216,7 +186,7 @@ def fold_transparent(params: TQFTParams, cable: list[CycNum]) -> list[CycNum]:
     return [cable[m] + cable[params.p - 2 - m] for m in range(params.d)]
 
 
-def reduce_e(params: TQFTParams, raw) -> TorusVector:
+def reduce_e(params: TQFTParams, raw) -> Vector:
     """Fold a raw e-expansion into the quotient.
 
     Keeps k < d, reflects d <= k <= 2d-1 onto e_{2d-1-k}, drops k = p-1.
@@ -225,10 +195,10 @@ def reduce_e(params: TQFTParams, raw) -> TorusVector:
     """
     if len(raw) > params.p:
         raise ValueError(f"raw degree {params.p} is beyond e_{{p-1}}")
-    return TorusVector(params, fold_transparent(params, fold_raw(params, raw)))
+    return tuple(fold_transparent(params, fold_raw(params, raw)))
 
 
-def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> TorusVector:
+def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> Vector:
     """Oracle for z_action: the image of an annulus element in powers of z.
 
     Coefficients may be ints, A-Laurent polynomials, or CycNum.
@@ -244,20 +214,17 @@ def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> TorusVector
     return reduce_e(params, z_poly_to_e(conv, ctx.zero))
 
 
-def basis_e(params: TQFTParams) -> list[TorusVector]:
+def basis_e(params: TQFTParams) -> list[Vector]:
     ctx, d = params.ctx, params.d
-    return [
-        TorusVector(params, [ctx.one if j == i else ctx.zero for j in range(d)])
-        for i in range(d)
-    ]
+    return [tuple(ctx.one if j == i else ctx.zero for j in range(d)) for i in range(d)]
 
 
-def omega(params: TQFTParams) -> TorusVector:
+def omega(params: TQFTParams) -> Vector:
     """omega = eta sum <e_i> e_i, the element that implements surgery."""
-    return TorusVector(params, [params.eta * dim for dim in params.dims])
+    return tuple(params.eta * dim for dim in params.dims)
 
 
-def omega_product(params: TQFTParams) -> TorusVector:
+def omega_product(params: TQFTParams) -> Vector:
     """omega as D times the projector onto the top z-eigenvector.
 
     z acts on the quotient with simple spectrum lam_i = -q^(i+1) - q^(-i-1),
@@ -268,17 +235,20 @@ def omega_product(params: TQFTParams) -> TorusVector:
     lam = [-(ctx.q_pow(i + 1) + ctx.q_pow(-i - 1)) for i in range(d)]
     out = basis_e(params)[0]
     for i in range(1, d):
-        out = (out.z_action() - out.scale(lam[i])).scale(ctx.inv(lam[0] - lam[i]))
-    return out.scale(params.D)
+        c = ctx.inv(lam[0] - lam[i])
+        out = tuple((a - b * lam[i]) * c for a, b in zip(z_action(params, out), out))
+    return tuple(a * params.D for a in out)
 
 
-def basis_omega(params: TQFTParams) -> list[TorusVector]:
-    """The twist orbit omega, t(omega), .., t^{d-1}(omega)."""
-    om = omega(params)
-    return [om.twist(j) for j in range(params.d)]
+def basis_omega(params: TQFTParams) -> list[Vector]:
+    """The twist orbit omega, t(omega), .., t^{d-1}(omega): t is diagonal,
+    so coordinate i of t^j(omega) picks up mu_i^j."""
+    om, d = omega(params), params.d
+    mus = [params.mu(i) for i in range(d)]
+    return [tuple(c * mu**j for c, mu in zip(om, mus)) for j in range(d)]
 
 
-def basis_v(params: TQFTParams) -> list[TorusVector]:
+def basis_v(params: TQFTParams) -> list[Vector]:
     """Powers of v = (z+2)/(1+A): v^j is the integral e-coordinates of
     (z+2)^j times (1+A)^-j, triangular with diagonal (1+A)^-j."""
     ctx, d = params.ctx, params.d
@@ -286,40 +256,33 @@ def basis_v(params: TQFTParams) -> list[TorusVector]:
     for j in range(d):
         col = z_plus2_pow_in_e(j + 1)
         unit = params.inv1a**j
-        out.append(
-            TorusVector(
-                params,
-                [col[k] * unit if k <= j else ctx.zero for k in range(d)],
-            )
-        )
+        out.append(tuple(col[k] * unit if k <= j else ctx.zero for k in range(d)))
     return out
 
 
 def w_matrix(params: TQFTParams) -> Matrix:
     """Row j holds the e-coordinates of t^j(omega)."""
-    return [list(v.coords) for v in basis_omega(params)]
+    return [list(v) for v in basis_omega(params)]
 
 
 def v_matrix(params: TQFTParams) -> Matrix:
     """Column j holds the e-coordinates of v^j."""
-    return transpose([list(v.coords) for v in basis_v(params)])
+    return transpose([list(v) for v in basis_v(params)])
 
 
 # ---------------------------------------------------------------------------
 # pairings
 
 
-def hermitian_pairing(x: TorusVector, y: TorusVector) -> CycNum:
+def hermitian_pairing(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
     """(x, y) = D sum_i x_i conj(y_i), conjugate-linear in y.
 
     The omega-meridian projection rule: the meridian keeps only the
     e_0-component of x conj(y), scaled by D, and the e_0-coefficient of
     e_i e_j is delta_ij.
     """
-    _same_prime(x, y)
-    params = x.params
     acc = params.ctx.zero
-    for a, b in zip(x.coords, y.coords):
+    for a, b in zip(_coords(params, x), _coords(params, y)):
         if a and b:
             acc = acc + a * b.conj()
     return params.D * acc
@@ -335,7 +298,7 @@ def omega_pairing(params: TQFTParams, genus: int, terms_x, terms_y) -> CycNum:
     and conjugates only the weights.
     """
     ctx = params.ctx
-    om_z = sorted(omega(params).coords_z().items())
+    om_z = sorted(coords_z(omega(params)).items())
     total = ctx.zero
     for widths in itertools.product(om_z, repeat=genus):
         wc = ctx.one
@@ -349,7 +312,7 @@ def omega_pairing(params: TQFTParams, genus: int, terms_x, terms_y) -> CycNum:
     return total
 
 
-def pairing_bracket(x: TorusVector, y: TorusVector) -> CycNum:
+def pairing_bracket(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
     """Oracle for hermitian_pairing: the form as an honest bracket state sum.
 
     x and conj(y), expanded in z-powers, ride parallel zero-framed cores of
@@ -357,12 +320,11 @@ def pairing_bracket(x: TorusVector, y: TorusVector) -> CycNum:
     is exponential in the z-degrees, so this is the small-p oracle against
     which hermitian_pairing is checked.
     """
-    _same_prime(x, y)
 
-    def terms(v: TorusVector):
-        return [(((0,),) * k, c) for k, c in v.coords_z().items()]
+    def terms(v: Vector):
+        return [(((0,),) * k, c) for k, c in coords_z(_coords(params, v)).items()]
 
-    return omega_pairing(x.params, 1, terms(x), terms(y))
+    return omega_pairing(params, 1, terms(x), terms(y))
 
 
 def hopf_pairing_closed(params: TQFTParams, i: int, j: int) -> CycNum:
@@ -377,12 +339,12 @@ def hopf_matrix(params: TQFTParams) -> Matrix:
     return [[hopf_pairing_closed(params, i, j) for j in range(d)] for i in range(d)]
 
 
-def hopf_bracket(params: TQFTParams, x: TorusVector, y: TorusVector) -> CycNum:
+def hopf_bracket(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
     """Oracle for hopf_pairing_closed: the bilinear bracket of the Hopf link
     cabled by the z-expansions of x and y, no conjugation anywhere."""
     total = params.ctx.zero
-    for a, ca in x.coords_z().items():
-        for b, cb in y.coords_z().items():
+    for a, ca in coords_z(_coords(params, x)).items():
+        for b, cb in coords_z(_coords(params, y)).items():
             total = total + ca * cb * params.necklace([a], [[0]] * b)
     return total
 
@@ -391,9 +353,9 @@ def hopf_bracket(params: TQFTParams, x: TorusVector, y: TorusVector) -> CycNum:
 # Gram matrices and certificates
 
 
-def gram(basis: list[TorusVector]) -> Matrix:
+def gram(params: TQFTParams, basis: list[Vector]) -> Matrix:
     """G_ij = (b_i, b_j), one pairing per unordered pair: the form is Hermitian."""
-    return hermitian_fill(len(basis), lambda i, j: hermitian_pairing(basis[i], basis[j]))
+    return hermitian_fill(len(basis), lambda i, j: hermitian_pairing(params, basis[i], basis[j]))
 
 
 def e_gram_closed(params: TQFTParams) -> Matrix:
@@ -513,7 +475,7 @@ def v_in_omega_span(params: TQFTParams) -> Matrix:
     """
     ctx = params.ctx
     winv = mat_inverse(w_matrix(params), ctx.one, ctx.zero, ctx.inv)
-    rows_v = [list(v.coords) for v in basis_v(params)]
+    rows_v = [list(v) for v in basis_v(params)]
     c = mat_mul(rows_v, winv, ctx.zero)
     cinv = mat_inverse(c, ctx.one, ctx.zero, ctx.inv)
     for mat in (c, cinv):

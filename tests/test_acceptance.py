@@ -117,10 +117,10 @@ def test_criterion_03_genus1_determinants() -> None:
     for p in PRIMES:
         params = TQFTParams.for_prime(p)
         d = params.d
-        cert = verify_unimodular(params, gram(basis_e(params)), "e")
+        cert = verify_unimodular(params, gram(params, basis_e(params)), "e")
         assert cert["ok"] and cert["associate_exponent"] == d * (d - 1)
         for name, builder in (("omega", basis_omega), ("v", basis_v)):
-            cert = verify_unimodular(params, gram(builder(params)), name)
+            cert = verify_unimodular(params, gram(params, builder(params)), name)
             assert cert["unit"], (p, name)
         det_w_certificate(params)  # raises unless exponent is -d(d-1)/2
     assert time.monotonic() - start < 60
@@ -130,8 +130,8 @@ def test_criterion_04_basis_equivalences() -> None:
     for p in PRIMES:
         params = TQFTParams.for_prime(p)
         ctx = params.ctx
-        w_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_omega(params)])
-        v_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_v(params)])
+        w_lat = OLattice.from_vectors(ctx, basis_omega(params))
+        v_lat = OLattice.from_vectors(ctx, basis_v(params))
         assert lattice_equal(w_lat, v_lat), p
         assert omega_product(params) == omega(params), p
         v_in_omega_span(params)  # raises unless integral both ways
@@ -142,9 +142,9 @@ def test_criterion_05_stabilization() -> None:
     for p in (5, 7):
         params = TQFTParams.for_prime(p)
         ctx = params.ctx
-        seed = [x.coords for x in basis_e(params)]
+        seed = basis_e(params)
         report = saturate(ctx, seed, [twist_op(params), s_matrix(params)])
-        v_lat = OLattice.from_vectors(ctx, [x.coords for x in basis_v(params)])
+        v_lat = OLattice.from_vectors(ctx, basis_v(params))
         assert report.stabilized and report.iterations <= 5, p
         assert lattice_equal(report.lattice, v_lat), p
 
@@ -164,7 +164,7 @@ def test_criterion_06_genus2_reports() -> None:
             assert rep["associate_exponent"] == rep["expected_exponent"]
         assert reports["G"]["associate_exponent"] == 2 * n_curves
         assert reports["Av"]["unimodular"]
-        for color in ("z", "v"):
+        for color in ("z", "z+2"):
             cert = triangular_certificate_genus2(TQFTParams.for_prime(p), color)
             assert cert["ok"], (p, color)
     # each report checks its Gram against the closed form entry by entry, and
@@ -244,7 +244,7 @@ def test_criterion_10_oracle_coherence() -> None:
     assert diag == [graph_norm_genus2(params, *arr.lead_coloring()) for arr in arrs]
     colorings = graph_colorings_genus2(5)
     assert [arr.lead_coloring() for arr in arrs] == colorings
-    for color in ("z", "v"):
+    for color in ("z", "z+2"):
         assert mat_eq(gram_closed_genus2(params, color),
                       gram_bracket(params, arrs, color)), color
     # genus 3 runs its own wheel-norm-versus-state-sum refutation check

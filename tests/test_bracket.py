@@ -280,6 +280,39 @@ def test_reidemeister_two_padding_past_the_byte_matchings(ring, pairs):
     assert kauffman_bracket(padded, coeffs) == kauffman_bracket(braid_pd(word, 3), coeffs)
 
 
+def test_matchings_either_side_of_the_byte_width(monkeypatch):
+    # 4n arc ends for n crossings: 63 crossings (252 ends) stay on byte
+    # matchings, 64 (256 ends) are the first to take the wide ones, and a
+    # sigma_1 sigma_1^-1 pair cancels on either path
+    wide_matchings = []
+    real_array = bracket_module.array
+
+    def spy(*args):
+        wide_matchings.append(args)
+        return real_array(*args)
+
+    monkeypatch.setattr(bracket_module, "array", spy)
+    narrow = braid_pd([1, -1] * 31 + [1], 2)
+    assert narrow.crossings == 63
+    assert kauffman_bracket(narrow) == kauffman_bracket(braid_pd([1], 2))
+    assert kauffman_bracket(narrow) == IntLaurent({1: 1, 5: 1})
+    assert wide_matchings == []
+    wide = braid_pd([1, -1] * 32, 2)
+    assert wide.crossings == 64
+    assert kauffman_bracket(wide) == kauffman_bracket(LinkDiagram((), 2))
+    assert kauffman_bracket(wide) == IntLaurent({4: 1, 0: 2, -4: 1})
+    assert len(wide_matchings) == 2
+    # a seeded word with nothing to cancel, on the wide path in both rings
+    rng = random.Random(6470)
+    diagram = braid_pd([rng.choice((1, -1)) * rng.randrange(1, 3) for _ in range(70)], 3)
+    assert diagram.crossings == 70
+    ctx = CycContext(7)
+    assert kauffman_bracket(diagram, RootCoeffs(ctx)) == ctx.from_A_laurent(
+        kauffman_bracket(diagram)
+    )
+    assert len(wide_matchings) == 4
+
+
 class UncheckedDiagram(LinkDiagram):
     def __post_init__(self):
         pass

@@ -589,6 +589,12 @@ VERB_PINS = {
         "950440993cb25d2323ec176f2c2cf003d75d74f7eead26f3842de6ab67dfafc4",
     "stabilize --p 5":
         "ac873933c9b81c68fa28d742aa8f9725cb5964b3e44967b8e9f8cd229128aea9",
+    "stabilize --p 7 --seed omega --ops t":
+        "10bc06aa510a232958477f5ddb53bd29a3665de230aebc827ee8166fef6a8ab1",
+    "genus1 --p 7 --basis omega":
+        "c961d7e713ed7cfebb0d4b6932cfd6735e80368d23e1c21ae65a1a67f4f1bba6",
+    "genus1 --p 7 --basis v --emit gram":
+        "e87c01759113fc3d315694a7f6eaca424463de34d1d560dfb6d34c92abe76128",
 }
 
 
@@ -732,7 +738,7 @@ def test_shared_method_names_are_the_reviewed_set() -> None:
                         owners.setdefault(m.name, set()).add(c.name)
     shared = {m for m, classes in owners.items() if len(classes) > 1}
     assert shared == {
-        "from_json", "is_zero", "mu", "scale", "state_sum", "to_json",
+        "from_json", "is_zero", "mu", "state_sum", "to_json",
     }
 
 

@@ -28,7 +28,7 @@ PRIMES = (5, 7, 11, 13)
 def lattice_for(p: int, name: str) -> OLattice:
     params = TQFTParams.for_prime(p)
     builder = {"e": basis_e, "omega": basis_omega, "v": basis_v}[name]
-    return OLattice.from_vectors(params.ctx, [x.coords for x in builder(params)])
+    return OLattice.from_vectors(params.ctx, builder(params))
 
 
 def twist_op(params: TQFTParams):
@@ -118,7 +118,7 @@ def test_from_vectors_rejects_empty_and_ragged() -> None:
         OLattice.from_vectors(ctx, [])
     e0, e1 = basis_e(TQFTParams.for_prime(5))
     with pytest.raises(ValueError):
-        OLattice.from_vectors(ctx, [e0.coords, e1.coords[:1]])
+        OLattice.from_vectors(ctx, [e0, e1[:1]])
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -141,15 +141,15 @@ def test_contains_generators_and_scalings() -> None:
     lat = lattice_for(7, "v")
     zeta = params.ctx.zeta_pow(1)
     for vec in basis_v(params):
-        assert lat.contains_vector(vec.coords)
-        assert lat.contains_vector([zeta * c for c in vec.coords])
-        assert lat.contains_vector([-c for c in vec.coords])
+        assert lat.contains_vector(vec)
+        assert lat.contains_vector([zeta * c for c in vec])
+        assert lat.contains_vector([-c for c in vec])
 
 
 def test_contains_rejects_wrong_width() -> None:
     lat = lattice_for(5, "e")
     with pytest.raises(ValueError):
-        lat.contains_vector(basis_e(TQFTParams.for_prime(5))[0].coords[:1])
+        lat.contains_vector(basis_e(TQFTParams.for_prime(5))[0][:1])
 
 
 def test_contains_rejects_a_vector_from_another_ring() -> None:
@@ -208,7 +208,7 @@ def test_stable_lattice_is_mapping_class_invariant(p: int) -> None:
 @pytest.mark.parametrize("p", (5, 7))
 def test_e_seed_saturates_to_v_lattice(p: int) -> None:
     params = TQFTParams.for_prime(p)
-    seed = [e.coords for e in basis_e(params)]
+    seed = basis_e(params)
     report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
     assert report.stabilized
     assert report.iterations <= 5
@@ -217,21 +217,21 @@ def test_e_seed_saturates_to_v_lattice(p: int) -> None:
 
 def test_v_seed_already_twist_stable() -> None:
     params = TQFTParams.for_prime(5)
-    seed = [v.coords for v in basis_v(params)]
+    seed = basis_v(params)
     report = saturate(params.ctx, seed, [twist_op(params)])
     assert report.stabilized and report.iterations == 0
 
 
 def test_omega_seed_twist_orbit() -> None:
     params = TQFTParams.for_prime(5)
-    report = saturate(params.ctx, [omega(params).coords], [twist_op(params)])
+    report = saturate(params.ctx, [omega(params)], [twist_op(params)])
     assert report.stabilized
     assert lattice_equal(report.lattice, lattice_for(5, "omega"))
 
 
 def test_saturation_is_monotone() -> None:
     params = TQFTParams.for_prime(7)
-    seed = [e.coords for e in basis_e(params)]
+    seed = basis_e(params)
     report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
     for vec in seed:
         assert report.lattice.contains_vector(vec)
@@ -242,7 +242,7 @@ def test_cap_reports_instead_of_asserting() -> None:
     ctx = params.ctx
     # dividing by a non-unit grows the denominator forever
     shrink = diagonal([ctx.inv(ctx.one + ctx.A)] * params.d, ctx.zero)
-    report = saturate(ctx, [e.coords for e in basis_e(params)], [shrink], cap=3)
+    report = saturate(ctx, basis_e(params), [shrink], cap=3)
     assert isinstance(report, SaturationReport)
     assert not report.stabilized
     assert report.iterations == 3
@@ -254,7 +254,7 @@ def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
     params = TQFTParams.for_prime(7)
     ctx = params.ctx
     ops = [twist_op(params), s_matrix(params, basis="e")]
-    seed = [e.coords for e in basis_e(params)]
+    seed = basis_e(params)
     gens = OLattice.from_vectors(ctx, seed).vectors()
     step = [mat_vec(op, g, ctx.zero) for op in ops for g in gens]
     once = OLattice.from_vectors(ctx, gens + step)
@@ -267,4 +267,4 @@ def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
 def test_cap_must_be_positive() -> None:
     params = TQFTParams.for_prime(5)
     with pytest.raises(ValueError):
-        saturate(params.ctx, [basis_e(params)[0].coords], [], cap=0)
+        saturate(params.ctx, basis_e(params)[:1], [], cap=0)

@@ -47,6 +47,21 @@ def genus3_report(color: str) -> dict:
     return genus3_p5_report(color=color)
 
 
+# a v-colored curve family is built from its integral cables:
+# (z+2)^n = (1+A)^n v^n, n the curve count
+CABLE = {"z": "z", "v": "z+2"}
+
+
+def arrangement_gram(params, color):
+    """The Gram of the color-colored genus-2 arrangements; for v, the (z+2)
+    closed form with the units (1+A)^-n taken back on both sides."""
+    gram = gram_closed_genus2(params, CABLE.get(color, color))
+    if color != "v":
+        return gram
+    units = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params.p)]
+    return [[ui * g * uj.conj() for g, uj in zip(row, units)] for ui, row in zip(units, gram)]
+
+
 def genus2_gram(p: int, basis: str):
     """The Gram a genus-2 report certifies, rebuilt by the function that
     makes it: the graph norms for G, the closed form for A and Av."""
@@ -54,7 +69,7 @@ def genus2_gram(p: int, basis: str):
     if basis == "G":
         norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(p)]
         return diagonal(norms, params.ctx.zero)
-    return gram_closed_genus2(params, "z" if basis == "A" else "v")
+    return arrangement_gram(params, "z" if basis == "A" else "v")
 
 
 def fusion_gram(params, color):
@@ -225,19 +240,20 @@ def test_expand_needs_genus2():
 
 
 def test_expand_unknown_color():
-    # genus-2 cables are z or v; omega is refused by both genus-2 routes
+    # genus-2 cables are z or z+2; v and omega are refused by both routes
     params = TQFTParams.for_prime(5)
-    for color in ("w", "omega"):
+    for color in ("w", "v", "omega"):
         with pytest.raises(ValueError):
             expand_arrangement(params, monomial_arrangement(1, 0, 0), color)
-    with pytest.raises(ValueError):
-        gram_closed_genus2(params, "omega")
+    for color in ("v", "omega"):
+        with pytest.raises(ValueError, match="genus-2 cables are z or z\\+2"):
+            gram_closed_genus2(params, color)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("color", ("z", "v"))
 def test_triangular_certificate(p, color):
-    cert = triangular_certificate_genus2(TQFTParams.for_prime(p), color)
+    cert = triangular_certificate_genus2(TQFTParams.for_prime(p), CABLE[color])
     assert cert["ok"] and cert["support_ok"] and cert["diagonal_ok"]
 
 
@@ -254,24 +270,25 @@ def test_triangular_certificate_rejects_omega():
 @pytest.mark.parametrize("color", ("z", "v"))
 def test_fusion_route_equals_projection_route(p, color):
     params = TQFTParams.for_prime(p)
-    assert mat_eq(fusion_gram(params, color), gram_closed_genus2(params, color))
+    cable = CABLE[color]
+    assert mat_eq(fusion_gram(params, cable), gram_closed_genus2(params, cable))
 
 
-@pytest.mark.parametrize("color", ("z", "v"))
+@pytest.mark.parametrize("color", ("z", "z+2", "v"))
 def test_gram_bracket_oracle_p5(color):
+    # the state sum of the v-colored arrangements against the (z+2) closed
+    # form with the units applied here
     params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus2(5)
-    assert mat_eq(
-        gram_bracket(params, arrs, color), gram_closed_genus2(params, color)
-    )
+    assert mat_eq(gram_bracket(params, arrs, color), arrangement_gram(params, color))
 
 
 def test_pairing_is_hermitian():
     params = TQFTParams.for_prime(7)
     x = monomial_arrangement(1, 0, 1)
     y = monomial_arrangement(0, 1, 1)
-    fwd = pairing_closed_genus2(params, x, y, "v")
-    assert fwd.conj() == pairing_closed_genus2(params, y, x, "v")
+    fwd = pairing_closed_genus2(params, x, y, "z+2")
+    assert fwd.conj() == pairing_closed_genus2(params, y, x, "z+2")
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -326,7 +343,7 @@ def test_ldl_diag_v_color_p5():
     # v-diagonal picks up |1+A|^(-2n) against the z norms
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
-    gram = gram_closed_genus2(params, "v")
+    gram = arrangement_gram(params, "v")
     _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
     inv1a = ctx.inv(ctx.one + ctx.A)
     arrs = arrangement_set_genus2(5)
@@ -453,14 +470,14 @@ def test_closed_form_memoizes_each_count_pair(monkeypatch, color):
         return inner(*args)
 
     monkeypatch.setattr(planar, "_annulus_product", counted)
-    first = gram_closed_genus2(params, color)
+    first = gram_closed_genus2(params, CABLE[color])
     assert 0 < len(calls) == len(params.pair_table) <= params.d ** 2
     calls.clear()
-    assert mat_eq(gram_closed_genus2(params, color), first)
+    assert mat_eq(gram_closed_genus2(params, CABLE[color]), first)
     assert calls == []
 
 
-@pytest.mark.parametrize("color", ("z", planar._V_INTEGRAL))
+@pytest.mark.parametrize("color", ("z", "z+2"), ids=("z", "(1+A)^n v"))
 def test_expansion_fuses_each_loop_once(monkeypatch, color):
     # expanding every arrangement computes one fused loop per (color, count,
     # m, c); a computation builds one class cable, and each arrangement
@@ -484,8 +501,9 @@ def test_expansion_fuses_each_loop_once(monkeypatch, color):
 
 
 def test_av_report_factors_an_integral_gram(monkeypatch):
-    # the Av report hands LDL the Gram of the v rows times (1+A)^n: integral,
-    # with the graph norms as its pivots; the units come back in the det
+    # the Av report hands LDL the Gram of the v rows times (1+A)^n, the
+    # (z+2)-colored arrangements: integral, with the graph norms as its
+    # pivots; the units come back in the det
     factored = []
     inner = planar.ldl_decomposition
 

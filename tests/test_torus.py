@@ -17,7 +17,6 @@ from skeinlat.recoupling import qint
 from skeinlat.torus import (
     DegeneracyError,
     RefutationError,
-    TorusVector,
     TQFTParams,
     associate_certificate,
     basis_e,
@@ -38,6 +37,7 @@ from skeinlat.torus import (
     reduce_e,
     reduce_skein,
     s_matrix,
+    twist_matrix,
     twist_matrix_v_at,
     v_gram_closed,
     v_in_omega_span,
@@ -45,14 +45,22 @@ from skeinlat.torus import (
     vandermonde_certificate,
     verify_unimodular,
     w_matrix,
+    z_action,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
 
 
-def rand_vector(params, rng) -> TorusVector:
-    coords = [params.ctx.from_int(rng.randrange(-4, 5)) for _ in range(params.d)]
-    return TorusVector(params, coords)
+def rand_vector(params, rng) -> tuple:
+    return tuple(params.ctx.from_int(rng.randrange(-4, 5)) for _ in range(params.d))
+
+
+def add(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def scale(x, c) -> tuple:
+    return tuple(a * c for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +125,17 @@ def test_params_refute_wrong_constants(monkeypatch):
 
 
 def test_vectors_of_two_primes_do_not_mix():
-    x, y = basis_e(TQFTParams.for_prime(5))[0], basis_e(TQFTParams.for_prime(7))[0]
-    for op in (lambda: x + y, lambda: hermitian_pairing(x, y), lambda: pairing_bracket(x, y)):
-        with pytest.raises(ValueError, match="cannot mix"):
-            op()
+    # d = (p-1)/2 differs at every prime, so the coordinate count refuses a
+    # vector of the other prime whichever parameters are passed
+    p5, p7 = TQFTParams.for_prime(5), TQFTParams.for_prime(7)
+    x, y = basis_e(p5)[0], basis_e(p7)[0]
+    ops = (hermitian_pairing, pairing_bracket, hopf_bracket,
+           lambda params, x, y: gram(params, [x, y]),
+           lambda params, x, y: z_action(params, y if params is p5 else x))
+    for params in (p5, p7):
+        for op in ops:
+            with pytest.raises(ValueError, match=f"need {params.d} coordinates at p = {params.p}"):
+                op(params, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +150,7 @@ def test_reduce_folds_e_d():
     assert reduce_e(params, [0] * (d + 1) + [1]) == basis_e(params)[d - 2]
     # e_{p-1} = 0
     raw = [0] * (2 * d) + [1]
-    assert reduce_e(params, raw) == TorusVector(params, [params.ctx.zero] * d)
+    assert reduce_e(params, raw) == (params.ctx.zero,) * d
     with pytest.raises(ValueError):
         reduce_e(params, [0] * (2 * d + 1) + [1])
 
@@ -145,16 +160,16 @@ def test_z_action_matches_recursion():
     es = basis_e(params)
     d = params.d
     for i in range(d - 1):
-        expect = es[i + 1] if i == 0 else es[i - 1] + es[i + 1]
-        assert es[i].z_action() == expect
-    assert es[d - 1].z_action() == es[d - 2] + es[d - 1]
+        expect = es[i + 1] if i == 0 else add(es[i - 1], es[i + 1])
+        assert z_action(params, es[i]) == expect
+    assert z_action(params, es[d - 1]) == add(es[d - 2], es[d - 1])
 
 
 def test_z_action_at_p3_is_identity():
     # d = 1: z e_0 = e_1 folds straight back to e_0
     params = TQFTParams.for_prime(3)
     e0 = basis_e(params)[0]
-    assert e0.z_action() == e0
+    assert z_action(params, e0) == e0
 
 
 def test_reduce_skein_matches_iterated_z():
@@ -162,23 +177,30 @@ def test_reduce_skein_matches_iterated_z():
     e0 = basis_e(params)[0]
     cur = e0
     for k in range(1, 6):
-        cur = cur.z_action()
+        cur = z_action(params, cur)
         assert reduce_skein(params, {k: 1}) == cur
 
 
 def test_twist_eigenvector():
+    # basis_omega applies t^j as mu_i^j on coordinate i: it must agree with
+    # the twist matrix acting on each e_i and on omega
     params = TQFTParams.for_prime(7)
+    ctx = params.ctx
+    t = twist_matrix(params)
     for i, e in enumerate(basis_e(params)):
-        assert e.twist() == e.scale(params.mu(i))
-        assert e.twist(3).twist(-3) == e
+        assert tuple(mat_vec(t, list(e), ctx.zero)) == scale(e, params.mu(i))
+    orbit = basis_omega(params)
+    assert orbit[0] == omega(params)
+    for j in range(1, params.d):
+        assert tuple(mat_vec(t, list(orbit[j - 1]), ctx.zero)) == orbit[j]
 
 
 def test_vector_linearity():
     params = TQFTParams.for_prime(5)
     rng = random.Random(11)
     x, y = rand_vector(params, rng), rand_vector(params, rng)
-    assert (x + y) - y == x
-    assert (x + y).z_action() == x.z_action() + y.z_action()
+    assert z_action(params, add(x, y)) == add(z_action(params, x), z_action(params, y))
+
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +212,8 @@ def test_omega_p5_closed_form():
     params = TQFTParams.for_prime(5)
     om = omega(params)
     two = params.ctx.from_q_laurent(qint(2))
-    assert om.coords[0] == params.eta
-    assert om.coords[1] == -params.eta * two
+    assert om[0] == params.eta
+    assert om[1] == -params.eta * two
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -209,7 +231,7 @@ def test_omega_hopf_projection(p):
     for j in range(params.d):
         acc = params.ctx.zero
         for i in range(params.d):
-            acc = acc + om.coords[i] * h[i][j]
+            acc = acc + om[i] * h[i][j]
         assert acc == (params.D if j == 0 else params.ctx.zero)
 
 
@@ -224,8 +246,8 @@ def test_pairing_engine_on_e_basis(p):
     for i in range(params.d):
         for j in range(params.d):
             expect = params.D if i == j else params.ctx.zero
-            assert hermitian_pairing(es[i], es[j]) == expect
-            assert pairing_bracket(es[i], es[j]) == expect
+            assert hermitian_pairing(params, es[i], es[j]) == expect
+            assert pairing_bracket(params, es[i], es[j]) == expect
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -235,7 +257,7 @@ def test_pairing_engine_on_v_basis(p):
     closed = v_gram_closed(params)
     for i in range(params.d):
         for j in range(params.d):
-            assert pairing_bracket(vs[i], vs[j]) == closed[i][j]
+            assert pairing_bracket(params, vs[i], vs[j]) == closed[i][j]
 
 
 def test_pairing_engine_random_vectors():
@@ -243,7 +265,7 @@ def test_pairing_engine_random_vectors():
     rng = random.Random(23)
     for _ in range(4):
         x, y = rand_vector(params, rng), rand_vector(params, rng)
-        assert pairing_bracket(x, y) == hermitian_pairing(x, y)
+        assert pairing_bracket(params, x, y) == hermitian_pairing(params, x, y)
 
 
 def test_pairing_sesquilinear():
@@ -251,8 +273,9 @@ def test_pairing_sesquilinear():
     rng = random.Random(5)
     x, y = rand_vector(params, rng), rand_vector(params, rng)
     c = params.ctx.A_pow(3) + 2
-    assert hermitian_pairing(x.scale(c), y) == c * hermitian_pairing(x, y)
-    assert hermitian_pairing(x, y.scale(c)) == c.conj() * hermitian_pairing(x, y)
+    xy = hermitian_pairing(params, x, y)
+    assert hermitian_pairing(params, scale(x, c), y) == c * xy
+    assert hermitian_pairing(params, x, scale(y, c)) == c.conj() * xy
 
 
 def test_pairing_hermitian_symmetry():
@@ -260,7 +283,7 @@ def test_pairing_hermitian_symmetry():
         params = TQFTParams.for_prime(p)
         rng = random.Random(p)
         x, y = rand_vector(params, rng), rand_vector(params, rng)
-        assert hermitian_pairing(x, y) == hermitian_pairing(y, x).conj()
+        assert hermitian_pairing(params, x, y) == hermitian_pairing(params, y, x).conj()
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +321,7 @@ def test_hopf_is_symmetric_and_real():
 @pytest.mark.parametrize("p", PRIMES)
 def test_e_gram(p):
     params = TQFTParams.for_prime(p)
-    ge = gram(basis_e(params))
+    ge = gram(params, basis_e(params))
     assert mat_eq(ge, e_gram_closed(params))
     cert = verify_unimodular(params, ge, "e")
     d = params.d
@@ -310,7 +333,7 @@ def test_e_gram(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_gram_unimodular(p):
     params = TQFTParams.for_prime(p)
-    cert = verify_unimodular(params, gram(basis_omega(params)), "omega")
+    cert = verify_unimodular(params, gram(params, basis_omega(params)), "omega")
     assert cert["ok"] and cert["unit"]
     assert cert["associate_exponent"] == 0
 
@@ -318,7 +341,7 @@ def test_omega_gram_unimodular(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_v_gram_unimodular_and_integral(p):
     params = TQFTParams.for_prime(p)
-    gv = gram(basis_v(params))
+    gv = gram(params, basis_v(params))
     assert mat_eq(gv, v_gram_closed(params))
     # integral entries even where i+j >= d, where p | c_{i+j}
     assert all(x.is_integral() for row in gv for x in row)
@@ -373,7 +396,7 @@ def test_gram_of_dependent_vectors_degenerates():
     params = TQFTParams.for_prime(5)
     e0 = basis_e(params)[0]
     with pytest.raises(DegeneracyError):
-        verify_unimodular(params, gram([e0, e0.scale(2)]), "bogus")
+        verify_unimodular(params, gram(params, [e0, scale(e0, 2)]), "bogus")
 
 
 def test_associate_certificate_rejects_stray_prime():
@@ -395,7 +418,7 @@ def test_v_in_omega_span_integral_both_ways(p):
     # reconstruct v^j from the coordinates
     w = w_matrix(params)
     back = mat_mul(c, w, ctx.zero)
-    assert mat_eq(back, [list(v.coords) for v in basis_v(params)])
+    assert mat_eq(back, [list(v) for v in basis_v(params)])
 
 
 def test_omega_in_v_coordinates_integral():
@@ -403,7 +426,7 @@ def test_omega_in_v_coordinates_integral():
         params = TQFTParams.for_prime(p)
         ctx = params.ctx
         vinv = mat_inverse(v_matrix(params), ctx.one, ctx.zero, ctx.inv)
-        coords = mat_vec(vinv, list(omega(params).coords), ctx.zero)
+        coords = mat_vec(vinv, list(omega(params)), ctx.zero)
         assert all(x.is_integral() for x in coords)
 
 
@@ -449,17 +472,17 @@ def test_twist_preserves_form(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
     t_e = diagonal([params.mu(i) for i in range(params.d)], ctx.zero)
-    assert form_preserved(gram(basis_e(params)), t_e, ctx.zero)
+    assert form_preserved(gram(params, basis_e(params)), t_e, ctx.zero)
     t_v = twist_matrix_v_at(params)
-    assert form_preserved(gram(basis_v(params)), t_v, ctx.zero)
+    assert form_preserved(gram(params, basis_v(params)), t_v, ctx.zero)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_s_preserves_form(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
-    assert form_preserved(gram(basis_e(params)), s_matrix(params), ctx.zero)
-    assert form_preserved(gram(basis_v(params)), s_matrix(params, "v"), ctx.zero)
+    assert form_preserved(gram(params, basis_e(params)), s_matrix(params), ctx.zero)
+    assert form_preserved(gram(params, basis_v(params)), s_matrix(params, "v"), ctx.zero)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
