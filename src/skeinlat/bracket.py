@@ -152,9 +152,16 @@ class LinkDiagram:
     @staticmethod
     def from_json(obj: dict) -> "LinkDiagram":
         return LinkDiagram(
-            tuple(tuple(int(x) for x in cr) for cr in obj.get("pd", [])),
-            int(obj.get("loops", 0)),
+            tuple(tuple(_json_int(x, "arc label") for x in cr) for cr in obj.get("pd", [])),
+            _json_int(obj.get("loops", 0), "loops"),
         )
+
+
+def _json_int(value, what: str) -> int:
+    """value itself if it is an int; a float or a bool is refused, not rounded."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _crossing_order(pd: Sequence[tuple[int, int, int, int]]) -> list[int]:
@@ -575,6 +582,8 @@ def load_corpus(path: str | None = None) -> list[dict]:
             raise ValueError(f"corpus entry missing keys: {entry!r:.80}")
         try:
             diag = LinkDiagram.from_json(entry)
+            for key in ("mu", "crossings"):
+                _json_int(entry[key], key)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {entry['name']!r} is malformed: {exc}") from exc
         if diag.mu != entry["mu"] or diag.crossings != entry["crossings"]:

@@ -368,10 +368,11 @@ def cmd_verify_all(args) -> tuple[int, object]:
     if args.cap_crossings < 1:
         raise ValueError("caps must be positive")
     out_dir = os.environ.get(OUT_ENV)
+    if out_dir:  # an unusable directory fails before the bundle runs
+        os.makedirs(out_dir, exist_ok=True)
     certs = _jsonable(bundle(p_list, args.corpus, args.cap_crossings))
     ok = all(c["ok"] for c in certs)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "verify_all.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(certs, sort_keys=True, indent=2))

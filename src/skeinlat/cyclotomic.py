@@ -154,7 +154,11 @@ def _slot_words(w: int, slots: int) -> struct.Struct | None:
 
 
 class CycContext:
-    """Shared tables for one ring Z[zeta_n], n = 2p (p = 3 mod 4) or 4p."""
+    """Shared tables for one ring Z[zeta_n], n = 2p (p = 3 mod 4) or 4p.
+
+    memo is the ring's one cache, filled by cached: inverses, recoupling
+    values, fused loops and necklaces, each keyed by (kind, *arguments).
+    """
 
     def __init__(self, p: int):
         if not _is_odd_prime(p):
@@ -183,7 +187,7 @@ class CycContext:
         # the nonzero (index, coefficient) pairs of each row of red
         self._red_support = [[(i, v) for i, v in enumerate(row) if v] for row in red]
         self._phi_poly = phi_poly
-        self._inv_cache: dict[CycNum, CycNum] = {}
+        self.memo: dict[tuple, object] = {}
         # exponent of the Galois element cutting out the real-over-q subring:
         # identity when n = 2p, else fixes q and negates the fourth root
         if self.n == 2 * p:
@@ -296,15 +300,18 @@ class CycContext:
         conv = _unpack(total, w, most_factors * (phi - 1) + 1)
         return CycNum(self, self._reduce(conv), 1)
 
+    def cached(self, key: tuple, build):
+        """The value of build() under key, computed once per ring."""
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = build()
+        return got
+
     def inv(self, x: "CycNum") -> "CycNum":
         """Cached field inverse via the product of Galois conjugates."""
-        got = self._inv_cache.get(x)
-        if got is None:
-            if x.ctx is not self and x.ctx.n != self.n:
-                raise mixed_rings(self, x.ctx)
-            got = x.inverse()
-            self._inv_cache[x] = got
-        return got
+        if x.ctx is not self and x.ctx.n != self.n:
+            raise mixed_rings(self, x.ctx)
+        return self.cached(("inv", x), x.inverse)
 
     def __repr__(self) -> str:
         return f"CycContext(p={self.p}, n={self.n})"

@@ -171,7 +171,7 @@ class OLattice:
         return not any(rem)
 
     def zeta_stable(self) -> bool:
-        """Certificate of the module property, which ROADMAP item 2 runs in
+        """Certificate of the module property, which ROADMAP item 1 runs in
         saturate: zeta times every basis vector stays inside."""
         zeta = self.ctx.zeta_pow(1)
         return all(

@@ -30,13 +30,13 @@ routes are compared by factoring the closed form once: its factor must be R
 and its pivots N.  Both genus-2 routes build integral cables only, z and
 z+2, so every lead coefficient is 1, and the closed form is memoized per
 count pair: each pair of cable counts gives one folded annulus product,
-kept on the parameters, so an entry costs only its sum over the channels
-below d.  A v-colored arrangement is its (z+2)-colored one times the unit
-(1+A)^-n, n its curve count, so the v-colored Gram is factored on the
-(z+2) rows and takes the units back in its determinant.  At p = 5 the
-honest state sum over necklace diagrams arbitrates both.  Determinants are
-reported as associate certificates against powers of 1-q, never as bare
-booleans.
+kept in the ring context's memo, so an entry costs only its sum over the
+channels below d.  The expansion's fused loops are kept there too.  A
+v-colored arrangement is its (z+2)-colored one times the unit (1+A)^-n, n
+its curve count, so the v-colored Gram is factored on the (z+2) rows and
+takes the units back in its determinant.  At p = 5 the honest state sum
+over necklace diagrams arbitrates both.  Determinants are reported as
+associate certificates against powers of 1-q, never as bare booleans.
 """
 
 from __future__ import annotations
@@ -144,14 +144,14 @@ def monomial_arrangement(alpha: int, beta: int, gamma: int) -> CurveArrangement:
     return CurveArrangement(2, curves)
 
 
-def arrangement_set_genus2(p: int) -> list[CurveArrangement]:
+def arrangement_set_genus2(params: TQFTParams) -> list[CurveArrangement]:
     """All monomials with gamma <= d-1 and alpha, beta <= d-1-gamma.
 
     The bounds keep every hole cover at most d-1, so each meridian sees at
     most d-1 strands.  Listed by (gamma, alpha, beta), which matches the
     arm-first order on graph colorings under lead_coloring.
     """
-    d = _half(p)
+    d = params.d
     return [
         monomial_arrangement(alpha, beta, gamma)
         for gamma in range(d)
@@ -190,35 +190,29 @@ def _set_partitions(items: tuple[int, ...]):
             yield (block,) + rest_blocks
 
 
-def _half(p: int) -> int:
-    if p < 5 or p % 2 == 0:
-        raise ValueError(f"need an odd p >= 5, got {p}")
-    return (p - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # graph colorings and their norms
 
 
-def graph_colorings_genus2(p: int) -> list[Coloring2]:
+def graph_colorings_genus2(params: TQFTParams) -> list[Coloring2]:
     """Dumbbell colorings (i, j, k): loops i, j below d, even arm k <= 2 min.
 
     Ordered arm first; the block with arm k is a (d - k/2)^2 square."""
-    d = _half(p)
+    d = params.d
     return [
         (i, j, k)
-        for k in range(0, p - 2, 2)
+        for k in range(0, params.p - 2, 2)
         for i in range(k // 2, d)
         for j in range(k // 2, d)
     ]
 
 
-def graph_colorings_genus3(p: int) -> list[Coloring3]:
+def graph_colorings_genus3(params: TQFTParams) -> list[Coloring3]:
     """Oracle for arrangement_set_genus3: its lead colorings, the wheel
     colorings ((a1,a2,a3), (c1,c2,c3)).  Loops a_i below d; arm c_i even with
     (a_i, a_i, c_i) admissible; the three arms meet a central vertex, so
     (c1, c2, c3) must be admissible too.  Ordered loops first."""
-    d = _half(p)
+    p, d = params.p, params.d
     arms: dict[int, list[int]] = {}
     for a in range(d):
         arms[a] = [c for c in range(0, p - 2, 2) if p_admissible(p, a, a, c)]
@@ -294,26 +288,21 @@ def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
 def _pair_product(params: TQFTParams, color: str, count_x: int, count_y: int) -> list[CycNum]:
     """Folded annulus product of count_x cables and conj(count_y cables),
     over colors 0..d-1; memoized per color and count pair."""
-    key = (color, count_x, count_y)
-    got = params.pair_table.get(key)
-    if got is None:
+
+    def build() -> list[CycNum]:
         fx = _class_cable(params, color, count_x)
         fy = _conj_cable(_class_cable(params, color, count_y))
-        got = fold_transparent(params, _annulus_product(params, fx, fy))
-        params.pair_table[key] = got
-    return got
+        return fold_transparent(params, _annulus_product(params, fx, fy))
+
+    return params.ctx.cached(("pair", color, count_x, count_y), build)
 
 
 def _arm_split(params: TQFTParams, m: int, c: int) -> CycNum:
     """Two parallel m-strands along an arm: channel c carries <c>/theta(m,m,c).
 
     The top channel c = 2m has weight exactly one."""
-    got = params.split_table.get((m, c))
-    if got is None:
-        ctx = params.ctx
-        got = quantum_dim_at(ctx, c) * ctx.inv(theta_at(ctx, m, m, c))
-        params.split_table[(m, c)] = got
-    return got
+    ctx = params.ctx
+    return quantum_dim_at(ctx, c) * ctx.inv(theta_at(ctx, m, m, c))
 
 
 def _loop_fusion(params: TQFTParams, a: int, m: int, c: int, s: int) -> CycNum:
@@ -323,15 +312,10 @@ def _loop_fusion(params: TQFTParams, a: int, m: int, c: int, s: int) -> CycNum:
     slides the arm across and theta(s,s,c) renormalizes its attachment.  With
     no arm (c = 0) the tetrahedron degenerates to theta(a,m,s) and the weight
     is 1, matching plain annulus fusion."""
-    key = (a, m, c, s)
-    got = params.fusion_table.get(key)
-    if got is None:
-        ctx = params.ctx
-        num = quantum_dim_at(ctx, s) * tet_at(ctx, a, s, m, c, m, s)
-        den = theta_at(ctx, a, m, s) * theta_at(ctx, s, s, c)
-        got = num * ctx.inv(den)
-        params.fusion_table[key] = got
-    return got
+    ctx = params.ctx
+    num = quantum_dim_at(ctx, s) * tet_at(ctx, a, s, m, c, m, s)
+    den = theta_at(ctx, a, m, s) * theta_at(ctx, s, s, c)
+    return num * ctx.inv(den)
 
 
 def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> dict[int, CycNum]:
@@ -342,9 +326,8 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
     below d, so a z or z+2 cable never reaches a channel s >= d, and an
     expansion that lost a term would be refuted by the LDL factor of the
     projection closed form."""
-    key = (color, count, m, c)
-    got = params.loop_table.get(key)
-    if got is None:
+
+    def build() -> dict[int, CycNum]:
         p = params.p
         out: dict[int, CycNum] = {}
         for a, xa in enumerate(_class_cable(params, color, count)):
@@ -356,9 +339,9 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
                 coeff = xa * _loop_fusion(params, a, m, c, s)
                 acc = out.get(s)
                 out[s] = coeff if acc is None else acc + coeff
-        got = {k: v for k, v in out.items() if v}
-        params.loop_table[key] = got
-    return got
+        return {k: v for k, v in out.items() if v}
+
+    return params.ctx.cached(("loop", color, count, m, c), build)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +386,9 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     """The expansion matrix R, which gram_genus2 requires as the LDL factor
     of gram_closed_genus2.  Rows: arrangements; columns: graph colorings,
     both in their lex order."""
-    cols = {col: n for n, col in enumerate(graph_colorings_genus2(params.p))}
+    cols = {col: n for n, col in enumerate(graph_colorings_genus2(params))}
     mat = []
-    for arr in arrangement_set_genus2(params.p):
+    for arr in arrangement_set_genus2(params):
         row = [params.ctx.zero] * len(cols)
         for key, val in expand_arrangement(params, arr, color).items():
             row[cols[key]] = val
@@ -427,7 +410,7 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     one = params.ctx.one
     support_ok = True
     diagonal_ok = True
-    for arr in arrangement_set_genus2(params.p):
+    for arr in arrangement_set_genus2(params):
         li, lj, lk = arr.lead_coloring()
         coords = expand_arrangement(params, arr, color)
         for (i, j, k) in coords:
@@ -462,7 +445,7 @@ def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     keeps only their matching channel, which forces the folded colors equal
     and leaves D^2/<m> once both meridians have fired.  P, Q, R depend on the
     two curve counts only, and come from the memo of _pair_product."""
-    counts = [_counts(arr) for arr in arrangement_set_genus2(params.p)]
+    counts = [_counts(arr) for arr in arrangement_set_genus2(params)]
     weights = _meridian_weights(params)
     return hermitian_fill(
         len(counts),
@@ -640,8 +623,8 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     prod N * |1+A|^(-2 curve_total).
     """
     params = TQFTParams.for_prime(p)
-    arrs = arrangement_set_genus2(p)
-    pivots = [graph_norm_genus2(params, *col) for col in graph_colorings_genus2(p)]
+    arrs = arrangement_set_genus2(params)
+    pivots = [graph_norm_genus2(params, *col) for col in graph_colorings_genus2(params)]
     if basis == "G":
         gram = diagonal(pivots, params.ctx.zero)
         return _certified_report(params, 2, basis, None, arrs, gram, pivots)

@@ -7,7 +7,8 @@ fraction is not reduced first, so a denominator that vanishes at the root
 raises ZeroDivisionError even where the reduced fraction would be finite.
 Ratios that are genuinely fractional (bubble collapse, fusion) are likewise
 formed at the root, where the relevant thetas are nonzero for admissible
-colors.
+colors.  theta_at, tet_at and quantum_dim_at keep each value at the root in
+the ring context's memo, so it is specialized once per ring.
 
 Also here: admissibility tests, rank counts for handlebody spines (a
 caterpillar graph family), and the trigonometric dimension formula used as
@@ -209,15 +210,15 @@ def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
 
 
 def theta_at(ctx: CycContext, a: int, b: int, c: int) -> CycNum:
-    return theta(a, b, c).at_root(ctx)
+    return ctx.cached(("theta", a, b, c), lambda: theta(a, b, c).at_root(ctx))
 
 
 def tet_at(ctx: CycContext, a: int, b: int, e: int, c: int, d: int, f: int) -> CycNum:
-    return tet(a, b, e, c, d, f).at_root(ctx)
+    return ctx.cached(("tet", a, b, e, c, d, f), lambda: tet(a, b, e, c, d, f).at_root(ctx))
 
 
 def quantum_dim_at(ctx: CycContext, i: int) -> CycNum:
-    return ctx.from_q_laurent(quantum_dim(i))
+    return ctx.cached(("dim", i), lambda: ctx.from_q_laurent(quantum_dim(i)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ class TQFTParams:
     can see it: omega carries the compensating eta = D^-1.
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
-    p, and it owns the memo tables of the genus-2/3 fusion rules, of the
-    genus-2 closed-form annulus products and fused loops, and of the
-    necklace brackets.
+    p.  The parameters keep no table of their own: the necklace brackets and
+    the genus-2 annulus products and fused loops go into ctx.memo, next to
+    the inverses and recoupling values, so each is built once per ring.
     inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
     """
 
@@ -106,11 +106,6 @@ class TQFTParams:
         ):
             if not holds:
                 raise RefutationError(f"TQFT constants at p = {p}: {identity} fails")
-        self.split_table: dict[tuple[int, int], CycNum] = {}
-        self.fusion_table: dict[tuple[int, int, int, int], CycNum] = {}
-        self.pair_table: dict[tuple[str, int, int], list[CycNum]] = {}
-        self.loop_table: dict[tuple[str, int, int, int], dict[int, CycNum]] = {}
-        self.necklace_table: dict[tuple, CycNum] = {}
         self.necklace_coeffs = RootCoeffs(ctx)
 
     def necklace(self, widths, cores) -> CycNum:
@@ -119,11 +114,9 @@ class TQFTParams:
         by the circles it threads.  Parallel cores commute, so the memo key
         sorts them."""
         key = (tuple(widths), tuple(sorted(tuple(c) for c in cores)))
-        got = self.necklace_table.get(key)
-        if got is None:
-            got = kauffman_bracket(necklace_pd(*key), self.necklace_coeffs)
-            self.necklace_table[key] = got
-        return got
+        return self.ctx.cached(
+            ("necklace", key), lambda: kauffman_bracket(necklace_pd(*key), self.necklace_coeffs)
+        )
 
     def mu(self, i: int) -> CycNum:
         """Twist eigenvalue (-1)^i A^(i^2+2i) on e_i."""
@@ -538,7 +531,7 @@ def twist_matrix(params: TQFTParams) -> Matrix:
 
 def form_preserved(gram_mat: Matrix, op: Matrix, zero) -> bool:
     """Certificate that op^T G conj(op) == G, an isometry of the Hermitian
-    form; ROADMAP item 6 promotes it to verify-all."""
+    form; ROADMAP item 7 promotes it to verify-all."""
     right = mat_mul(gram_mat, map_entries(lambda x: x.conj(), op), zero)
     return mat_eq(mat_mul(transpose(op), right, zero), gram_mat)
 

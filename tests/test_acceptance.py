@@ -237,12 +237,12 @@ def test_criterion_10_oracle_coherence() -> None:
         assert mat_eq(closed, state_sum), p
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
-    arrs = arrangement_set_genus2(5)
+    arrs = arrangement_set_genus2(params)
     honest = gram_bracket(params, arrs, "z")
     # graph norms (theta products) through the triangular expansion
     _, diag = ldl_decomposition(honest, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
     assert diag == [graph_norm_genus2(params, *arr.lead_coloring()) for arr in arrs]
-    colorings = graph_colorings_genus2(5)
+    colorings = graph_colorings_genus2(params)
     assert [arr.lead_coloring() for arr in arrs] == colorings
     for color in ("z", "z+2"):
         assert mat_eq(gram_closed_genus2(params, color),

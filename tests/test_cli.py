@@ -445,7 +445,12 @@ def test_corrupt_corpus_fails_fast(capsys, tmp_path) -> None:
 
 
 @pytest.mark.parametrize("verb", ["bracket", "verify-all"])
-@pytest.mark.parametrize("key, value", [("pd", 5), ("loops", None)], ids=["pd", "loops"])
+@pytest.mark.parametrize("key, value", [
+    ("pd", 5), ("loops", None),
+    # a number that is not an int is refused, not rounded: int() read the arc
+    # label 6.9 as 6 and false as 0 loops, and 2.0 == 2, so all four passed
+    ("pd", [[5, 3, 4, 6.9], [3, 5, 6, 4]]), ("loops", False), ("mu", 2.0), ("crossings", 2.0),
+], ids=["pd", "loops", "arc_label", "loops_false", "mu", "crossings"])
 def test_malformed_corpus_entry_is_a_usage_error(capsys, tmp_path, verb, key, value) -> None:
     corpus = {"links": load_corpus()}
     corpus["links"][3][key] = value
@@ -538,6 +543,19 @@ def test_verify_all_writes_bundle_under_env(capsys, tmp_path, monkeypatch) -> No
     assert code == 0
     written = (tmp_path / "verify_all.json").read_text()
     assert json.loads(written) == json.loads(out)
+
+
+def test_verify_all_refuses_an_out_path_before_running(capsys, tmp_path, monkeypatch) -> None:
+    # SKEINLAT_OUT naming a file is refused before any certificate is built
+    def no_bundle(*args):
+        pytest.fail("verify-all ran the bundle before checking SKEINLAT_OUT")
+
+    monkeypatch.setattr(cli, "bundle", no_bundle)
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("")
+    monkeypatch.setenv("SKEINLAT_OUT", str(blocker))
+    code, out, err = run(capsys, "verify-all", "--p", "5")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_verify_all_table_format(capsys) -> None:
@@ -774,3 +792,41 @@ def test_every_benchmark_wrap_target_resolves(monkeypatch) -> None:
             missing.append(f"{mod_name}.{path}")
     assert spans.TARGETS
     assert missing == []
+
+
+def _decorator_name(node: ast.expr) -> str:
+    # lru_cache(maxsize=None) -> lru_cache, functools.cache -> cache
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _is_empty_dict(node: ast.expr | None) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "dict" and not node.args
+
+
+def test_per_prime_tables_live_in_the_ring_memo() -> None:
+    # one memo per ring: no function of a ring context or of the parameters
+    # keeps a cache of its own, and neither constructor builds a table
+    # besides CycContext.memo
+    found, inits = [], []
+    for name, text in sources(PKG):
+        for node in ast.walk(ast.parse(text, name)):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                args = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                cached = {_decorator_name(d) for d in node.decorator_list} & {"lru_cache", "cache"}
+                if cached and args & {"ctx", "params"}:
+                    found.append(f"{name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef) and node.name in ("CycContext", "TQFTParams"):
+                init = next(m for m in node.body if getattr(m, "name", "") == "__init__")
+                inits.append(node.name)
+                for n in ast.walk(init):
+                    targets = n.targets if isinstance(n, ast.Assign) else [getattr(n, "target", None)]
+                    if isinstance(n, (ast.Assign, ast.AnnAssign)) and _is_empty_dict(n.value):
+                        found += [f"{name}:{n.lineno} {node.name}.{t.attr}" for t in targets
+                                  if not (isinstance(t, ast.Attribute) and t.attr == "memo")]
+    assert sorted(inits) == ["CycContext", "TQFTParams"]
+    assert found == []

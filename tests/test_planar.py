@@ -58,7 +58,7 @@ def arrangement_gram(params, color):
     gram = gram_closed_genus2(params, CABLE.get(color, color))
     if color != "v":
         return gram
-    units = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params.p)]
+    units = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params)]
     return [[ui * g * uj.conj() for g, uj in zip(row, units)] for ui, row in zip(units, gram)]
 
 
@@ -67,15 +67,20 @@ def genus2_gram(p: int, basis: str):
     makes it: the graph norms for G, the closed form for A and Av."""
     params = TQFTParams.for_prime(p)
     if basis == "G":
-        norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(p)]
+        norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
         return diagonal(norms, params.ctx.zero)
     return arrangement_gram(params, "z" if basis == "A" else "v")
+
+
+def memo_keys(ctx, kind):
+    """The keys of one kind in the ring context's memo."""
+    return [key for key in ctx.memo if key[0] == kind]
 
 
 def fusion_gram(params, color):
     # independent assembly: expansion rows against the diagonal graph Gram
     rows = expansion_matrix_genus2(params, color)
-    cols = graph_colorings_genus2(params.p)
+    cols = graph_colorings_genus2(params)
     norms = [graph_norm_genus2(params, *c) for c in cols]
     ctx = params.ctx
     out = []
@@ -145,7 +150,7 @@ def test_nested_curves_are_laminar():
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_genus2_counts(p):
     d = (p - 1) // 2
-    arrs = arrangement_set_genus2(p)
+    arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
     r = d * (d + 1) * (2 * d + 1) // 6
     assert len(arrs) == r == count_spine_colorings(2, p)
     assert sum(a.curve_count for a in arrs) == (d - 1) * r
@@ -155,7 +160,7 @@ def test_genus2_counts(p):
 def test_genus2_curve_count_per_gamma_block(p):
     # within fixed gamma the curves sum to (d-1)(d-gamma)^2
     d = (p - 1) // 2
-    arrs = arrangement_set_genus2(p)
+    arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
     for gamma in range(d):
         block = [a for a in arrs if a.gamma == gamma]
         assert len(block) == (d - gamma) ** 2
@@ -163,7 +168,7 @@ def test_genus2_curve_count_per_gamma_block(p):
 
 
 def test_genus2_p5_index_set_explicit():
-    arrs = arrangement_set_genus2(5)
+    arrs = arrangement_set_genus2(TQFTParams.for_prime(5))
     got = [(a.alpha, a.beta, a.gamma) for a in arrs]
     assert got == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
 
@@ -171,8 +176,8 @@ def test_genus2_p5_index_set_explicit():
 @pytest.mark.parametrize("p", PRIMES)
 def test_genus2_lead_coloring_bijection_in_order(p):
     # arrangement order and coloring order agree under the lead map
-    arrs = arrangement_set_genus2(p)
-    cols = graph_colorings_genus2(p)
+    arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
+    cols = graph_colorings_genus2(TQFTParams.for_prime(p))
     assert sorted(a.lead_coloring() for a in arrs) == sorted(cols)
     d = (p - 1) // 2
     for k in range(0, p - 2, 2):
@@ -185,13 +190,13 @@ def test_genus3_arrangements():
     assert sum(a.curve_count for a in arrs) == 22
     assert len(set(arrs)) == 15
     leads = [a.lead_coloring() for a in arrs]
-    assert leads == sorted(graph_colorings_genus3(5))
+    assert leads == sorted(graph_colorings_genus3(TQFTParams.for_prime(5)))
     # every hole is covered at most once, so loop colors stay below d = 2
     assert all(a.hole_cover(h) <= 1 for a in arrs for h in range(3))
 
 
 def test_genus3_colorings_p7_are_admissible_and_sorted():
-    cols = graph_colorings_genus3(7)
+    cols = graph_colorings_genus3(TQFTParams.for_prime(7))
     assert cols == sorted(cols) and len(cols) == len(set(cols))
     assert len(cols) == count_spine_colorings(3, 7)
     for a, c in cols:
@@ -279,7 +284,7 @@ def test_gram_bracket_oracle_p5(color):
     # the state sum of the v-colored arrangements against the (z+2) closed
     # form with the units applied here
     params = TQFTParams.for_prime(5)
-    arrs = arrangement_set_genus2(5)
+    arrs = arrangement_set_genus2(params)
     assert mat_eq(gram_bracket(params, arrs, color), arrangement_gram(params, color))
 
 
@@ -312,7 +317,7 @@ def test_ldl_recovers_expansion_and_norms(p):
     ctx = params.ctx
     gram = gram_closed_genus2(params, "z")
     lower, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
-    cols = graph_colorings_genus2(p)
+    cols = graph_colorings_genus2(params)
     norms = [graph_norm_genus2(params, *c) for c in cols]
     assert diag == norms
     assert mat_eq(lower, expansion_matrix_genus2(params, "z"))
@@ -346,8 +351,8 @@ def test_ldl_diag_v_color_p5():
     gram = arrangement_gram(params, "v")
     _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
     inv1a = ctx.inv(ctx.one + ctx.A)
-    arrs = arrangement_set_genus2(5)
-    norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
+    arrs = arrangement_set_genus2(params)
+    norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
     for k, arr in enumerate(arrs):
         scale = inv1a ** arr.curve_count * inv1a.conj() ** arr.curve_count
         assert diag[k] == scale * norms[k]
@@ -394,8 +399,8 @@ def test_pivot_list_off_by_one_entry_is_refuted():
     params = TQFTParams.for_prime(5)
     rep = genus2_report(5, "A")
     gram = genus2_gram(5, "A")
-    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
-    args = (arrangement_set_genus2(5), gram, pivots)
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
+    args = (arrangement_set_genus2(params), gram, pivots)
     assert planar._certified_report(params, 2, "A", "z", *args) == rep
     pivots[2] = pivots[2] + params.ctx.one
     with pytest.raises(RefutationError, match="LDL pivots"):
@@ -407,12 +412,12 @@ def test_a_denominator_in_l_refutes_the_genus2_report():
     # not unit-triangular over the graph basis, and that is a refutation
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
-    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
     assert ctx.inv(pivots[0]).den != 1
     gram = diagonal(pivots, ctx.zero)
     gram[0][1] = gram[1][0] = ctx.one
     with pytest.raises(RefutationError, match="not unit-triangular"):
-        planar._certified_report(params, 2, "G", None, arrangement_set_genus2(5), gram, pivots)
+        planar._certified_report(params, 2, "G", None, arrangement_set_genus2(params), gram, pivots)
 
 
 def test_a_malformed_genus2_gram_is_an_error_not_a_refutation():
@@ -420,8 +425,8 @@ def test_a_malformed_genus2_gram_is_an_error_not_a_refutation():
     # square, or mixes rings, is a bad input and keeps its ValueError
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
-    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(5)]
-    arrs = arrangement_set_genus2(5)
+    pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
+    arrs = arrangement_set_genus2(params)
     ragged = diagonal(pivots, ctx.zero)
     ragged[1].pop()
     with pytest.raises(ValueError, match="square"):
@@ -471,7 +476,7 @@ def test_closed_form_memoizes_each_count_pair(monkeypatch, color):
 
     monkeypatch.setattr(planar, "_annulus_product", counted)
     first = gram_closed_genus2(params, CABLE[color])
-    assert 0 < len(calls) == len(params.pair_table) <= params.d ** 2
+    assert 0 < len(calls) == len(memo_keys(params.ctx, "pair")) <= params.d ** 2
     calls.clear()
     assert mat_eq(gram_closed_genus2(params, CABLE[color]), first)
     assert calls == []
@@ -483,7 +488,7 @@ def test_expansion_fuses_each_loop_once(monkeypatch, color):
     # m, c); a computation builds one class cable, and each arrangement
     # builds one more for its arm
     params = TQFTParams(11)
-    arrs = arrangement_set_genus2(11)
+    arrs = arrangement_set_genus2(params)
     calls = []
     inner = planar._class_cable
 
@@ -493,8 +498,9 @@ def test_expansion_fuses_each_loop_once(monkeypatch, color):
 
     monkeypatch.setattr(planar, "_class_cable", counted)
     first = [expand_arrangement(params, arr, color) for arr in arrs]
-    assert len(calls) - len(arrs) == len(params.loop_table) > 0
-    assert {key[0] for key in params.loop_table} == {color}
+    loops = memo_keys(params.ctx, "loop")
+    assert len(calls) - len(arrs) == len(loops) > 0
+    assert {key[1] for key in loops} == {color}
     calls.clear()
     assert [expand_arrangement(params, arr, color) for arr in arrs] == first
     assert len(calls) == len(arrs)
@@ -517,7 +523,7 @@ def test_av_report_factors_an_integral_gram(monkeypatch):
     params = TQFTParams.for_prime(7)
     [(gram, diag)] = factored
     assert all(v.den == 1 for row in gram for v in row)
-    assert diag == [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(7)]
+    assert diag == [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
     assert rep["unimodular"]
 
 
@@ -603,14 +609,14 @@ def test_genus3_report_rejects_other_colors():
 
 
 def test_gram_bracket_rejects_mixed_genus():
-    arrs = [arrangement_set_genus2(5)[0], arrangement_set_genus3()[0]]
+    arrs = [arrangement_set_genus2(TQFTParams.for_prime(5))[0], arrangement_set_genus3()[0]]
     with pytest.raises(ValueError, match="genus"):
         gram_bracket(TQFTParams.for_prime(5), arrs)
 
 
 def test_genus3_reports_share_the_necklace_table(monkeypatch):
     # both recolorings pair the same plain arrangements, so the second report
-    # finds every state sum of the first in the context's necklace table
+    # finds every state sum of the first among the ring memo's necklaces
     calls = []
     real = torus.kauffman_bracket
 
@@ -619,9 +625,11 @@ def test_genus3_reports_share_the_necklace_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(torus, "kauffman_bracket", counting)
-    TQFTParams.for_prime(5).necklace_table.clear()
+    ctx = TQFTParams.for_prime(5).ctx
+    for key in memo_keys(ctx, "necklace"):
+        del ctx.memo[key]
     genus3_p5_report("v")
-    assert len(calls) == 792
+    assert len(calls) == 792 == len(memo_keys(ctx, "necklace"))
     genus3_p5_report("omega")
     assert len(calls) == 792
 
