@@ -54,7 +54,8 @@ BASES_G2 = ("G", "A", "Av")
 # measured (single runs on a 2-core Xeon).  Beyond them a verb would run
 # without a stated bound, so larger inputs are refused as bad input.
 # In one process genus2 --p 13 takes 0.19 / 0.62 / 0.81 s for G / A / Av and
-# stabilize --p 13 31 s.  Both verbs share the limit, so it stays at 13 until
+# stabilize --p 13 6.5-7.3 s on integer rows (34.6-35.0 s for CycNum rounds,
+# measured alternately).  Both verbs share the limit, so it stays at 13 until
 # the p = 17 lattices are cheap.
 MAX_P_HEAVY = 13
 # genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.

@@ -36,6 +36,8 @@ def mat_mul(a: Matrix, b: Matrix, zero: Any) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence[Any], zero: Any) -> list[Any]:
+    """Oracle for saturate: a matrix times a coordinate vector, one ring
+    product per entry, the route the tests run against its integer rows."""
     out = []
     for row in a:
         acc = zero

@@ -607,6 +607,8 @@ VERB_PINS = {
         "950440993cb25d2323ec176f2c2cf003d75d74f7eead26f3842de6ab67dfafc4",
     "stabilize --p 5":
         "ac873933c9b81c68fa28d742aa8f9725cb5964b3e44967b8e9f8cd229128aea9",
+    "stabilize --p 11":
+        "eeaa74e025014cec070c69958cfab868a0b744a749ce2da501c8676a92e94e6f",
     "stabilize --p 7 --seed omega --ops t":
         "10bc06aa510a232958477f5ddb53bd29a3665de230aebc827ee8166fef6a8ab1",
     "genus1 --p 7 --basis omega":
