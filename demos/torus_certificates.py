@@ -3,6 +3,7 @@ lattice facts tying them together.  Run as `python3 demos/torus_certificates.py 
 
 import sys
 
+from skeinlat.cli import genus1_cert
 from skeinlat.lattice import OLattice, lattice_equal, saturate
 from skeinlat.torus import (
     TQFTParams,
@@ -10,10 +11,8 @@ from skeinlat.torus import (
     basis_omega,
     basis_v,
     det_w_certificate,
-    gram,
     s_matrix,
     twist_matrix,
-    verify_unimodular,
 )
 
 
@@ -22,8 +21,8 @@ def main(p: int) -> None:
     ctx, d = params.ctx, params.d
     print(f"p = {p}: d = {d} colors, ring Z[zeta_{ctx.n}] of degree {ctx.phi}")
 
-    for name, builder in (("e", basis_e), ("omega", basis_omega), ("v", basis_v)):
-        cert = verify_unimodular(params, gram(params, builder(params)), name)
+    for name in ("e", "omega", "v"):
+        cert = genus1_cert(params, name)  # the entry verify-all prints
         tag = "unit" if cert["unit"] else f"(1-q)^{cert['associate_exponent']} times a unit"
         print(f"  {name}-basis gram determinant: {tag}")
 

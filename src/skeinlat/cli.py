@@ -21,17 +21,19 @@ from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
 from .bracket import COLORINGS, LinkDiagram, divisibility_certificate, load_corpus
 from .cyclotomic import _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
-from .matrices import Matrix, mat_eq
+from .matrices import mat_eq
 from .planar import genus3_p5_report, gram_genus2, non_unimodular_witness
 from .recoupling import count_spine_colorings, verlinde_float
 from .torus import (
     TQFTParams,
+    associate_certificate,
     basis_e,
     basis_omega,
     basis_v,
     det_w_certificate,
     e_gram_closed,
     expect_exponent,
+    genus1_determinant,
     gram,
     modular_relation_scalar,
     omega,
@@ -42,7 +44,6 @@ from .torus import (
     v_gram_closed,
     v_in_omega_span,
     vandermonde_certificate,
-    verify_unimodular,
 )
 
 OUT_ENV = "SKEINLAT_OUT"
@@ -58,8 +59,9 @@ BASES_G2 = ("G", "A", "Av")
 # measured alternately).  Both verbs share the limit, so it stays at 13 until
 # the p = 17 lattices are cheap.
 MAX_P_HEAVY = 13
-# genus1 --p 43 --basis v takes about 10 s; --p 61 takes over 3 minutes.
-MAX_P_GENUS1 = 43
+# genus1 --p 59 takes 5.4-6.1 / 0.2 / 4.7-5.4 s for e / omega / v (--emit gram:
+# 0.1-0.2 / 3.6-4.4 / 4.5-4.9 s); at p = 61 the e and v certificates take over 13 s.
+MAX_P_GENUS1 = 59
 # rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s,
 # and past genus 12 the float cross-check overflows.
 MAX_P_RANK = 211
@@ -161,27 +163,27 @@ def genus1_exponent(d: int, basis: str) -> int:
     return d * (d - 1) if basis == "e" else 0
 
 
-def genus1_cert(params: TQFTParams, basis: str, gram_mat: Matrix) -> dict:
+def genus1_cert(params: TQFTParams, basis: str) -> dict:
     """The genus-1 determinant claim for one basis, refuted unless the
     exponent is genus1_exponent."""
     expect = genus1_exponent(params.d, basis)
+    det = genus1_determinant(params, basis)
     return {
-        **expect_exponent(verify_unimodular(params, gram_mat, basis), expect),
+        **expect_exponent(associate_certificate(params, det, "gram determinant", basis), expect),
         "claim": f"genus-1 {basis}-basis gram determinant is associate to (1-q)^{expect}",
     }
 
 
 def genus1_certs(params: TQFTParams) -> list[dict]:
     p = params.p
-    grams = {name: gram(params, build(params)) for name, build in BASES_G1.items()}
     certs = [_guarded(f"genus-1 {name}-basis gram determinant exponent", p,
-                      lambda name=name: genus1_cert(params, name, grams[name]))
+                      lambda name=name: genus1_cert(params, name))
              for name in BASES_G1]
     certs += [
         _holds("closed-form e-basis gram equals the paired gram", p,
-               lambda: mat_eq(grams["e"], e_gram_closed(params))),
+               lambda: mat_eq(gram(params, basis_e(params)), e_gram_closed(params))),
         _holds("closed-form v-basis gram equals the paired gram", p,
-               lambda: mat_eq(grams["v"], v_gram_closed(params))),
+               lambda: mat_eq(gram(params, basis_v(params)), v_gram_closed(params))),
         _guarded("det W exponent", p, lambda: det_w_certificate(params)),
         _guarded("vandermonde exponent", p, lambda: vandermonde_certificate(params)),
         _holds("surgery element product form equals its definition", p,
@@ -305,11 +307,11 @@ def bundle(p_list, corpus: str | None = None, cap_crossings: int = 16) -> list[d
 def cmd_genus1(args) -> tuple[int, object]:
     checked_primes((args.p,), MAX_P_GENUS1, "genus1")
     params = TQFTParams.for_prime(args.p)
-    g = gram(params, BASES_G1[args.basis](params))
     if args.emit == "gram":
+        g = gram(params, BASES_G1[args.basis](params))
         return 0, {"p": args.p, "basis": args.basis,
                    "gram": [[x.to_json() for x in row] for row in g]}
-    return _verb(genus1_cert(params, args.basis, g))
+    return _verb(genus1_cert(params, args.basis))
 
 
 def _verb(cert: dict, *hidden: str) -> tuple[int, dict]:

@@ -238,7 +238,7 @@ class OLattice:
         return tuple(_lead(r) for r in self.basis)
 
     def vectors(self) -> list[list[CycNum]]:
-        """Basis rows back in coordinate form."""
+        """Oracle for saturate's integer rounds: the basis rows as vectors."""
         phi = self.ctx.phi
         out = []
         for row in self.basis:
@@ -256,8 +256,8 @@ class OLattice:
         return not any(rem)
 
     def contains_vector(self, vec) -> bool:
-        """Certificate of membership, which ROADMAP item 2 step A runs for
-        every v generator in place of building the v lattice."""
+        """Certificate of membership, run by ROADMAP item 2's containment and
+        volume check on every v generator in place of building the v lattice."""
         vec = list(vec)
         if len(vec) != self.width:
             raise ValueError("vector length does not match the lattice")

@@ -42,16 +42,14 @@ associate certificates against powers of 1-q, never as bare booleans.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
-from .cyclotomic import CycNum, NotIntegralError
-from .matrices import (Matrix, diagonal, hermitian_fill, ldl_decomposition, map_entries, mat_eq,
-                       mat_mul, transpose)
+from .cyclotomic import CycNum
+from .matrices import Matrix, diagonal, hermitian_fill, map_entries, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import (RefutationError, TQFTParams, associate_certificate, expect_exponent,
-                    coords_z, fold_raw, fold_transparent, omega, omega_pairing)
+from .torus import (RefutationError, TQFTParams, associate_certificate, coords_z, expect_exponent,
+                    factored_determinant, fold_raw, fold_transparent, omega, omega_pairing)
 
 Coloring2 = tuple[int, int, int]
 Coloring3 = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -548,43 +546,20 @@ def _certified_report(
     units: list[CycNum] | None = None,
     lower: Matrix | None = None,
 ) -> dict:
-    """One LDL factorization of gram, whose pivots must be the expected ones
-    and, when lower is given, whose factor L must equal lower entry for
-    entry.  The factorization is unique, so that proves gram = lower
-    diag(pivots) lower*, the entrywise comparison of the two routes.
+    """The certificate for gram, its determinant from factored_determinant.
 
     The exponents come from arrs: rank_term is (d-1) genus per arrangement,
     and base_change_valuation is -2 curve_total for v- or omega-colored
-    curves and 0 otherwise.  units, when given, rescale the factored gram to
-    the basis Gram units[i] gram[i][j] conj(units[j]), whose determinant
-    picks up every |units[i]|^2.  The report is the entry the genus2 and
+    curves and 0 otherwise.  The report is the entry the genus2 and
     genus3p5 verbs print, its keys in their table order; unimodular says
-    whether the determinant is a unit outright.
-
-    A genus-2 gram is factored over the integers: its rows are
-    unit-triangular over the graph basis, so L is integral and every update
-    is one ctx.dot.  A denominator in L makes that dot raise
-    NotIntegralError, which refutes the triangularity; any other error (a
-    non-square gram, mixed rings) propagates.  Genus 3 sums its field
-    products one by one."""
-    ctx = params.ctx
+    whether the determinant is a unit outright.  A genus-2 gram is
+    unit-triangular over the graph basis, so it is factored over the
+    integers with ctx.dot; genus 3 sums its field products one by one."""
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * genus * len(arrs)
     base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
-    dot = ctx.dot if genus == 2 else None
-    try:
-        factor, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), dot)
-    except NotIntegralError as exc:
-        raise RefutationError(
-            f"genus-{genus} {basis} gram: rows are not unit-triangular ({exc})"
-        ) from exc
-    if diag != pivots:
-        raise RefutationError(f"genus-{genus} {basis} gram: LDL pivots are not the closed form")
-    if lower is not None and not mat_eq(factor, lower):
-        raise RefutationError(f"genus-{genus} {basis} gram: LDL factor is not the graph expansion")
-    det = math.prod(pivots, start=ctx.one)
-    if units is not None:
-        det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
+    det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, units,
+                               params.ctx.dot if genus == 2 else None)
     expected = rank_term + base_change_valuation
     cert = expect_exponent(
         associate_certificate(params, det, f"genus-{genus} gram determinant", basis), expected

@@ -30,7 +30,7 @@ import math
 
 from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
 from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
-from .cyclotomic import CycContext, CycNum
+from .cyclotomic import CycContext, CycNum, NotIntegralError
 from .laurent import IntLaurent, RefutationError
 from .matrices import (
     Matrix,
@@ -38,6 +38,7 @@ from .matrices import (
     diagonal,
     hermitian_fill,
     identity,
+    ldl_decomposition,
     map_entries,
     mat_eq,
     mat_inverse,
@@ -241,16 +242,17 @@ def basis_omega(params: TQFTParams) -> list[Vector]:
     return [tuple(c * mu**j for c, mu in zip(om, mus)) for j in range(d)]
 
 
+def z_plus2_rows(params: TQFTParams) -> list[Vector]:
+    """The e-coordinates of (z+2)^j for j < d, integral and unit-lower-triangular."""
+    d, from_int = params.d, params.ctx.from_int
+    return [tuple(map(from_int, z_plus2_pow_in_e(j + 1) + [0] * (d - 1 - j))) for j in range(d)]
+
+
 def basis_v(params: TQFTParams) -> list[Vector]:
-    """Powers of v = (z+2)/(1+A): v^j is the integral e-coordinates of
-    (z+2)^j times (1+A)^-j, triangular with diagonal (1+A)^-j."""
-    ctx, d = params.ctx, params.d
-    out = []
-    for j in range(d):
-        col = z_plus2_pow_in_e(j + 1)
-        unit = params.inv1a**j
-        out.append(tuple(col[k] * unit if k <= j else ctx.zero for k in range(d)))
-    return out
+    """Powers of v = (z+2)/(1+A): v^j is the integral row (z+2)^j times
+    (1+A)^-j, triangular with diagonal (1+A)^-j."""
+    units = (params.inv1a**j for j in range(params.d))
+    return [tuple(x * unit for x in row) for row, unit in zip(z_plus2_rows(params), units)]
 
 
 def w_matrix(params: TQFTParams) -> Matrix:
@@ -428,9 +430,50 @@ def expect_exponent(cert: dict, expect: int) -> dict:
     return cert
 
 
-def verify_unimodular(params: TQFTParams, gram_mat: Matrix, basis: str) -> dict:
-    """Determinant certificate for a Gram matrix."""
-    return associate_certificate(params, _det(params, gram_mat), "gram determinant", basis)
+def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivots: list[CycNum],
+                         lower: Matrix | None = None, units=None, dot=None) -> CycNum:
+    """The determinant of gram_mat by one LDL factorization, refuted unless
+    its pivots are pivots and its factor is lower, if given: the factor is
+    unique, so gram_mat = lower diag(pivots) lower*.  units rescale it to
+    units[i] gram_mat[i][j] conj(units[j]).  With dot = ctx.dot, a
+    denominator in the factor refutes the triangularity."""
+    ctx = params.ctx
+    try:
+        factor, diag = ldl_decomposition(gram_mat, ctx.one, ctx.zero, ctx.inv, CycNum.conj, dot)
+    except NotIntegralError as exc:
+        raise RefutationError(f"{label}: rows are not unit-triangular ({exc})") from exc
+    if diag != pivots:
+        raise RefutationError(f"{label}: LDL pivots are not the closed form")
+    if lower is not None and not mat_eq(factor, lower):
+        raise RefutationError(f"{label}: LDL factor is not the graph expansion")
+    det = math.prod(pivots, start=ctx.one)
+    if units is not None:
+        det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
+    return det
+
+
+def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
+    """The Gram determinant of the e, omega or v basis, without elimination.
+    Rows R over e have Gram R diag(D) R*: the e rows are the identity, and
+    the integral (z+2)^j rows, v^j times (1+A)^j, are factored over the
+    integers.  The omega orbit is W = V^T diag(omega), V the Vandermonde
+    matrix [mu_i^j], so its determinant is D^d |det W|^2."""
+    if basis not in ("e", "omega", "v"):
+        raise ValueError(f"unknown basis {basis!r}")
+    ctx, d = params.ctx, params.d
+    if basis == "omega":
+        det_w = math.prod(omega(params), start=ctx.one) * vandermonde_product(params)
+        return params.D**d * det_w * det_w.conj()
+    rows = basis_e(params) if basis == "e" else z_plus2_rows(params)
+    units = [params.inv1a**j for j in range(d)] if basis == "v" else None
+    return factored_determinant(params, f"genus-1 {basis} gram", gram(params, rows),
+                                [params.D] * d, rows, units, ctx.dot)
+
+
+def vandermonde_product(params: TQFTParams) -> CycNum:
+    """prod_{i<j} (mu_j - mu_i), the determinant of [mu_i^j]."""
+    mus = [params.mu(i) for i in range(params.d)]
+    return math.prod((b - a for a, b in itertools.combinations(mus, 2)), start=params.ctx.one)
 
 
 def det_w_certificate(params: TQFTParams) -> dict:
@@ -445,15 +488,9 @@ def det_w_certificate(params: TQFTParams) -> dict:
 def vandermonde_certificate(params: TQFTParams) -> dict:
     """The Vandermonde factor [mu_i^j] of W: its determinant equals
     prod_{i<j} (mu_j - mu_i) and is associate to (1-q)^(d(d-1)/2)."""
-    ctx, d = params.ctx, params.d
-    mus = [params.mu(i) for i in range(d)]
-    mat = [[mus[i] ** j for j in range(d)] for i in range(d)]
-    det = _det(params, mat)
-    prod = ctx.one
-    for j in range(d):
-        for i in range(j):
-            prod = prod * (mus[j] - mus[i])
-    if det != prod:
+    d = params.d
+    det = _det(params, [[mu**j for j in range(d)] for mu in map(params.mu, range(d))])
+    if det != vandermonde_product(params):
         raise RefutationError("vandermonde determinant disagrees with the product")
     expect = d * (d - 1) // 2
     claim = f"vandermonde determinant associate to (1-q)^{expect}"
@@ -531,7 +568,7 @@ def twist_matrix(params: TQFTParams) -> Matrix:
 
 def form_preserved(gram_mat: Matrix, op: Matrix, zero) -> bool:
     """Certificate that op^T G conj(op) == G, an isometry of the Hermitian
-    form; ROADMAP item 7 promotes it to verify-all."""
+    form; ROADMAP item 9 promotes it to verify-all."""
     right = mat_mul(gram_mat, map_entries(lambda x: x.conj(), op), zero)
     return mat_eq(mat_mul(transpose(op), right, zero), gram_mat)
 

@@ -7,6 +7,7 @@ except the single labeled float cross-check in the rank criterion.
 
 import time
 
+from skeinlat import torus
 from skeinlat.annulus import (
     ONE_MINUS_Q,
     s_poly,
@@ -53,10 +54,12 @@ from skeinlat.recoupling import (
 )
 from skeinlat.torus import (
     TQFTParams,
+    associate_certificate,
     basis_e,
     basis_omega,
     basis_v,
     det_w_certificate,
+    genus1_determinant,
     gram,
     hopf_bracket,
     hopf_matrix,
@@ -64,7 +67,6 @@ from skeinlat.torus import (
     omega_product,
     s_matrix,
     v_in_omega_span,
-    verify_unimodular,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -117,11 +119,14 @@ def test_criterion_03_genus1_determinants() -> None:
     for p in PRIMES:
         params = TQFTParams.for_prime(p)
         d = params.d
-        cert = verify_unimodular(params, gram(params, basis_e(params)), "e")
-        assert cert["ok"] and cert["associate_exponent"] == d * (d - 1)
-        for name, builder in (("omega", basis_omega), ("v", basis_v)):
-            cert = verify_unimodular(params, gram(params, builder(params)), name)
-            assert cert["unit"], (p, name)
+        for name, builder in (("e", basis_e), ("omega", basis_omega), ("v", basis_v)):
+            det = genus1_determinant(params, name)
+            assert det == torus._det(params, gram(params, builder(params))), (p, name)
+            cert = associate_certificate(params, det, "gram determinant", name)
+            if name == "e":
+                assert cert["ok"] and cert["associate_exponent"] == d * (d - 1)
+            else:
+                assert cert["unit"], (p, name)
         det_w_certificate(params)  # raises unless exponent is -d(d-1)/2
     assert time.monotonic() - start < 60
 

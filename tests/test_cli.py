@@ -111,8 +111,8 @@ def test_heavy_verbs_refuse_primes_over_budget(capsys, argv) -> None:
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (["genus1", "--p", "47"], "p <= 43"),
-        (["genus1", "--p", "61", "--emit", "gram"], "p <= 43"),
+        (["genus1", "--p", "61"], "p <= 59"),
+        (["genus1", "--p", "61", "--emit", "gram"], "p <= 59"),
         (["rank", "--p", "223", "--genus", "2"], "p <= 211"),
         (["rank", "--p", "13", "--genus", "13"], "genus <= 12"),
         (["rank", "--p", "13", "--genus", "200"], "genus <= 12"),
@@ -282,6 +282,39 @@ def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch
     assert code == 1
     assert [c["claim"] for c in failing] == ["genus-2 A-basis gram determinant exponent"]
     assert "LDL factor" in failing[0]["error"]
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(1, "LDL pivots are not the closed form"), (-4, "LDL factor is not the graph expansion")],
+    ids=["pivots", "factor"],
+)
+def test_genus1_z_plus2_gram_off_its_factor_exits_1(capsys, monkeypatch, shift, message) -> None:
+    # the v determinant factors the Gram of the (z+2)^j rows, (1, 0) and
+    # (2, 1) at p = 5, so the Gram is D [[1, 2], [2, 5]]: moving its
+    # off-diagonal pair by D breaks the second pivot, moving it by -4 D
+    # keeps the pivots and flips the factor entry; only the v entry fails
+    real = torus.gram
+
+    def perturbed(params, rows):
+        out = real(params, rows)
+        if rows == torus.z_plus2_rows(params):
+            out[1][0] = out[1][0] + shift * params.D
+            out[0][1] = out[1][0].conj()
+        return out
+
+    monkeypatch.setattr(torus, "gram", perturbed)
+    params = TQFTParams.for_prime(5)
+    with pytest.raises(torus.RefutationError, match=f"genus-1 v gram: {message}"):
+        torus.genus1_determinant(params, "v")
+    code, out, err = run(capsys, "genus1", "--p", "5", "--basis", "v")
+    assert code == 1 and out == ""
+    assert err.startswith("refuted:") and message in err
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == ["genus-1 v-basis gram determinant exponent"]
+    assert message in failing[0]["error"]
 
 
 TWIST_CLAIM = "twist matrix in the v-basis specializes integrally at the root"
@@ -615,6 +648,13 @@ VERB_PINS = {
         "c961d7e713ed7cfebb0d4b6932cfd6735e80368d23e1c21ae65a1a67f4f1bba6",
     "genus1 --p 7 --basis v --emit gram":
         "e87c01759113fc3d315694a7f6eaca424463de34d1d560dfb6d34c92abe76128",
+    # at p = 31 (d = 15) the genus-1 factor check has real work to do
+    "genus1 --p 31 --basis e":
+        "d1417ae83df6a5039d85c588bbf0313ef6d1c7cd157f1f1c9640bbf1b1b909d4",
+    "genus1 --p 31 --basis omega":
+        "a45446d40a74ef26914fa9e2cb49fd77160d34f1a2abaec07591ffd240563641",
+    "genus1 --p 31 --basis v":
+        "41048394ee7821904741bdd6e61dff60829e8a06f54fc81e7e8347f688bd7e54",
 }
 
 
@@ -709,21 +749,44 @@ def test_every_library_name_is_used_or_labeled() -> None:
     # Conversely a name so labeled must have no such use: once the claim
     # path reaches it, the label is stale.
     # Uses are pooled by bare name, not by class: a method counts as used
-    # when any method of that name is, so check same-named methods by hand
+    # when any method of that name is, so check same-named methods by hand.
+    # A bare name that a parameter, a local variable or a nested def of an
+    # enclosing function shadows is not a use
     uses: dict[str, set] = {}
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def local_names(fn) -> set:
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        out = {a.arg for a in params if a}
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                out.add(n.id)
+            elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n is not fn:
+                out.add(n.name)
+            elif isinstance(n, ast.ExceptHandler) and n.name:
+                out.add(n.name)
+        return out
+
+    def visit(node, shadowed, where):
+        if isinstance(node, scopes):
+            shadowed = shadowed | local_names(node)
+        if isinstance(node, ast.Name):
+            words = [] if node.id in shadowed else [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            words = [a.name.split(".")[-1] for a in node.names]
+        else:
+            words = []
+        for word in words:
+            uses.setdefault(word, set()).add((*where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed, where)
+
     for folder in (PKG, DEMOS):
         for name, text in sources(folder):
-            for n in ast.walk(ast.parse(text, name)):
-                if isinstance(n, ast.Name):
-                    words = [n.id]
-                elif isinstance(n, ast.Attribute):
-                    words = [n.attr]
-                elif isinstance(n, (ast.Import, ast.ImportFrom)):
-                    words = [a.name.split(".")[-1] for a in n.names]
-                else:
-                    continue
-                for word in words:
-                    uses.setdefault(word, set()).add((folder, name, n.lineno))
+            visit(ast.parse(text, name), frozenset(), (folder, name))
     unlabeled, stale = [], []
     for name, text in sources(PKG):
         tree = ast.parse(text, name)

@@ -511,14 +511,14 @@ def test_av_report_factors_an_integral_gram(monkeypatch):
     # (z+2)-colored arrangements: integral, with the graph norms as its
     # pivots; the units come back in the det
     factored = []
-    inner = planar.ldl_decomposition
+    inner = torus.ldl_decomposition
 
     def captured(gram, *args):
         out = inner(gram, *args)
         factored.append((gram, out[1]))
         return out
 
-    monkeypatch.setattr(planar, "ldl_decomposition", captured)
+    monkeypatch.setattr(torus, "ldl_decomposition", captured)
     rep = gram_genus2(7, "Av")
     params = TQFTParams.for_prime(7)
     [(gram, diag)] = factored

@@ -25,6 +25,7 @@ from skeinlat.torus import (
     det_w_certificate,
     e_gram_closed,
     form_preserved,
+    genus1_determinant,
     gram,
     hermitian_pairing,
     hopf_bracket,
@@ -43,7 +44,6 @@ from skeinlat.torus import (
     v_in_omega_span,
     v_matrix,
     vandermonde_certificate,
-    verify_unimodular,
     w_matrix,
     z_action,
 )
@@ -318,12 +318,19 @@ def test_hopf_is_symmetric_and_real():
 # Gram matrices and certificates
 
 
+def genus1_cert(params, basis, gram_mat):
+    # the claim-path determinant, which must equal the elimination oracle's
+    det = genus1_determinant(params, basis)
+    assert det == torus._det(params, gram_mat)
+    return associate_certificate(params, det, "gram determinant", basis)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_e_gram(p):
     params = TQFTParams.for_prime(p)
     ge = gram(params, basis_e(params))
     assert mat_eq(ge, e_gram_closed(params))
-    cert = verify_unimodular(params, ge, "e")
+    cert = genus1_cert(params, "e", ge)
     d = params.d
     assert cert["ok"]
     assert cert["associate_exponent"] == d * (d - 1)
@@ -333,7 +340,7 @@ def test_e_gram(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_gram_unimodular(p):
     params = TQFTParams.for_prime(p)
-    cert = verify_unimodular(params, gram(params, basis_omega(params)), "omega")
+    cert = genus1_cert(params, "omega", gram(params, basis_omega(params)))
     assert cert["ok"] and cert["unit"]
     assert cert["associate_exponent"] == 0
 
@@ -345,8 +352,20 @@ def test_v_gram_unimodular_and_integral(p):
     assert mat_eq(gv, v_gram_closed(params))
     # integral entries even where i+j >= d, where p | c_{i+j}
     assert all(x.is_integral() for row in gv for x in row)
-    cert = verify_unimodular(params, gv, "v")
+    cert = genus1_cert(params, "v", gv)
     assert cert["ok"] and cert["unit"]
+
+
+def test_genus1_determinants_run_no_elimination(monkeypatch):
+    def refused(*args):
+        raise AssertionError("elimination on the genus-1 claim path")
+
+    params = TQFTParams.for_prime(13)
+    monkeypatch.setattr(torus, "determinant", refused)
+    for basis in ("e", "omega", "v"):
+        genus1_determinant(params, basis)
+    with pytest.raises(ValueError, match="unknown basis"):
+        genus1_determinant(params, "w")
 
 
 def test_v_gram_p5_determinant():
@@ -396,7 +415,7 @@ def test_gram_of_dependent_vectors_degenerates():
     params = TQFTParams.for_prime(5)
     e0 = basis_e(params)[0]
     with pytest.raises(DegeneracyError):
-        verify_unimodular(params, gram(params, [e0, scale(e0, 2)]), "bogus")
+        associate_certificate(params, torus._det(params, gram(params, [e0, scale(e0, 2)])), "bogus")
 
 
 def test_associate_certificate_rejects_stray_prime():
