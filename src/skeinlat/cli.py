@@ -59,8 +59,7 @@ BASES_G2 = ("G", "A", "Av")
 # measured alternately).  Both verbs share the limit, so it stays at 13 until
 # the p = 17 lattices are cheap.
 MAX_P_HEAVY = 13
-# genus1 --p 59 takes 5.4-6.1 / 0.2 / 4.7-5.4 s for e / omega / v (--emit gram:
-# 0.1-0.2 / 3.6-4.4 / 4.5-4.9 s); at p = 61 the e and v certificates take over 13 s.
+# genus1 --p 59 takes at most 6.1 s for any basis and --emit; --p 61 over 13 s.
 MAX_P_GENUS1 = 59
 # rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s,
 # and past genus 12 the float cross-check overflows.

@@ -252,7 +252,7 @@ def basis_v(params: TQFTParams) -> list[Vector]:
     """Powers of v = (z+2)/(1+A): v^j is the integral row (z+2)^j times
     (1+A)^-j, triangular with diagonal (1+A)^-j."""
     units = (params.inv1a**j for j in range(params.d))
-    return [tuple(x * unit for x in row) for row, unit in zip(z_plus2_rows(params), units)]
+    return [tuple(x * u if x else x for x in row) for row, u in zip(z_plus2_rows(params), units)]
 
 
 def w_matrix(params: TQFTParams) -> Matrix:
@@ -445,11 +445,8 @@ def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivot
     if diag != pivots:
         raise RefutationError(f"{label}: LDL pivots are not the closed form")
     if lower is not None and not mat_eq(factor, lower):
-        raise RefutationError(f"{label}: LDL factor is not the graph expansion")
-    det = math.prod(pivots, start=ctx.one)
-    if units is not None:
-        det = det * math.prod((u * u.conj() for u in units), start=ctx.one)
-    return det
+        raise RefutationError(f"{label}: LDL factor is not the expansion matrix")
+    return math.prod([*pivots, *(u * u.conj() for u in units or ())], start=ctx.one)
 
 
 def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
@@ -462,7 +459,7 @@ def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
         raise ValueError(f"unknown basis {basis!r}")
     ctx, d = params.ctx, params.d
     if basis == "omega":
-        det_w = math.prod(omega(params), start=ctx.one) * vandermonde_product(params)
+        det_w = det_w_product(params)
         return params.D**d * det_w * det_w.conj()
     rows = basis_e(params) if basis == "e" else z_plus2_rows(params)
     units = [params.inv1a**j for j in range(d)] if basis == "v" else None
@@ -476,11 +473,18 @@ def vandermonde_product(params: TQFTParams) -> CycNum:
     return math.prod((b - a for a, b in itertools.combinations(mus, 2)), start=params.ctx.one)
 
 
+def det_w_product(params: TQFTParams) -> CycNum:
+    """det W = prod omega_i * prod_{i<j} (mu_j - mu_i), as W = V^T diag(omega)."""
+    return math.prod(omega(params), start=params.ctx.one) * vandermonde_product(params)
+
+
 def det_w_certificate(params: TQFTParams) -> dict:
-    """det W over the omega orbit, associate to (1-q)^(-d(d-1)/2)."""
+    """det W by elimination, equal to det_w_product and associate to (1-q)^(-d(d-1)/2)."""
     d = params.d
     expect = -(d * (d - 1) // 2)
     det = _det(params, w_matrix(params))
+    if det != det_w_product(params):
+        raise RefutationError("det W disagrees with the omega-Vandermonde product")
     claim = f"det W associate to (1-q)^({expect})"
     return expect_exponent(associate_certificate(params, det, claim, "omega"), expect)
 

@@ -272,7 +272,7 @@ def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch
         return out
 
     monkeypatch.setattr(planar, "expansion_matrix_genus2", perturbed)
-    with pytest.raises(planar.RefutationError, match="LDL factor is not the graph expansion"):
+    with pytest.raises(planar.RefutationError, match="LDL factor is not the expansion matrix"):
         planar.gram_genus2(5, "A")
     code, out, err = run(capsys, "genus2", "--p", "5", "--basis", "A")
     assert code == 1 and out == ""
@@ -286,7 +286,7 @@ def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "shift, message",
-    [(1, "LDL pivots are not the closed form"), (-4, "LDL factor is not the graph expansion")],
+    [(1, "LDL pivots are not the closed form"), (-4, "LDL factor is not the expansion matrix")],
     ids=["pivots", "factor"],
 )
 def test_genus1_z_plus2_gram_off_its_factor_exits_1(capsys, monkeypatch, shift, message) -> None:
@@ -315,6 +315,27 @@ def test_genus1_z_plus2_gram_off_its_factor_exits_1(capsys, monkeypatch, shift, 
     assert code == 1
     assert [c["claim"] for c in failing] == ["genus-1 v-basis gram determinant exponent"]
     assert message in failing[0]["error"]
+
+
+def test_omega_orbit_off_the_det_w_product_is_refuted(capsys, monkeypatch) -> None:
+    # the omega determinant reads det W from det_w_product, not from the
+    # orbit; an orbit row slipped by the unit A keeps every exponent, so
+    # only det W's elimination, checked against that product, refutes it
+    real = torus.basis_omega
+
+    def slipped(params):
+        rows = real(params)
+        return [tuple(x * params.ctx.A for x in rows[0]), *rows[1:]]
+
+    monkeypatch.setattr(torus, "basis_omega", slipped)
+    params = TQFTParams.for_prime(5)
+    with pytest.raises(torus.RefutationError, match="det W disagrees"):
+        torus.det_w_certificate(params)
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == ["det W exponent"]
+    assert "det W disagrees" in failing[0]["error"]
 
 
 TWIST_CLAIM = "twist matrix in the v-basis specializes integrally at the root"
@@ -741,36 +762,45 @@ def test_no_assert_in_the_library() -> None:
     assert found == []
 
 
-def test_every_library_name_is_used_or_labeled() -> None:
-    # a name that no code of the library or the demos uses outside its own
-    # def is reached only from tests, so its docstring must say why it stays:
-    # an oracle for a claim-path name, or a certificate a ROADMAP item
-    # promotes; words in docstrings, comments and strings are not uses.
-    # Conversely a name so labeled must have no such use: once the claim
-    # path reaches it, the label is stale.
-    # Uses are pooled by bare name, not by class: a method counts as used
-    # when any method of that name is, so check same-named methods by hand.
-    # A bare name that a parameter, a local variable or a nested def of an
-    # enclosing function shadows is not a use
-    uses: dict[str, set] = {}
-    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, *COMPREHENSIONS)
 
-    def local_names(fn) -> set:
-        args = fn.args
-        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-        out = {a.arg for a in params if a}
-        for n in ast.walk(fn):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                out.add(n.id)
-            elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n is not fn:
-                out.add(n.name)
-            elif isinstance(n, ast.ExceptHandler) and n.name:
-                out.add(n.name)
-        return out
+
+def own_names(scope) -> set:
+    """The names a function, lambda or comprehension binds in its own scope.
+    The walk stops at nested scopes, which bind their names when entered."""
+    if isinstance(scope, COMPREHENSIONS):
+        targets = [n for g in scope.generators for n in ast.walk(g.target)]
+        return {n.id for n in targets if isinstance(n, ast.Name)}
+    args = scope.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    out = {a.arg for a in params if a}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+            continue
+        if isinstance(n, SCOPES):
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            out.add(n.name)
+        todo.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def bare_uses(trees) -> dict[str, set]:
+    """Every use of a name in the (where, tree) pairs, as name -> {(*where,
+    line)}: a bare name, an attribute or an imported name.  A bare name that
+    a parameter, local variable or nested def of an enclosing scope shadows
+    is not a use."""
+    uses: dict[str, set] = {}
 
     def visit(node, shadowed, where):
-        if isinstance(node, scopes):
-            shadowed = shadowed | local_names(node)
+        if isinstance(node, SCOPES):
+            shadowed = shadowed | own_names(node)
         if isinstance(node, ast.Name):
             words = [] if node.id in shadowed else [node.id]
         elif isinstance(node, ast.Attribute):
@@ -784,9 +814,44 @@ def test_every_library_name_is_used_or_labeled() -> None:
         for child in ast.iter_child_nodes(node):
             visit(child, shadowed, where)
 
-    for folder in (PKG, DEMOS):
-        for name, text in sources(folder):
-            visit(ast.parse(text, name), frozenset(), (folder, name))
+    for where, tree in trees:
+        visit(tree, frozenset(), where)
+    return uses
+
+
+def test_name_guard_shadowing_stays_in_its_scope() -> None:
+    # a comprehension variable or a nested def's parameter named like a
+    # function shadows it only inside that comprehension or def: a call of
+    # the function elsewhere in the enclosing function is still a use, and
+    # a parameter of the function's own name shadows it in its whole body
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    ys = [helper for helper in xs]\n"
+        "    def g(other):\n"
+        "        return other\n"
+        "    return helper(ys), other(g)\n"
+        "def h(helper):\n"
+        "    return helper()\n"
+    )
+    uses = bare_uses([(("m",), tree)])
+    assert uses["helper"] == {("m", 5)}
+    assert uses["other"] == {("m", 5)}
+
+
+def test_every_library_name_is_used_or_labeled() -> None:
+    # a name that no code of the library or the demos uses outside its own
+    # def is reached only from tests, so its docstring must say why it stays:
+    # an oracle for a claim-path name, or a certificate a ROADMAP item
+    # promotes; words in docstrings, comments and strings are not uses.
+    # Conversely a name so labeled must have no such use: once the claim
+    # path reaches it, the label is stale.
+    # Uses are pooled by bare name, not by class: a method counts as used
+    # when any method of that name is, so check same-named methods by hand.
+    # Shadowed bare names are not uses (bare_uses)
+    uses = bare_uses(
+        ((folder, name), ast.parse(text, name))
+        for folder in (PKG, DEMOS) for name, text in sources(folder)
+    )
     unlabeled, stale = [], []
     for name, text in sources(PKG):
         tree = ast.parse(text, name)
