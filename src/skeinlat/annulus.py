@@ -100,29 +100,29 @@ def e_in_z_plus2(n: int) -> list[int]:
     return [(-1) ** (n - i) * math.comb(n + i - 1, n - i) for i in range(1, n + 1)]
 
 
-def s_poly(m: int, i: int, n: int) -> IntLaurent:
-    """S_{m,i,n}(A), assembled term by term with exact integer coefficients."""
-    if not (1 <= i <= n and m >= 1):
-        raise ValueError("need 1 <= i <= n and m >= 1")
-    out = IntLaurent()
-    for k in range(i, n + 1):
-        c = Fraction(k ** m * math.comb(2 * n, n - k) * math.comb(k + i - 1, k - i), n)
-        out = out + IntLaurent.monomial(_integral(c), k * k)
-    return out
-
-
-def s_tilde_poly(m: int, i: int, n: int) -> IntLaurent:
-    """Twist-square variant: variable q, extra sign (-1)^k in the sum."""
+def _s_sum(m: int, i: int, n: int, sign: int) -> IntLaurent:
+    """S_{m,i,n} with (-1)^(k sign) in the sum, assembled term by term with
+    exact integer coefficients."""
     if not (1 <= i <= n and m >= 1):
         raise ValueError("need 1 <= i <= n and m >= 1")
     out = IntLaurent()
     for k in range(i, n + 1):
         c = Fraction(
-            (-1) ** k * k ** m * math.comb(2 * n, n - k) * math.comb(k + i - 1, k - i),
+            (-1) ** (k * sign) * k ** m * math.comb(2 * n, n - k) * math.comb(k + i - 1, k - i),
             n,
         )
         out = out + IntLaurent.monomial(_integral(c), k * k)
     return out
+
+
+def s_poly(m: int, i: int, n: int) -> IntLaurent:
+    """S_{m,i,n}(A)."""
+    return _s_sum(m, i, n, 0)
+
+
+def s_tilde_poly(m: int, i: int, n: int) -> IntLaurent:
+    """Twist-square variant: variable q, extra sign (-1)^k in the sum."""
+    return _s_sum(m, i, n, 1)
 
 
 def twist_eigenvalue(i: int) -> IntLaurent:
@@ -149,34 +149,31 @@ def v_in_e_matrix(size: int) -> Matrix:
     ]
 
 
-def _divided(f: IntLaurent, divisor: IntLaurent, what: str) -> IntLaurent:
-    """f / divisor in Z[A, A^-1]; a remainder refutes the entry."""
-    try:
-        return f.exact_div(divisor)
-    except ValueError:
-        raise RefutationError(f"dividing {what} leaves a remainder") from None
+def _twist_in_powers(size: int, poly, divisor: IntLaurent, what: str, parity: int) -> Matrix:
+    """Entry (r, c), r <= c, is poly(1, r+1, c+1) / divisor^(c-r) in
+    Z[A, A^-1], shifted down one and negated when r + parity is odd; a
+    remainder refutes the entry, named by what.format(r+1, c+1, c-r)."""
+    out = [[IntLaurent() for _ in range(size)] for _ in range(size)]
+    for c in range(size):
+        for r in range(c + 1):
+            f = poly(1, r + 1, c + 1)
+            try:
+                entry = f.exact_div(divisor ** (c - r)).shift(-1)
+            except ValueError:
+                raise RefutationError(
+                    f"dividing {what.format(r + 1, c + 1, c - r)} leaves a remainder") from None
+            out[r][c] = -entry if (r + parity) % 2 else entry
+    return out
 
 
 def twist_matrix_v(size: int) -> Matrix:
     """Matrix of the twist in the basis 1, v, .., v^(size-1); the divisibility
     of S_{1,i,n} by (1+A)^(n-i) makes every entry land in Z[A, A^-1]."""
-    out = [[IntLaurent() for _ in range(size)] for _ in range(size)]
-    for c in range(size):
-        for r in range(c + 1):
-            what = f"S_(1,{r + 1},{c + 1}) by (1+A)^{c - r}"
-            entry = _divided(s_poly(1, r + 1, c + 1), ONE_PLUS_A ** (c - r), what).shift(-1)
-            out[r][c] = entry if r % 2 == 0 else -entry
-    return out
+    return _twist_in_powers(size, s_poly, ONE_PLUS_A, "S_(1,{},{}) by (1+A)^{}", 0)
 
 
 def twist_sq_matrix_vtilde(size: int) -> Matrix:
     """Matrix of the squared twist in the basis of powers of (z+2)/(1-q),
     written in the variable q.  Built from the variant polynomials, each
     divided by (1-q)^(n-i) in q."""
-    out = [[IntLaurent() for _ in range(size)] for _ in range(size)]
-    for c in range(size):
-        for r in range(c + 1):
-            what = f"S~_(1,{r + 1},{c + 1}) by (1-q)^{c - r}"
-            entry = _divided(s_tilde_poly(1, r + 1, c + 1), ONE_MINUS_Q ** (c - r), what).shift(-1)
-            out[r][c] = entry if r % 2 else -entry
-    return out
+    return _twist_in_powers(size, s_tilde_poly, ONE_MINUS_Q, "S~_(1,{},{}) by (1-q)^{}", 1)

@@ -32,7 +32,6 @@ from .torus import (
     basis_v,
     det_w_certificate,
     e_gram_closed,
-    expect_exponent,
     genus1_determinant,
     gram,
     modular_relation_scalar,
@@ -59,10 +58,14 @@ BASES_G2 = ("G", "A", "Av")
 # measured alternately).  Both verbs share the limit, so it stays at 13 until
 # the p = 17 lattices are cheap.
 MAX_P_HEAVY = 13
-# genus1 --p 59 takes at most 6.1 s for any basis and --emit; --p 61 over 13 s.
+# genus1 --p 59 takes at most 3.4 s for any basis and --emit; at --p 61 and
+# 67 --basis v takes 7.4-9.7 s, over stabilize --p 13, most of it in is_unit.
 MAX_P_GENUS1 = 59
-# rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s,
-# and past genus 12 the float cross-check overflows.
+# rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s.
+# The count grows with the genus (count_spine_colorings at p = 211: 5.0 /
+# 7.7 / 12.1 s at genus 12 / 16 / 24), so the genus stops where its cost was
+# measured.  The float cross-check is not the limit: it holds at (genus, p)
+# = (16, 211) and (20, 5) and first overflows at (80, 401).
 MAX_P_RANK = 211
 MAX_GENUS_RANK = 12
 
@@ -168,7 +171,7 @@ def genus1_cert(params: TQFTParams, basis: str) -> dict:
     expect = genus1_exponent(params.d, basis)
     det = genus1_determinant(params, basis)
     return {
-        **expect_exponent(associate_certificate(params, det, "gram determinant", basis), expect),
+        **associate_certificate(params, det, "gram determinant", basis, expect),
         "claim": f"genus-1 {basis}-basis gram determinant is associate to (1-q)^{expect}",
     }
 

@@ -491,20 +491,30 @@ class CycNum:
         return self.den == 1 and abs(self.norm()) == 1
 
     def valuation_one_minus_q(self) -> tuple[int, "CycNum"]:
-        """Largest k with (1-q)^k dividing self in O, plus the cofactor.
+        """Largest k with self / (1-q)^k integral at the primes over p (k < 0
+        when p divides the denominator), plus a cofactor; self is nonzero.
 
-        Requires self integral and nonzero.
-        """
-        if self.is_zero() or self.den != 1:
-            raise ValueError("valuation needs a nonzero integral element")
-        w_inv = self.ctx.inv(self.ctx.one_minus_q)
-        k = 0
-        cur = self
-        while True:
-            nxt = cur * w_inv
-            if nxt.den != 1:
-                return k, cur
+        p = (1-q)^(p-1) times a unit (Washington, GTM 83, ch. 1-2), so each
+        factor p of the denominator lowers k by p-1 and each factor p of the
+        integer content raises it by p-1, leaving at most p-2 divisions by
+        1-q.  The cofactor can differ from self / (1-q)^k by a power of the
+        unit p / (1-q)^(p-1), so callers read only whether it is a unit; a
+        denominator prime to p stays on it, and then it is not one."""
+        if self.is_zero():
+            raise ValueError("valuation of zero")
+        ctx, p = self.ctx, self.ctx.p
+        k, den, scale, content = 0, self.den, 1, math.gcd(*self.vec)
+        while den % p == 0:
+            den //= p
+            k -= p - 1
+        while content % (scale * p) == 0:
+            scale *= p
+            k += p - 1
+        cur = CycNum(ctx, tuple(v // scale for v in self.vec))
+        w_inv = ctx.inv(ctx.one_minus_q)
+        while (nxt := cur * w_inv).den == 1:
             cur, k = nxt, k + 1
+        return k, cur / den
 
     def in_plus_subring(self) -> bool:
         """Integral and fixed by the involution fixing q, negating the

@@ -48,7 +48,7 @@ from .annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from .cyclotomic import CycNum
 from .matrices import Matrix, diagonal, hermitian_fill, map_entries, mat_mul, transpose
 from .recoupling import p_admissible, quantum_dim_at, tet_at, theta_at
-from .torus import (RefutationError, TQFTParams, associate_certificate, coords_z, expect_exponent,
+from .torus import (RefutationError, TQFTParams, associate_certificate, coords_z,
                     factored_determinant, fold_raw, fold_transparent, omega, omega_pairing)
 
 Coloring2 = tuple[int, int, int]
@@ -561,9 +561,7 @@ def _certified_report(
     det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, units,
                                params.ctx.dot if genus == 2 else None)
     expected = rank_term + base_change_valuation
-    cert = expect_exponent(
-        associate_certificate(params, det, f"genus-{genus} gram determinant", basis), expected
-    )
+    cert = associate_certificate(params, det, f"genus-{genus} gram determinant", basis, expected)
     return {
         "p": params.p,
         "genus": genus,

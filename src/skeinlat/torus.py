@@ -380,35 +380,29 @@ def v_gram_closed(params: TQFTParams) -> Matrix:
 
 
 def associate_certificate(
-    params: TQFTParams, value: CycNum, claim: str, basis: str | None = None
+    params: TQFTParams, value: CycNum, claim: str, basis: str | None, expect: int
 ) -> dict:
-    """Factor value as cofactor * (1-q)^exponent and test the cofactor.
-
-    ok means the cofactor is a unit, i.e. (1-q) is the only non-unit content
-    of value; unit means value itself is a unit.  Denominators must be
-    p-powers (each contributes -(p-1) to the exponent); anything else lands
-    in the cofactor and fails the unit test honestly.
-    """
-    ctx = params.ctx
+    """The claim that value is a unit times (1-q)^expect, refuted unless the
+    cofactor of value.valuation_one_minus_q() is a unit and its exponent is
+    expect.  unit means value itself is a unit.  A denominator prime to p
+    stays on the cofactor and fails the unit test honestly."""
     if value.is_zero():
         raise DegeneracyError(f"{claim}: value is zero")
-    den = value.den
-    drop = 0
-    while den % ctx.p == 0:
-        den //= ctx.p
-        drop += ctx.p - 1
-    val, _ = (value * value.den).valuation_one_minus_q()
-    exponent = val - drop
-    w = ctx.inv(ctx.one_minus_q) if exponent >= 0 else ctx.one_minus_q
-    cof = value * w ** abs(exponent)
-    ok = cof.is_unit()
+    exponent, cofactor = value.valuation_one_minus_q()
+    ok = cofactor.is_unit()
+    if not ok or exponent != expect:
+        raise RefutationError(
+            f"{claim} fails at p = {params.p} ({basis} basis): "
+            f"the value is not associate to (1-q)^({expect}), exponent "
+            f"{exponent}, unit cofactor {ok}"
+        )
     return {
         "claim": claim,
         "p": params.p,
         "basis": basis,
         "det": value,
         "associate_exponent": exponent,
-        "unit": ok and exponent == 0,
+        "unit": exponent == 0,
         "ok": ok,
     }
 
@@ -416,18 +410,6 @@ def associate_certificate(
 def _det(params: TQFTParams, mat: Matrix) -> CycNum:
     ctx = params.ctx
     return determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
-
-
-def expect_exponent(cert: dict, expect: int) -> dict:
-    """Pass an associate certificate through if its cofactor is a unit and
-    its exponent is expect; otherwise the claim is refuted."""
-    if not cert["ok"] or cert["associate_exponent"] != expect:
-        raise RefutationError(
-            f"{cert['claim']} fails at p = {cert['p']} ({cert['basis']} basis): "
-            f"the value is not associate to (1-q)^({expect}), exponent "
-            f"{cert['associate_exponent']}, unit cofactor {cert['ok']}"
-        )
-    return cert
 
 
 def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivots: list[CycNum],
@@ -486,7 +468,7 @@ def det_w_certificate(params: TQFTParams) -> dict:
     if det != det_w_product(params):
         raise RefutationError("det W disagrees with the omega-Vandermonde product")
     claim = f"det W associate to (1-q)^({expect})"
-    return expect_exponent(associate_certificate(params, det, claim, "omega"), expect)
+    return associate_certificate(params, det, claim, "omega", expect)
 
 
 def vandermonde_certificate(params: TQFTParams) -> dict:
@@ -498,7 +480,7 @@ def vandermonde_certificate(params: TQFTParams) -> dict:
         raise RefutationError("vandermonde determinant disagrees with the product")
     expect = d * (d - 1) // 2
     claim = f"vandermonde determinant associate to (1-q)^{expect}"
-    return expect_exponent(associate_certificate(params, det, claim, "omega"), expect)
+    return associate_certificate(params, det, claim, "omega", expect)
 
 
 def v_in_omega_span(params: TQFTParams) -> Matrix:

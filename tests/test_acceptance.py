@@ -122,11 +122,10 @@ def test_criterion_03_genus1_determinants() -> None:
         for name, builder in (("e", basis_e), ("omega", basis_omega), ("v", basis_v)):
             det = genus1_determinant(params, name)
             assert det == torus._det(params, gram(params, builder(params))), (p, name)
-            cert = associate_certificate(params, det, "gram determinant", name)
-            if name == "e":
-                assert cert["ok"] and cert["associate_exponent"] == d * (d - 1)
-            else:
-                assert cert["unit"], (p, name)
+            expect = d * (d - 1) if name == "e" else 0
+            cert = associate_certificate(params, det, "gram determinant", name, expect)
+            assert cert["ok"] and cert["associate_exponent"] == expect
+            assert cert["unit"] == (expect == 0), (p, name)
         det_w_certificate(params)  # raises unless exponent is -d(d-1)/2
     assert time.monotonic() - start < 60
 

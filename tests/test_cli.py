@@ -676,6 +676,11 @@ VERB_PINS = {
         "a45446d40a74ef26914fa9e2cb49fd77160d34f1a2abaec07591ffd240563641",
     "genus1 --p 31 --basis v":
         "41048394ee7821904741bdd6e61dff60829e8a06f54fc81e7e8347f688bd7e54",
+    # exponents 910 and 812: the (1-q)-adic valuation reads them off the p-content
+    "genus2 --p 13 --basis G":
+        "23ebdc903f0d1dd6adbc102784372035d2548fbc29fd756c569af92fa48df8e5",
+    "genus1 --p 59 --basis e":
+        "a762a5ff9321b01d5910055aebff135560ca4decff7cbe92ace1915ecec50b57",
 }
 
 

@@ -83,6 +83,68 @@ def test_one_plus_A_associate_one_minus_q(p):
     assert ctx.from_int(p).valuation_one_minus_q()[0] != 1
 
 
+def valuation_by_division(x):
+    """Oracle for valuation_one_minus_q: one division by 1-q per unit of the
+    exponent, a factor p of the denominator counting -(p-1); the cofactor is
+    x / (1-q)^k exactly."""
+    ctx = x.ctx
+    den, k = x.den, 0
+    while den % ctx.p == 0:
+        den //= ctx.p
+        k -= ctx.p - 1
+    w_inv = ctx.inv(ctx.one_minus_q)
+    cur = x * x.den
+    while (cur * w_inv).den == 1:
+        cur, k = cur * w_inv, k + 1
+    return k, x * (w_inv**k if k >= 0 else ctx.one_minus_q**-k)
+
+
+def random_unit(ctx, rng):
+    # A^j times cyclotomic units 1 + q + ... + q^(a-1) = (1-q^a)/(1-q), p not dividing a
+    u = ctx.A_pow(rng.randrange(2 * ctx.p))
+    for _ in range(rng.randrange(3)):
+        u = u * sum((ctx.q_pow(i) for i in range(rng.randrange(2, ctx.p))), ctx.zero)
+    return u
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_valuation_matches_one_step_division_seeded(p):
+    # (1-q)^k x / p^a for x a random integral element or a unit
+    ctx = CycContext(p)
+    rng = random.Random(2700 + p)
+    for case in range(16):
+        if case % 2:
+            x = random_unit(ctx, rng)
+        else:
+            x = CycNum(ctx, tuple(rng.randrange(-9, 10) for _ in range(ctx.phi))) or ctx.one
+        k, a = rng.randrange(3 * (p - 1) + 1), rng.randrange(3)
+        value = ctx.one_minus_q**k * x / p**a
+        got_k, got_cof = value.valuation_one_minus_q()
+        want_k, want_cof = valuation_by_division(value)
+        assert got_k == want_k
+        assert got_cof.is_unit() == want_cof.is_unit()
+        if case % 2:
+            assert got_k == k - a * (p - 1) and got_cof.is_unit()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_valuation_reads_p_content_and_keeps_other_denominators(p):
+    ctx = CycContext(p)
+    w, unit = ctx.one_minus_q, ctx.one + ctx.q
+    cases = [
+        (p**3 * w**2 * unit, 3 * (p - 1) + 2, True),
+        (w**2 * unit / 2, 2, False),
+        (w**3 / (2 * p), 3 - (p - 1), False),
+    ]
+    for value, k, is_unit in cases:
+        got_k, got_cof = value.valuation_one_minus_q()
+        assert (got_k, got_cof.is_unit()) == (k, is_unit)
+        want_k, want_cof = valuation_by_division(value)
+        assert (want_k, want_cof.is_unit()) == (k, is_unit)
+    with pytest.raises(ValueError, match="zero"):
+        ctx.zero.valuation_one_minus_q()
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_units(p):
     ctx = CycContext(p)

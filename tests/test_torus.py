@@ -78,7 +78,7 @@ def test_params_d_and_ring(p):
 def test_d_valuation(p):
     # D is associate to (1-q)^(d-1)
     params = TQFTParams.for_prime(p)
-    cert = associate_certificate(params, params.D, "D")
+    cert = associate_certificate(params, params.D, "D", None, params.d - 1)
     assert cert["ok"] and cert["associate_exponent"] == params.d - 1
 
 
@@ -86,7 +86,7 @@ def test_d_valuation(p):
 def test_eta_inverts_d(p):
     params = TQFTParams.for_prime(p)
     assert params.D * params.eta == 1
-    cert = associate_certificate(params, params.eta, "eta")
+    cert = associate_certificate(params, params.eta, "eta", None, -(params.d - 1))
     assert cert["ok"] and cert["associate_exponent"] == -(params.d - 1)
 
 
@@ -318,11 +318,11 @@ def test_hopf_is_symmetric_and_real():
 # Gram matrices and certificates
 
 
-def genus1_cert(params, basis, gram_mat):
+def genus1_cert(params, basis, gram_mat, expect):
     # the claim-path determinant, which must equal the elimination oracle's
     det = genus1_determinant(params, basis)
     assert det == torus._det(params, gram_mat)
-    return associate_certificate(params, det, "gram determinant", basis)
+    return associate_certificate(params, det, "gram determinant", basis, expect)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -330,8 +330,8 @@ def test_e_gram(p):
     params = TQFTParams.for_prime(p)
     ge = gram(params, basis_e(params))
     assert mat_eq(ge, e_gram_closed(params))
-    cert = genus1_cert(params, "e", ge)
     d = params.d
+    cert = genus1_cert(params, "e", ge, d * (d - 1))
     assert cert["ok"]
     assert cert["associate_exponent"] == d * (d - 1)
     assert cert["unit"] == (d == 1)
@@ -340,7 +340,7 @@ def test_e_gram(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_omega_gram_unimodular(p):
     params = TQFTParams.for_prime(p)
-    cert = genus1_cert(params, "omega", gram(params, basis_omega(params)))
+    cert = genus1_cert(params, "omega", gram(params, basis_omega(params)), 0)
     assert cert["ok"] and cert["unit"]
     assert cert["associate_exponent"] == 0
 
@@ -352,7 +352,7 @@ def test_v_gram_unimodular_and_integral(p):
     assert mat_eq(gv, v_gram_closed(params))
     # integral entries even where i+j >= d, where p | c_{i+j}
     assert all(x.is_integral() for row in gv for x in row)
-    cert = genus1_cert(params, "v", gv)
+    cert = genus1_cert(params, "v", gv, 0)
     assert cert["ok"] and cert["unit"]
 
 
@@ -406,23 +406,41 @@ def test_v_in_e_determinant_valuation(p):
     vm = v_matrix(params)
     for j in range(params.d):
         det = det * vm[j][j]
-    cert = associate_certificate(params, det, "v over e")
+    expect = -(params.d * (params.d - 1) // 2)
+    cert = associate_certificate(params, det, "v over e", None, expect)
     assert cert["ok"]
-    assert cert["associate_exponent"] == -(params.d * (params.d - 1) // 2)
+    assert cert["associate_exponent"] == expect
 
 
 def test_gram_of_dependent_vectors_degenerates():
     params = TQFTParams.for_prime(5)
     e0 = basis_e(params)[0]
     with pytest.raises(DegeneracyError):
-        associate_certificate(params, torus._det(params, gram(params, [e0, scale(e0, 2)])), "bogus")
+        associate_certificate(params, torus._det(params, gram(params, [e0, scale(e0, 2)])), "bogus",
+                              None, 0)
 
 
 def test_associate_certificate_rejects_stray_prime():
     params = TQFTParams.for_prime(5)
-    cert = associate_certificate(params, params.ctx.from_int(2), "two")
-    assert not cert["ok"] and not cert["unit"]
-    assert cert["associate_exponent"] == 0
+    with pytest.raises(RefutationError, match=r"exponent 0, unit cofactor False"):
+        associate_certificate(params, params.ctx.from_int(2), "two", None, 0)
+
+
+@pytest.mark.parametrize(
+    "value,expect,error,match",
+    [
+        # D is associate to (1-q)^2 at p = 7
+        (lambda ctx, D: D, 3, RefutationError, r"\(1-q\)\^\(3\), exponent 2, unit cofactor True"),
+        (lambda ctx, D: 2 * ctx.one_minus_q**3, 3, RefutationError, "exponent 3, unit cofactor False"),
+        (lambda ctx, D: ctx.one / 2, 0, RefutationError, "exponent 0, unit cofactor False"),
+        (lambda ctx, D: ctx.zero, 0, DegeneracyError, "value is zero"),
+    ],
+    ids=["wrong-expect", "stray-prime", "stray-denominator", "zero"],
+)
+def test_associate_certificate_refutes(value, expect, error, match):
+    params = TQFTParams.for_prime(7)
+    with pytest.raises(error, match=match):
+        associate_certificate(params, value(params.ctx, params.D), "claim", None, expect)
 
 
 # ---------------------------------------------------------------------------
