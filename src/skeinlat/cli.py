@@ -1,8 +1,7 @@
 """Command-line front end over the certificate machinery.
 
 Each verb computes one family of exact certificates and prints them as JSON
-(the only float anywhere is the explicitly labeled trigonometric rank
-cross-check) or as a terse pass/fail table.  verify-all chains every family
+or as a terse pass/fail table.  verify-all chains every family
 at the given primes and exits nonzero if any claim is refuted; its
 output is deterministic byte for byte, so two runs with one config can be
 compared with cmp.  The SKEINLAT_OUT environment variable, when set, names
@@ -19,11 +18,11 @@ import sys
 
 from .annulus import twist_matrix_v, twist_sq_matrix_vtilde
 from .bracket import COLORINGS, LinkDiagram, divisibility_certificate, load_corpus
-from .cyclotomic import _is_odd_prime
+from .cyclotomic import CycContext, _is_odd_prime
 from .lattice import OLattice, lattice_equal, saturate
 from .matrices import mat_eq
 from .planar import genus3_p5_report, gram_genus2, non_unimodular_witness
-from .recoupling import count_spine_colorings, verlinde_float
+from .recoupling import count_spine_colorings, verlinde_rank
 from .torus import (
     TQFTParams,
     associate_certificate,
@@ -61,11 +60,10 @@ MAX_P_HEAVY = 13
 # genus1 --p 59 takes at most 3.4 s for any basis and --emit; at --p 61 and
 # 67 --basis v takes 7.4-9.7 s, over stabilize --p 13, most of it in is_unit.
 MAX_P_GENUS1 = 59
-# rank --p 211 --genus 12 takes about 8 s; --p 401 --genus 3 about 10 s.
-# The count grows with the genus (count_spine_colorings at p = 211: 5.0 /
-# 7.7 / 12.1 s at genus 12 / 16 / 24), so the genus stops where its cost was
-# measured.  The float cross-check is not the limit: it holds at (genus, p)
-# = (16, 211) and (20, 5) and first overflows at (80, 401).
+# rank --p 211 --genus 12 takes 5.2-6.0 s, 4.9 s of it the count and 0.4 s
+# the Verlinde trace.  The count grows with the genus (count_spine_colorings
+# at p = 211: 5.0 / 7.7 / 12.1 s at genus 12 / 16 / 24), so the genus stops
+# where its cost was measured.
 MAX_P_RANK = 211
 MAX_GENUS_RANK = 12
 
@@ -219,17 +217,11 @@ def lattice_certs(params: TQFTParams) -> list[dict]:
     return certs
 
 
-def rank_ok(n: int, vf: float) -> bool:
-    """The exact rank n agrees with the float estimate vf: within 1e-6, or
-    within 1e-12 relative once n passes 1e6, where doubles run out of digits."""
-    return abs(vf - n) <= max(1e-6, 1e-12 * n)
-
-
-def rank_cert(p: int, genus: int) -> dict:
-    n = count_spine_colorings(genus, p)
-    vf = verlinde_float(genus, p)
-    return {"claim": f"genus-{genus} rank matches the trigonometric estimate",
-            "p": p, "genus": genus, "rank": n, "verlinde_float": vf, "ok": rank_ok(n, vf)}
+def rank_cert(ctx: CycContext, genus: int) -> dict:
+    n = count_spine_colorings(genus, ctx.p)
+    v = verlinde_rank(ctx, genus)
+    return {"claim": f"genus-{genus} rank equals the Verlinde trace",
+            "p": ctx.p, "genus": genus, "rank": n, "verlinde": v, "ok": n == v}
 
 
 def genus2_cert(p: int, basis: str) -> dict:
@@ -295,7 +287,8 @@ def bundle(p_list, corpus: str | None = None, cap_crossings: int = 16) -> list[d
         params = TQFTParams.for_prime(p)
         certs.extend(genus1_certs(params))
         certs.extend(lattice_certs(params))
-        certs.extend(rank_cert(p, g) for g in (1, 2, 3))
+        certs.extend(_guarded(f"genus-{g} rank", p, lambda g=g: rank_cert(params.ctx, g))
+                     for g in (1, 2, 3))
         certs.extend(genus2_certs(p))
     if 5 in p_list:
         certs.extend(genus3_certs())
@@ -335,7 +328,7 @@ def cmd_rank(args) -> tuple[int, object]:
     checked_primes((args.p,), MAX_P_RANK, "rank")
     if not 1 <= args.genus <= MAX_GENUS_RANK:
         raise ValueError(f"the rank budget is 1 <= genus <= {MAX_GENUS_RANK}, got {args.genus}")
-    return _verb(rank_cert(args.p, args.genus), "claim")
+    return _verb(rank_cert(CycContext(args.p), args.genus), "claim")
 
 
 def cmd_bracket(args) -> tuple[int, object]:
@@ -412,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     emit_flag(g3)
     g3.set_defaults(func=cmd_genus3p5)
 
-    rk = sub.add_parser("rank", help="exact rank with float cross-check")
+    rk = sub.add_parser("rank", help="exact rank checked against the Verlinde trace")
     rk.add_argument("--p", type=int, required=True)
     rk.add_argument("--genus", type=int, required=True)
     emit_flag(rk)

@@ -453,10 +453,19 @@ class CycNum:
         """Field norm down to Q, exact."""
         if self.is_zero():
             return Fraction(0)
-        z = self * self._conjugate_product()
-        if any(z.vec[1:]):
-            raise ArithmeticError("norm computation did not land in Q")
-        return Fraction(z.vec[0], z.den)
+        return (self * self._conjugate_product())._rational("norm computation")
+
+    def trace(self) -> Fraction:
+        """Field trace down to Q, exact: the sum of the Galois conjugates."""
+        ctx = self.ctx
+        z = sum((self.galois(k) for k in range(1, ctx.n) if math.gcd(k, ctx.n) == 1), ctx.zero)
+        return z._rational("trace")
+
+    def _rational(self, what: str) -> Fraction:
+        """self as a rational number; raises, naming the computation what, unless in Q."""
+        if any(self.vec[1:]):
+            raise ArithmeticError(f"{what} did not land in Q")
+        return Fraction(self.vec[0], self.den)
 
     def norm_resultant(self) -> Fraction:
         """Oracle for norm: the same norm by the subresultant PRS."""
@@ -469,10 +478,7 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         u = self._conjugate_product()
-        z = self * u
-        if any(z.vec[1:]):
-            raise ArithmeticError("conjugate product did not land in Q")
-        r = Fraction(z.vec[0], z.den)
+        r = (self * u)._rational("conjugate product")
         out = CycNum(
             self.ctx,
             tuple(v * r.denominator for v in u.vec),

@@ -197,6 +197,7 @@ class IntLaurent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntLaurent":
+        """Oracle for to_json: a printed value read back, for tests to check."""
         return cls({int(e): int(v) for e, v in obj["coeffs"].items()})
 
     def __repr__(self) -> str:

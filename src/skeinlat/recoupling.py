@@ -11,8 +11,8 @@ colors.  theta_at, tet_at and quantum_dim_at keep each value at the root in
 the ring context's memo, so it is specialized once per ring.
 
 Also here: admissibility tests, rank counts for handlebody spines (a
-caterpillar graph family), and the trigonometric dimension formula used as
-a floating-point cross-check.
+caterpillar graph family), and the Verlinde dimension formula as an exact
+field trace, the counts' second route.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import CycContext, CycNum
-from .laurent import IntLaurent, poly_gcd
+from .laurent import IntLaurent, RefutationError, poly_gcd
 
 
 @lru_cache(maxsize=None)
@@ -261,12 +261,17 @@ def count_spine_colorings(genus: int, p: int) -> int:
     return sum(left[m] * right[m] for m in evens)
 
 
-def verlinde_float(genus: int, p: int) -> float:
-    """Trigonometric dimension formula, used as an independent float check."""
-    total = 0.0
-    for j in range(1, (p + 1) // 2):
-        total += math.sin(2 * math.pi * j / p) ** (2 - 2 * genus)
-    return (p / 4.0) ** (genus - 1) * total
+def verlinde_rank(ctx: CycContext, genus: int) -> int:
+    """The Verlinde rank (p/4)^(g-1) sum_{0<j<p/2} sin(2 pi j/p)^(2-2g) (Blanchet,
+    Habegger, Masbaum & Vogel, Topology 34, 1995) as one exact trace: the
+    conjugates of y = prod_{k=2}^{p-2} (1 - q^k) = p / |1-q|^2 over Q(zeta_p) are
+    p / (4 sin^2(2 pi j/p)), each j twice (Washington, GTM 83, ch. 2), so the rank
+    is Tr(y^(g-1)) (p-1) / (2 phi(n)), refuted unless it is an integer."""
+    y = math.prod((ctx.one - ctx.q_pow(k) for k in range(2, ctx.p - 1)), start=ctx.one)
+    rank = (y ** (genus - 1)).trace() * (ctx.p - 1) / (2 * ctx.phi)
+    if rank.denominator != 1:
+        raise RefutationError(f"genus-{genus} Verlinde trace at p = {ctx.p} is {rank}")
+    return rank.numerator
 
 
 _RANK_NUM_G3 = (0, 3, 32, 120, 200, 192, 128)

@@ -1,8 +1,7 @@
 """Acceptance gate: one test per published claim family.
 
 Each test states its claim, runs it at the stated sizes, and enforces the
-stated wall-clock budget where one exists.  Everything is exact arithmetic
-except the single labeled float cross-check in the rank criterion.
+stated wall-clock budget where one exists.  Everything is exact arithmetic.
 """
 
 import time
@@ -50,7 +49,7 @@ from skeinlat.recoupling import (
     count_spine_colorings,
     rank_polynomial_genus3,
     rank_polynomial_genus5,
-    verlinde_float,
+    verlinde_rank,
 )
 from skeinlat.torus import (
     TQFTParams,
@@ -199,11 +198,11 @@ def test_criterion_08_rank_checks() -> None:
         assert rank_polynomial_genus3(k) == count_spine_colorings(3, n)
         assert rank_polynomial_genus5(k) == count_spine_colorings(5, n)
     assert rank_polynomial_genus3(3) == 3549  # enumerated independently above
-    for genus in range(1, 5):
-        for p in PRIMES:
-            exact = count_spine_colorings(genus, p)
-            estimate = verlinde_float(genus, p)
-            assert abs(estimate - exact) <= 1e-6, (genus, p)
+    # the Verlinde formula as an exact trace, for every odd p < 32 and genus <= 12
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        ctx = CycContext(p)
+        for genus in range(1, 13):
+            assert verlinde_rank(ctx, genus) == count_spine_colorings(genus, p), (genus, p)
 
 
 def test_criterion_09_divisibility_corpus() -> None:

@@ -15,7 +15,9 @@ import skeinlat
 from skeinlat import annulus, bracket, cli, planar, torus
 from skeinlat.bracket import load_corpus
 from skeinlat.cli import MAX_P_HEAVY, checked_primes, main
-from skeinlat.recoupling import count_spine_colorings, verlinde_float
+from skeinlat.cyclotomic import CycContext
+from skeinlat.laurent import RefutationError
+from skeinlat.recoupling import count_spine_colorings
 from skeinlat.torus import TQFTParams
 
 
@@ -162,28 +164,42 @@ def test_rank_verb(capsys) -> None:
     code, out, _ = run(capsys, "rank", "--p", "5", "--genus", "3")
     payload = json.loads(out)
     assert code == 0
-    assert payload["rank"] == 15
-    assert abs(payload["verlinde_float"] - 15) < 1e-6
+    assert payload["rank"] == payload["verlinde"] == 15
 
 
 @pytest.mark.parametrize("p, genus", [(101, 3), (13, 10)])
-def test_rank_float_check_scales_with_the_rank(capsys, p, genus) -> None:
-    # ranks 737889335 and 6.1e15: the float is off by 1.4e-5 and by 39
+def test_rank_verb_is_exact_at_large_ranks(capsys, p, genus) -> None:
+    # ranks 737889335 and 6102008399982820, compared as integers
     code, out, _ = run(capsys, "rank", "--p", str(p), "--genus", str(genus))
-    assert code == 0 and json.loads(out)["ok"] is True
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == payload["verlinde"]
 
 
-def test_rank_ok_rejects_off_by_one_below_a_million() -> None:
-    for n in (15, 999_999):
-        assert cli.rank_ok(n, float(n))
-        assert not cli.rank_ok(n, float(n + 1))
-        assert not cli.rank_ok(n, float(n - 1))
+def test_rank_entry_fails_when_the_trace_is_off_by_one(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(cli, "verlinde_rank", lambda ctx, g: count_spine_colorings(g, ctx.p) + 1)
+    code, out, _ = run(capsys, "rank", "--p", "13", "--genus", "3")
+    assert code == 1 and json.loads(out)["ok"] is False
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
-def test_spine_counts_match_the_float_estimate_up_to_genus_12(p) -> None:
+def test_a_refuted_trace_fails_its_verify_all_entries(capsys, monkeypatch) -> None:
+    def refuted(ctx, genus):
+        raise RefutationError(f"genus-{genus} Verlinde trace at p = {ctx.p} is 1/2")
+
+    monkeypatch.setattr(cli, "verlinde_rank", refuted)
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [(c["claim"], c["error"]) for c in failing] == [
+        (f"genus-{g} rank", f"genus-{g} Verlinde trace at p = 5 is 1/2") for g in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_rank_entries_hold_up_to_genus_12(p) -> None:
+    ctx = CycContext(p)
     for g in range(1, cli.MAX_GENUS_RANK + 1):
-        assert cli.rank_ok(count_spine_colorings(g, p), verlinde_float(g, p)), g
+        cert = cli.rank_cert(ctx, g)
+        assert cert["verlinde"] == cert["rank"] and cert["ok"], g
 
 
 def test_genus3p5_reports_witness(capsys) -> None:
@@ -625,9 +641,9 @@ def test_verify_all_output_pinned(capsys) -> None:
     # every byte of it unchanged
     code, out, _ = run(capsys, "verify-all", "--p", "5,7")
     assert code == 0
-    assert len(out.encode()) == 26284
+    assert len(out.encode()) == 26127
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "391ad20238355f170037d4e282f441125f1b9a26357948e77cd55c00c7d5f67c"
+        "1913907f6b70fb53262c5c8db01a8cacf606aff86bf7a82cb3df01dd80a7ace2"
     )
 
 
@@ -635,9 +651,9 @@ def test_verify_all_output_pinned_through_p11(capsys) -> None:
     # the same pin with p = 11, whose genus-2 Grams take the integral Av route
     code, out, _ = run(capsys, "verify-all", "--p", "5,7,11")
     assert code == 0
-    assert len(out.encode()) == 34254
+    assert len(out.encode()) == 34021
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "790b5cd53d483e3e3e8affd174b21b5bf95dc250a24200fabae988fdcdbd12e2"
+        "c5536fb60b526238db0f460821429acbe950f052211feb78777f7ee67684ba9f"
     )
 
 
@@ -656,9 +672,9 @@ VERB_PINS = {
     "genus3p5 --color omega --emit table":
         "412219e7eec3760418f1daa3912f28fb64720db1e76ff60a8b2d523a0710f525",
     "rank --p 13 --genus 3":
-        "7bff71118c02b55b45f1193280dae424f2d567159422efd215510d4107e91928",
+        "8c26e1046f963270746b15d94094e79b9e863e887281bc9f6c71586d9b728e2d",
     "rank --p 13 --genus 3 --emit table":
-        "950440993cb25d2323ec176f2c2cf003d75d74f7eead26f3842de6ab67dfafc4",
+        "4e6436f06b0287c6c32aebf8000767a047a828396c23a4af5c560982b3cec352",
     "stabilize --p 5":
         "ac873933c9b81c68fa28d742aa8f9725cb5964b3e44967b8e9f8cd229128aea9",
     "stabilize --p 11":
@@ -698,18 +714,29 @@ def test_verb_output_pinned(capsys, argv) -> None:
 
 
 def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:
-    built = []
-    init = TQFTParams.__init__
+    # one ring per prime: verify-all builds each TQFTParams and its ring once,
+    # and the rank verb needs the ring alone
+    built = {TQFTParams: [], CycContext: []}
 
-    def counting_init(self, p):
-        built.append(p)
-        init(self, p)
+    def counting(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(TQFTParams, "__init__", counting_init)
+        def counting_init(self, p):
+            built[cls].append(p)
+            init(self, p)
+        return counting_init
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
     TQFTParams.for_prime.cache_clear()
     code, _, _ = run(capsys, "verify-all", "--p", "5,7")
     assert code == 0
-    assert sorted(built) == [5, 7]
+    assert sorted(built[TQFTParams]) == sorted(built[CycContext]) == [5, 7]
+    for got in built.values():
+        got.clear()
+    code, _, _ = run(capsys, "rank", "--p", "13", "--genus", "3")
+    assert code == 0
+    assert built == {TQFTParams: [], CycContext: [13]}
 
 
 @pytest.mark.parametrize(
@@ -767,6 +794,23 @@ def test_no_assert_in_the_library() -> None:
     assert found == []
 
 
+MATH_FLOATS = {"sin", "cos", "pi", "sqrt", "exp", "log"}
+
+
+def test_no_float_in_the_library() -> None:
+    # every claim is computed in Z[zeta_n]: no float literal, float() call or
+    # floating-point math function anywhere in the library
+    found = []
+    for name, text in sources(PKG):
+        for n in ast.walk(ast.parse(text, name)):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, float)
+                    or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "float"
+                    or isinstance(n, ast.Attribute) and n.attr in MATH_FLOATS
+                    and getattr(n.value, "id", None) == "math"):
+                found.append(f"{name}:{n.lineno}")
+    assert found == []
+
+
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, *COMPREHENSIONS)
 
@@ -800,16 +844,26 @@ def bare_uses(trees) -> dict[str, set]:
     """Every use of a name in the (where, tree) pairs, as name -> {(*where,
     line)}: a bare name, an attribute or an imported name.  A bare name that
     a parameter, local variable or nested def of an enclosing scope shadows
-    is not a use."""
+    is not a use.  An attribute read off a class of the trees, or off self or
+    cls inside one, is a use of "Class.attr"; one read off any other receiver
+    is pooled under its bare name."""
+    trees = list(trees)
+    classes = {n.name for _, tree in trees
+               for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
     uses: dict[str, set] = {}
 
-    def visit(node, shadowed, where):
+    def visit(node, shadowed, where, owner=None):
         if isinstance(node, SCOPES):
             shadowed = shadowed | own_names(node)
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name):
             words = [] if node.id in shadowed else [node.id]
         elif isinstance(node, ast.Attribute):
-            words = [node.attr]
+            receiver = getattr(node.value, "id", None)
+            if receiver in ("self", "cls"):
+                receiver = owner
+            words = [f"{receiver}.{node.attr}" if receiver in classes else node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             words = [a.name.split(".")[-1] for a in node.names]
         else:
@@ -817,7 +871,7 @@ def bare_uses(trees) -> dict[str, set]:
         for word in words:
             uses.setdefault(word, set()).add((*where, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, shadowed, where)
+            visit(child, shadowed, where, owner)
 
     for where, tree in trees:
         visit(tree, frozenset(), where)
@@ -843,6 +897,32 @@ def test_name_guard_shadowing_stays_in_its_scope() -> None:
     assert uses["other"] == {("m", 5)}
 
 
+def test_name_guard_resolves_methods_to_their_class() -> None:
+    # Cls.m and, inside class Cls, self.m and cls.m are uses of Cls.m alone;
+    # m read off any other receiver is pooled under the bare name
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.k(), C.j, other.m\n"
+        "def f(x, cls):\n"
+        "    return x.m(), C.m, cls.k\n"
+    )
+    uses = bare_uses([(("m",), tree)])
+    assert uses["C.k"] == uses["C.j"] == {("m", 3)}
+    assert uses["C.m"] == {("m", 5)}
+    assert uses["m"] == {("m", 3), ("m", 5)}
+    assert uses["k"] == {("m", 5)}
+
+
+@lru_cache(maxsize=None)
+def library_uses() -> dict[str, set]:
+    """bare_uses over the library and the demos."""
+    return bare_uses(
+        ((folder, name), ast.parse(text, name))
+        for folder in (PKG, DEMOS) for name, text in sources(folder)
+    )
+
+
 def test_every_library_name_is_used_or_labeled() -> None:
     # a name that no code of the library or the demos uses outside its own
     # def is reached only from tests, so its docstring must say why it stays:
@@ -850,25 +930,24 @@ def test_every_library_name_is_used_or_labeled() -> None:
     # promotes; words in docstrings, comments and strings are not uses.
     # Conversely a name so labeled must have no such use: once the claim
     # path reaches it, the label is stale.
-    # Uses are pooled by bare name, not by class: a method counts as used
-    # when any method of that name is, so check same-named methods by hand.
+    # A method's uses through Cls, self or cls count for its class alone;
+    # uses through any other receiver are pooled by bare name, so a method
+    # counts as used when any method of that name is reached that way, and
+    # same-named methods are checked by hand (the reviewed set below).
     # Shadowed bare names are not uses (bare_uses)
-    uses = bare_uses(
-        ((folder, name), ast.parse(text, name))
-        for folder in (PKG, DEMOS) for name, text in sources(folder)
-    )
+    uses = library_uses()
     unlabeled, stale = [], []
     for name, text in sources(PKG):
         tree = ast.parse(text, name)
-        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defs = [(n, n.name) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         defs += [
-            m for c in tree.body if isinstance(c, ast.ClassDef)
+            (m, f"{c.name}.{m.name}") for c in tree.body if isinstance(c, ast.ClassDef)
             for m in c.body
             if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
         ]
-        for node in defs:
+        for node, key in defs:
             own = {(PKG, name, no) for no in range(node.lineno, node.end_lineno + 1)}
-            used = bool(uses.get(node.name, set()) - own)
+            used = bool((uses.get(key, set()) | uses.get(node.name, set())) - own)
             first = (ast.get_docstring(node) or "").split("\n")[0]
             labeled = first.startswith(("Oracle", "Certificate"))
             if used == labeled:
@@ -877,9 +956,10 @@ def test_every_library_name_is_used_or_labeled() -> None:
 
 
 def test_shared_method_names_are_the_reviewed_set() -> None:
-    # the name guard above pools uses by bare name, so one reached method
-    # counts as a use of every method of its name; a name new to this set
-    # must be checked by hand, method by method, before it is added here
+    # the name guard above pools the uses it cannot resolve to a class by
+    # bare name, so one method reached that way counts as a use of every
+    # method of its name; a name new to this set must be checked by hand,
+    # method by method, before it is added here
     owners: dict[str, set] = {}
     for name, text in sources(PKG):
         for c in ast.parse(text, name).body:
@@ -889,10 +969,11 @@ def test_shared_method_names_are_the_reviewed_set() -> None:
                         m.name.startswith("__") and m.name.endswith("__")
                     ):
                         owners.setdefault(m.name, set()).add(c.name)
-    shared = {m for m, classes in owners.items() if len(classes) > 1}
-    assert shared == {
-        "from_json", "is_zero", "mu", "state_sum", "to_json",
-    }
+    pooled = library_uses()
+    shared = {m for m, classes in owners.items() if len(classes) > 1 and m in pooled}
+    # trace, checked by hand: verlinde_rank reads CycNum.trace, and the
+    # theta_net and tet_net oracles read TLElement.trace
+    assert shared == {"is_zero", "mu", "state_sum", "to_json", "trace"}
 
 
 def test_every_library_import_is_used() -> None:

@@ -200,6 +200,43 @@ def test_norm_dual_route(p):
         assert x.norm() == x.norm_resultant()
 
 
+def mobius(m):
+    out, k = 1, 2
+    while k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if m > 1 else out
+
+
+def totient(m):
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_trace_matches_ramanujan_sums_seeded(p):
+    # Tr(zeta_n^k) = mu(m) phi(n) / phi(m) with m = n / gcd(k, n), a Ramanujan
+    # sum, so the trace is a linear form on the power basis
+    ctx = CycContext(p)
+    ms = [ctx.n // math.gcd(k, ctx.n) for k in range(ctx.phi)]
+    form = [Fraction(mobius(m) * ctx.phi, totient(m)) for m in ms]
+    assert form[0] == ctx.one.trace() == ctx.phi
+    rng = random.Random(3100 + p)
+    xs = [random_element(ctx, rng) for _ in range(8)]
+    assert any(x.den > 1 for x in xs)
+    for x in xs:
+        assert x.trace() == sum(c * t for c, t in zip(x.vec, form)) / x.den
+
+
+def test_trace_refuses_a_sum_outside_q(monkeypatch):
+    monkeypatch.setattr(CycNum, "galois", lambda self, k: self)
+    with pytest.raises(ArithmeticError, match="trace did not land in Q"):
+        CycContext(5).A.trace()
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_inverse(p):
     ctx = CycContext(p)

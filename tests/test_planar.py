@@ -30,7 +30,7 @@ from skeinlat.recoupling import (
     quantum_dim_at,
     rank_polynomial_genus3,
     rank_polynomial_genus5,
-    verlinde_float,
+    verlinde_rank,
 )
 from skeinlat.torus import TQFTParams
 
@@ -664,9 +664,14 @@ def test_rank_parity_oddness():
     assert count_spine_colorings(3, 13) % 2 == 1
 
 
-@pytest.mark.parametrize("genus,p", ((2, 5), (2, 13), (3, 5), (3, 13), (5, 5)))
-def test_verlinde_float_cross_check(genus, p):
-    assert abs(verlinde_float(genus, p) - count_spine_colorings(genus, p)) < 1e-6
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_verlinde_trace_cross_check(p):
+    # the trace against the count, and at p = 4k+1 against the closed forms
+    traces = [verlinde_rank(CycContext(p), g) for g in range(1, 13)]
+    assert traces == [count_spine_colorings(g, p) for g in range(1, 13)]
+    if p % 4 == 1:
+        assert traces[2] == rank_polynomial_genus3(p // 4)
+        assert traces[4] == rank_polynomial_genus5(p // 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from skeinlat.cyclotomic import CycContext
-from skeinlat.laurent import IntLaurent
+from skeinlat.cyclotomic import CycContext, CycNum
+from skeinlat.laurent import IntLaurent, RefutationError
 from skeinlat.recoupling import (
     QFrac,
     admissible,
@@ -18,7 +19,7 @@ from skeinlat.recoupling import (
     tet,
     theta,
     theta_at,
-    verlinde_float,
+    verlinde_rank,
 )
 
 
@@ -158,9 +159,22 @@ def test_spine_counts_frozen():
     assert count_spine_colorings(1, 7) == 3
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3, 4])
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("genus", range(1, 13))
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_counts_match_trig_formula(genus, p):
-    exact = count_spine_colorings(genus, p)
-    approx = verlinde_float(genus, p)
-    assert abs(exact - approx) < 1e-6
+    # the trigonometric Verlinde formula, evaluated exactly as a field trace
+    assert verlinde_rank(CycContext(p), genus) == count_spine_colorings(genus, p)
+
+
+def test_verlinde_trace_at_the_rank_budget():
+    # count_spine_colorings(12, 211), which takes about 5 s to enumerate
+    assert verlinde_rank(CycContext(211), 12) == (
+        138585259782657722229379654359704325031179817185539542336969
+    )
+
+
+def test_a_fractional_verlinde_trace_is_refuted(monkeypatch):
+    # a trace of 1 at p = 5 (phi(20) = 8) would make the rank 1 * 4 / 16
+    monkeypatch.setattr(CycNum, "trace", lambda self: Fraction(1))
+    with pytest.raises(RefutationError, match="genus-2 Verlinde trace at p = 5 is 1/4"):
+        verlinde_rank(CycContext(5), 2)
