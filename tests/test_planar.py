@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import pytest
@@ -662,6 +663,21 @@ def test_rank_parity_oddness():
     # p = 5 mod 8 gives odd genus-3 rank: the parity behind the witness
     assert rank_polynomial_genus3(1) % 2 == 1
     assert count_spine_colorings(3, 13) % 2 == 1
+
+
+def verlinde_sine(genus: int, p: int) -> float:
+    """The trigonometric Verlinde formula, a float oracle outside the library."""
+    total = sum(math.sin(2 * math.pi * j / p) ** (2 - 2 * genus)
+                for j in range(1, (p + 1) // 2))
+    return (p / 4) ** (genus - 1) * total
+
+
+@pytest.mark.parametrize("genus,p", ((2, 5), (2, 13), (3, 5), (3, 13), (5, 5)))
+def test_verlinde_float_cross_check(genus, p):
+    # the exact trace and the count agree with the sine formula in floats
+    count = count_spine_colorings(genus, p)
+    assert verlinde_rank(CycContext(p), genus) == count
+    assert abs(verlinde_sine(genus, p) - count) < 1e-6
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
