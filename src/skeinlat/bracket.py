@@ -12,8 +12,9 @@ met is 2i + k, so an end's partner is end ^ 1), and a matching is a byte
 string with one entry per end.  The coefficient adapter decides how a term,
 a state value times a weight A^(+-1) delta^closed, enters the state it
 reaches and how the final value is read out: a few shifts of one packed int
-over Z[A, A^-1], one ctx.dot per merged state at a root of unity.  Loop
-closures contribute delta = -A^2 - A^-2, and the empty diagram evaluates to 1.
+over Z[A, A^-1], or one ctx.dot per merged state at a root of unity in the
+oracle RootCoeffs.  Loop closures contribute delta = -A^2 - A^-2, and the
+empty diagram evaluates to 1.
 
 Divisibility certificates color every component z + c for each coloring in
 COLORINGS.  One pass over the 2^mu sublinks, grouped by how many components
@@ -69,7 +70,8 @@ class LaurentCoeffs:
 
 
 class RootCoeffs:
-    """Coefficient adapter for evaluation with A specialized to a root of unity.
+    """Oracle for kauffman_bracket: evaluation with A specialized to a root
+    of unity, the benchmark's root check of the Laurent bracket.
 
     A state's value is a CycNum, and the terms reaching a state are merged
     by one ctx.dot, which reduces their sum mod Phi_n."""

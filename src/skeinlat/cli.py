@@ -60,10 +60,10 @@ MAX_P_HEAVY = 13
 # genus1 --p 59 takes at most 3.4 s for any basis and --emit; at --p 61 and
 # 67 --basis v takes 7.4-9.7 s, over stabilize --p 13, most of it in is_unit.
 MAX_P_GENUS1 = 59
-# rank --p 211 --genus 12 takes 5.2-6.0 s, 4.9 s of it the count and 0.4 s
-# the Verlinde trace.  The count grows with the genus (count_spine_colorings
-# at p = 211: 5.0 / 7.7 / 12.1 s at genus 12 / 16 / 24), so the genus stops
-# where its cost was measured.
+# rank --p 211 --genus 12 takes 0.21-0.27 s in a fresh interpreter, 0.02 s
+# of it the count and 0.07 s the Verlinde trace.  At p = 211 the count takes
+# 0.02 / 0.04 / 0.05 s and the trace 0.07 / 0.07 / 0.09 s at genus 12 / 16 /
+# 24; the limits stay at the corner where the verb was measured.
 MAX_P_RANK = 211
 MAX_GENUS_RANK = 12
 

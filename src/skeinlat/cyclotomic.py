@@ -403,11 +403,11 @@ class CycNum:
             raise mixed_rings(self.ctx, other.ctx)
         phi = self.ctx.phi
         conv = [0] * (2 * phi - 1)
+        support = [(j, b) for j, b in enumerate(other.vec) if b]
         for i, a in enumerate(self.vec):
             if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        conv[i + j] += a * b
+                for j, b in support:
+                    conv[i + j] += a * b
         return CycNum(self.ctx, self.ctx._reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__

@@ -132,7 +132,7 @@ def mat_inverse(a: Matrix, one: Any, zero: Any, inv: Callable[[Any], Any]) -> Ma
 
 def ldl_decomposition(
     a: Matrix, one: Any, zero: Any, inv: Callable[[Any], Any],
-    conj: Callable[[Any], Any], dot: Callable[[list[tuple[Any, Any]]], Any] | None = None,
+    conj: Callable[[Any], Any], dot: Callable[[list[tuple[Any, Any]]], Any],
 ) -> tuple[Matrix, list[Any]]:
     """a = L diag(d) L*, L unit-lower-triangular, for Hermitian a.
 
@@ -142,20 +142,12 @@ def ldl_decomposition(
     Row i keeps L[i][k] d[k], the value it divides by d[k] (Golub & Van Loan,
     Matrix Computations, 4.1), and each finished row of L is conjugated
     once, so an update is one sum of products: a[i][j] minus dot over the
-    pairs (L[i][k] d[k], conj(L[j][k])).  dot defaults to summing the
-    products one by one; a caller whose L is integral may pass a fused
-    integral sum such as CycContext.dot, which then raises on a denominator
-    in L.  Pairs with a zero entry are left out (an entry never set stays
-    the zero object itself), so a sparse a (a diagonal one, say) costs only
-    the products its nonzero entries need.
+    pairs (L[i][k] d[k], conj(L[j][k])).  Every certificate factors integral
+    rows and passes a fused integral sum such as CycContext.dot, which then
+    raises on a denominator in L.  Pairs with a zero entry are left out (an
+    entry never set stays the zero object itself), so a sparse a (a diagonal
+    one, say) costs only the products its nonzero entries need.
     """
-    if dot is None:
-        def dot(pairs: list[tuple[Any, Any]]) -> Any:
-            acc = zero
-            for x, y in pairs:
-                acc = acc + x * y
-            return acc
-
     n = _square(a)
     lower = [[zero] * n for _ in range(n)]
     lower_conj: list[list[tuple[int, Any]]] = []  # (k, conj(L[j][k])), L[j][k] != 0

@@ -35,8 +35,10 @@ channels below d.  The expansion's fused loops are kept there too.  A
 v-colored arrangement is its (z+2)-colored one times the unit (1+A)^-n, n
 its curve count, so the v-colored Gram is factored on the (z+2) rows and
 takes the units back in its determinant.  At p = 5 the honest state sum
-over necklace diagrams arbitrates both.  Determinants are reported as
-associate certificates against powers of 1-q, never as bare booleans.
+over necklace diagrams arbitrates both.  Genus 3 factors integral rows too:
+its colored arrangements are units times unit-triangular integral rows over
+the plain ones.  Determinants are reported as associate certificates
+against powers of 1-q, never as bare booleans.
 """
 
 from __future__ import annotations
@@ -552,14 +554,13 @@ def _certified_report(
     and base_change_valuation is -2 curve_total for v- or omega-colored
     curves and 0 otherwise.  The report is the entry the genus2 and
     genus3p5 verbs print, its keys in their table order; unimodular says
-    whether the determinant is a unit outright.  A genus-2 gram is
-    unit-triangular over the graph basis, so it is factored over the
-    integers with ctx.dot; genus 3 sums its field products one by one."""
+    whether the determinant is a unit outright.  Every gram comes from
+    integral rows, unit-triangular over the graph basis, so a denominator in
+    its LDL factor refutes the report."""
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * genus * len(arrs)
     base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
-    det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, units,
-                               params.ctx.dot if genus == 2 else None)
+    det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, units)
     expected = rank_term + base_change_valuation
     cert = associate_certificate(params, det, f"genus-{genus} gram determinant", basis, expected)
     return {
@@ -612,16 +613,21 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     return _certified_report(params, 2, basis, "v", arrs, gram, pivots, units=units, lower=lower)
 
 
-def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: str) -> Matrix:
-    """Coordinates of colored arrangements over plain ones, for
-    multiplicity-free families closed under removing curves.
+def _subset_transform(
+    params: TQFTParams, arrs: list[CurveArrangement], color: str
+) -> tuple[Matrix, CycNum]:
+    """Integral rows R of colored arrangements over plain ones and the curve
+    unit kept, for multiplicity-free families closed under removing curves.
 
     A curve keeps or drops its core with the z-degree 1 and 0 weights of
     _curve_z_terms: a v-curve is ((curve) + 2) / (1+A); an omega-curve needs
     d = 2 and is the plus-normalized surgery cable (-i) eta (e_0 + <1> e_1).
     The -i matters: eta = 1/D carries one factor of i (only i D lies in the
     q-subring), so a bare omega cable pushes every odd-curve-count pairing
-    off that subring, while -i eta is an honest q-subring fraction."""
+    off that subring, while -i eta is an honest q-subring fraction.  A colored
+    arrangement of n curves is kept^n times its row, whose entry on a
+    sub-arrangement that drops k curves is (dropped/kept)^k: 2 for v and
+    1/<1> for omega, so R is unit lower triangular."""
     ctx = params.ctx
     for arr in arrs:
         if any(arr.multiplicity(s) > 1 for s in arr.curves):
@@ -632,15 +638,16 @@ def _subset_transform(params: TQFTParams, arrs: list[CurveArrangement], color: s
         raise ValueError("omega-colored curves stay single strands only at d = 2")
     terms = _curve_z_terms(params, color)
     unit = ctx.i_power(3) if color == "omega" else ctx.one
-    kept, dropped = terms[1] * unit, terms[0] * unit
+    kept = terms[1] * unit
+    ratio = terms[0] * ctx.inv(terms[1])
     index = {arr: n for n, arr in enumerate(arrs)}
     out = [[ctx.zero] * len(arrs) for _ in arrs]
     for i, arr in enumerate(arrs):
         n = arr.curve_count
         for r in range(n + 1):
             for sub in itertools.combinations(arr.curves, r):
-                out[i][index[CurveArrangement(arr.genus, sub)]] = kept ** r * dropped ** (n - r)
-    return out
+                out[i][index[CurveArrangement(arr.genus, sub)]] = ratio ** (n - r)
+    return out, kept
 
 
 def genus3_p5_report(color: str = "v") -> dict:
@@ -650,30 +657,29 @@ def genus3_p5_report(color: str = "v") -> dict:
     to v or omega curves and the twist by i (one factor per odd genus) land
     every entry in the real subring Z[zeta_5].  The determinant must be a
     nonunit of valuation exactly one: 45 from the graph norms minus 44 from
-    the 22 recolored curves on each side.  The plain Gram is L diag(N) L* over
-    the wheel norms N and the recolor T is lower triangular, so the twisted
-    Gram's LDL pivots must be i T_kk conj(T_kk) N_k.
+    the 22 recolored curves on each side.  The recolor is kept^n times the
+    integral rows R of _subset_transform and the plain Gram is L diag(N) L*
+    over the wheel norms N, so i R G R* must have the LDL pivots i N_k; the
+    units kept^n come back in the determinant.
     """
     if color not in ("v", "omega"):
         raise ValueError(f"recoloring needs v or omega, got {color!r}")
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
     arrs = arrangement_set_genus3()
-    gram_plain = gram_bracket(params, arrs, "z")
-    trans = _subset_transform(params, arrs, color)
-    gram_col = mat_mul(
-        mat_mul(trans, gram_plain, ctx.zero),
-        transpose(map_entries(lambda v: v.conj(), trans)),
+    rows, kept = _subset_transform(params, arrs, color)
+    tw = ctx.i_power(1)  # one factor of i per odd genus
+    gram = mat_mul(
+        mat_mul(rows, gram_bracket(params, arrs, "z"), ctx.zero),
+        transpose(map_entries(lambda v: v.conj(), rows)),
         ctx.zero,
     )
-    tw = ctx.i_power(1)  # one factor of i per odd genus
-    twisted = map_entries(lambda v: v * tw, gram_col)
-    plus_ok = all(v.in_plus_subring() for row in twisted for v in row)
-    pivots = [
-        tw * trans[k][k] * trans[k][k].conj() * graph_norm_genus3(params, *arr.lead_coloring())
-        for k, arr in enumerate(arrs)
-    ]
-    return _certified_report(params, 3, "A" + color, color, arrs, twisted, pivots, plus_ok)
+    gram = map_entries(lambda v: v * tw, gram)
+    units = [kept ** arr.curve_count for arr in arrs]
+    plus_ok = all((u * x * w.conj()).in_plus_subring()
+                  for u, row in zip(units, gram) for w, x in zip(units, row))
+    pivots = [tw * graph_norm_genus3(params, *arr.lead_coloring()) for arr in arrs]
+    return _certified_report(params, 3, "A" + color, color, arrs, gram, pivots, plus_ok, units)
 
 
 def non_unimodular_witness(report: dict) -> dict | None:

@@ -17,6 +17,7 @@ field trace, the counts' second route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -238,27 +239,26 @@ def count_spine_colorings(genus: int, p: int) -> int:
     All other edges are then forced even by parity.  The spine is cut at its
     middle arm: half[k][m] counts the colorings of a caterpillar of k+1 arms
     hanging off one edge colored m, and the two halves meet on that edge.
+    Colors 2a are listed by a: for m1 = 2a and m2 = 2b the admissible s = 2c
+    run over |a - b| <= c <= min(a + b, p - 2 - a - b), so w summed over
+    them is one difference of its prefix sums.
     """
     if genus < 1:
         raise ValueError("genus must be positive")
     if genus == 1:
         return (p - 1) // 2
-    evens = range(0, p - 1, 2)
-    w = {k: arm_weight(p, k) for k in evens}
+    w = [arm_weight(p, k) for k in range(0, p - 1, 2)]
+    prefix = list(itertools.accumulate(w, initial=0))
     half = [w]
     for _ in range((genus - 1) // 2):
         f = half[-1]
-        half.append({
-            m2: sum(
-                f[m1] * w[s]
-                for m1 in evens
-                for s in evens
-                if p_admissible(p, s, m1, m2)
-            )
-            for m2 in evens
-        })
+        half.append([
+            sum(f[a] * (prefix[min(a + b, p - 2 - a - b) + 1] - prefix[abs(a - b)])
+                for a in range(len(w)))
+            for b in range(len(w))
+        ])
     left, right = half[(genus - 2) // 2], half[(genus - 1) // 2]
-    return sum(left[m] * right[m] for m in evens)
+    return sum(x * y for x, y in zip(left, right))
 
 
 def verlinde_rank(ctx: CycContext, genus: int) -> int:

@@ -29,7 +29,7 @@ import itertools
 import math
 
 from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
-from .bracket import RootCoeffs, kauffman_bracket, necklace_pd
+from .bracket import kauffman_bracket, necklace_pd
 from .cyclotomic import CycContext, CycNum, NotIntegralError
 from .laurent import IntLaurent, RefutationError
 from .matrices import (
@@ -107,16 +107,15 @@ class TQFTParams:
         ):
             if not holds:
                 raise RefutationError(f"TQFT constants at p = {p}: {identity} fails")
-        self.necklace_coeffs = RootCoeffs(ctx)
 
     def necklace(self, widths, cores) -> CycNum:
-        """Bracket at the root of the necklace diagram: meridian circles
-        cabled widths[c] times, threaded by parallel cores, each core given
-        by the circles it threads.  Parallel cores commute, so the memo key
-        sorts them."""
+        """Bracket of the necklace diagram, specialized at the root: meridian
+        circles cabled widths[c] times, threaded by parallel cores, each core
+        given by the circles it threads.  Parallel cores commute, so the memo
+        key sorts them."""
         key = (tuple(widths), tuple(sorted(tuple(c) for c in cores)))
         return self.ctx.cached(
-            ("necklace", key), lambda: kauffman_bracket(necklace_pd(*key), self.necklace_coeffs)
+            ("necklace", key), lambda: self.ctx.from_A_laurent(kauffman_bracket(necklace_pd(*key)))
         )
 
     def mu(self, i: int) -> CycNum:
@@ -413,15 +412,15 @@ def _det(params: TQFTParams, mat: Matrix) -> CycNum:
 
 
 def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivots: list[CycNum],
-                         lower: Matrix | None = None, units=None, dot=None) -> CycNum:
+                         lower: Matrix | None = None, units=None) -> CycNum:
     """The determinant of gram_mat by one LDL factorization, refuted unless
     its pivots are pivots and its factor is lower, if given: the factor is
     unique, so gram_mat = lower diag(pivots) lower*.  units rescale it to
-    units[i] gram_mat[i][j] conj(units[j]).  With dot = ctx.dot, a
-    denominator in the factor refutes the triangularity."""
+    units[i] gram_mat[i][j] conj(units[j]).  The factor is summed with
+    ctx.dot, so a denominator in it refutes the triangularity of the rows."""
     ctx = params.ctx
     try:
-        factor, diag = ldl_decomposition(gram_mat, ctx.one, ctx.zero, ctx.inv, CycNum.conj, dot)
+        factor, diag = ldl_decomposition(gram_mat, ctx.one, ctx.zero, ctx.inv, CycNum.conj, ctx.dot)
     except NotIntegralError as exc:
         raise RefutationError(f"{label}: rows are not unit-triangular ({exc})") from exc
     if diag != pivots:
@@ -439,14 +438,14 @@ def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
     matrix [mu_i^j], so its determinant is D^d |det W|^2."""
     if basis not in ("e", "omega", "v"):
         raise ValueError(f"unknown basis {basis!r}")
-    ctx, d = params.ctx, params.d
+    d = params.d
     if basis == "omega":
         det_w = det_w_product(params)
         return params.D**d * det_w * det_w.conj()
     rows = basis_e(params) if basis == "e" else z_plus2_rows(params)
     units = [params.inv1a**j for j in range(d)] if basis == "v" else None
     return factored_determinant(params, f"genus-1 {basis} gram", gram(params, rows),
-                                [params.D] * d, rows, units, ctx.dot)
+                                [params.D] * d, rows, units)
 
 
 def vandermonde_product(params: TQFTParams) -> CycNum:

@@ -243,7 +243,9 @@ def test_criterion_10_oracle_coherence() -> None:
     arrs = arrangement_set_genus2(params)
     honest = gram_bracket(params, arrs, "z")
     # graph norms (theta products) through the triangular expansion
-    _, diag = ldl_decomposition(honest, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
+    # the one-by-one field sum is the oracle route of the integral ctx.dot
+    field_dot = lambda pairs: sum((x * y for x, y in pairs), ctx.zero)
+    _, diag = ldl_decomposition(honest, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), field_dot)
     assert diag == [graph_norm_genus2(params, *arr.lead_coloring()) for arr in arrs]
     colorings = graph_colorings_genus2(params)
     assert [arr.lead_coloring() for arr in arrs] == colorings

@@ -275,6 +275,28 @@ def test_genus2_rows_that_are_not_unit_triangular_exit_1(capsys, monkeypatch) ->
     assert "not unit-triangular" in failing[0]["error"]
 
 
+def test_genus3_rows_that_are_not_unit_triangular_exit_1(capsys, monkeypatch) -> None:
+    # the genus-3 LDL runs on integral dots too: a v row that carries a
+    # denominator is a refutation (exit 1), and verify-all fails that entry only
+    real = planar._subset_transform
+
+    def spoiled(params, arrs, color):
+        rows, kept = real(params, arrs, color)
+        if color == "v":
+            rows[-1][0] = rows[-1][0] * params.ctx.inv(params.ctx.from_int(3))
+        return rows, kept
+
+    monkeypatch.setattr(planar, "_subset_transform", spoiled)
+    code, out, err = run(capsys, "genus3p5", "--color", "v")
+    assert code == 1 and out == ""
+    assert err.startswith("refuted:") and "not unit-triangular" in err
+    code, out, _ = run(capsys, "verify-all", "--p", "5")
+    failing = [c for c in json.loads(out) if not c["ok"]]
+    assert code == 1
+    assert [c["claim"] for c in failing] == ["genus-3 v-recolored gram determinant valuation"]
+    assert "not unit-triangular" in failing[0]["error"]
+
+
 def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch) -> None:
     # the A report factors the closed form once and matches L to the graph
     # expansion: one z-expansion entry below the diagonal, moved by one, is

@@ -10,6 +10,12 @@ def conj(v: CycNum) -> CycNum:
     return v.conj()
 
 
+def field_dot(zero):
+    """Oracle for CycContext.dot in ldl_decomposition: the field products
+    summed one by one, so L may carry denominators."""
+    return lambda pairs: sum((x * y for x, y in pairs), zero)
+
+
 def random_entry(ctx: CycContext, rng: random.Random) -> CycNum:
     vec = tuple(rng.randrange(-4, 5) for _ in range(ctx.phi))
     return CycNum(ctx, vec, rng.randrange(1, 4))
@@ -45,7 +51,7 @@ def test_ldl_law_on_random_hermitian_matrices(sparse):
         minors = leading_minors(ctx, a)
         if not all(minors):
             continue
-        lower, diag = ldl_decomposition(a, ctx.one, ctx.zero, ctx.inv, conj)
+        lower, diag = ldl_decomposition(a, ctx.one, ctx.zero, ctx.inv, conj, field_dot(ctx.zero))
         for i in range(n):
             assert lower[i][i] == ctx.one
             assert all(x == ctx.zero for x in lower[i][i + 1:])
@@ -81,7 +87,7 @@ def test_ldl_costs_one_product_per_update(monkeypatch):
             paused[0] = False
 
     monkeypatch.setattr(CycNum, "__mul__", mul)
-    lower, diag = ldl_decomposition(a, ctx.one, ctx.zero, inv, conj)
+    lower, diag = ldl_decomposition(a, ctx.one, ctx.zero, inv, conj, field_dot(ctx.zero))
     monkeypatch.undo()
     updates = sum(j for i in range(n) for j in range(i + 1))
     divisions = n * (n - 1) // 2

@@ -1,9 +1,11 @@
 import math
+import random
 from functools import lru_cache
 
 import pytest
 
 from skeinlat import lattice, matrices, planar, torus
+from skeinlat.bracket import RootCoeffs, kauffman_bracket, necklace_pd
 from skeinlat.cyclotomic import CycContext, CycNum
 from skeinlat.matrices import diagonal, identity, ldl_decomposition, mat_eq
 from skeinlat.planar import (
@@ -46,6 +48,12 @@ def genus2_report(p: int, basis: str) -> dict:
 @lru_cache(maxsize=None)
 def genus3_report(color: str) -> dict:
     return genus3_p5_report(color=color)
+
+
+def field_dot(zero):
+    """Oracle for CycContext.dot in ldl_decomposition: the field products
+    summed one by one, so L may carry denominators."""
+    return lambda pairs: sum((x * y for x, y in pairs), zero)
 
 
 # a v-colored curve family is built from its integral cables:
@@ -317,7 +325,8 @@ def test_ldl_recovers_expansion_and_norms(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
     gram = gram_closed_genus2(params, "z")
-    lower, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
+    lower, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, CycNum.conj,
+                                    field_dot(ctx.zero))
     cols = graph_colorings_genus2(params)
     norms = [graph_norm_genus2(params, *c) for c in cols]
     assert diag == norms
@@ -338,7 +347,7 @@ def test_ldl_of_a_diagonal_matrix_multiplies_nothing(monkeypatch):
 
     monkeypatch.setattr(CycNum, "__mul__", counted)
     lower, diag = ldl_decomposition(
-        diagonal(entries, ctx.zero), ctx.one, ctx.zero, ctx.inv, lambda v: v.conj()
+        diagonal(entries, ctx.zero), ctx.one, ctx.zero, ctx.inv, CycNum.conj, field_dot(ctx.zero)
     )
     assert products == []
     assert diag == entries
@@ -350,7 +359,7 @@ def test_ldl_diag_v_color_p5():
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
     gram = arrangement_gram(params, "v")
-    _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj())
+    _, diag = ldl_decomposition(gram, ctx.one, ctx.zero, ctx.inv, CycNum.conj, field_dot(ctx.zero))
     inv1a = ctx.inv(ctx.one + ctx.A)
     arrs = arrangement_set_genus2(params)
     norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
@@ -633,6 +642,61 @@ def test_genus3_reports_share_the_necklace_table(monkeypatch):
     assert len(calls) == 792 == len(memo_keys(ctx, "necklace"))
     genus3_p5_report("omega")
     assert len(calls) == 792
+    # each necklace, specialized from the Laurent bracket, equals the state
+    # sum run over Z[zeta_n] directly
+    coeffs = RootCoeffs(ctx)
+    for key in memo_keys(ctx, "necklace"):
+        assert ctx.memo[key] == kauffman_bracket(necklace_pd(*key[1]), coeffs), key
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_necklaces_match_the_root_of_unity_state_sum_seeded(p):
+    params = TQFTParams.for_prime(p)
+    coeffs = RootCoeffs(params.ctx)
+    rng = random.Random(8000 + p)
+    for _ in range(6):
+        genus = rng.randrange(1, 4)
+        widths = [rng.randrange(0, 3) for _ in range(genus)]
+        cores = [sorted(rng.sample(range(genus), rng.randrange(1, genus + 1)))
+                 for _ in range(rng.randrange(0, 3))]
+        expected = kauffman_bracket(necklace_pd(widths, cores), coeffs)
+        assert params.necklace(widths, cores) == expected, (widths, cores)
+
+
+@pytest.mark.parametrize("color", ("v", "omega"))
+def test_genus3_rows_are_integral_and_unit_lower_triangular(color):
+    params = TQFTParams.for_prime(5)
+    ctx = params.ctx
+    rows, _ = planar._subset_transform(params, arrangement_set_genus3(), color)
+    for i, row in enumerate(rows):
+        assert all(x.den == 1 for x in row)
+        assert row[i] == ctx.one
+        assert all(x.is_zero() for x in row[i + 1:])
+
+
+# the genus-3 determinant at p = 5, for v and for omega alike: its
+# coefficients over zeta_20^0 .. zeta_20^7
+GENUS3_DET = (9227465, 0, -18454930, 0, 14930352, 0, -3524578, 0)
+
+
+@pytest.mark.parametrize("color", ("v", "omega"))
+def test_genus3_report_factors_integral_rows_on_ctx_dot(monkeypatch, color):
+    # like every other Gram certificate, genus 3 hands LDL an integral Gram
+    # and the integral ctx.dot; the units come back in the determinant
+    factored = []
+    inner = torus.ldl_decomposition
+
+    def captured(gram, *args):
+        factored.append((gram, args[-1]))
+        return inner(gram, *args)
+
+    monkeypatch.setattr(torus, "ldl_decomposition", captured)
+    rep = genus3_p5_report(color)
+    ctx = TQFTParams.for_prime(5).ctx
+    [(gram, dot)] = factored
+    assert dot == ctx.dot
+    assert all(v.den == 1 for row in gram for v in row)
+    assert rep["det"] == CycNum(ctx, GENUS3_DET)
 
 
 def test_witness_refutes_even_valuation_on_odd_instance():

@@ -152,6 +152,28 @@ def test_genus_two_count_formula(p):
     assert count_spine_colorings(2, p) == d * (d + 1) * (2 * d + 1) // 6
 
 
+def spine_count_by_triples(genus: int, p: int) -> int:
+    """Oracle for count_spine_colorings: each half-spine step tests every
+    triple of even colors (m1, s, m2) with p_admissible."""
+    if genus == 1:
+        return (p - 1) // 2
+    evens = range(0, p - 1, 2)
+    w = {k: arm_weight(p, k) for k in evens}
+    half = [w]
+    for _ in range((genus - 1) // 2):
+        f = half[-1]
+        half.append({m2: sum(f[m1] * w[s] for m1 in evens for s in evens
+                             if p_admissible(p, s, m1, m2)) for m2 in evens})
+    left, right = half[(genus - 2) // 2], half[(genus - 1) // 2]
+    return sum(left[m] * right[m] for m in evens)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+def test_spine_count_prefix_sums_match_the_triples(p):
+    for genus in range(1, 9):
+        assert count_spine_colorings(genus, p) == spine_count_by_triples(genus, p), genus
+
+
 def test_spine_counts_frozen():
     assert count_spine_colorings(3, 5) == 15
     assert count_spine_colorings(5, 5) == 175
@@ -167,10 +189,9 @@ def test_counts_match_trig_formula(genus, p):
 
 
 def test_verlinde_trace_at_the_rank_budget():
-    # count_spine_colorings(12, 211), which takes about 5 s to enumerate
-    assert verlinde_rank(CycContext(211), 12) == (
-        138585259782657722229379654359704325031179817185539542336969
-    )
+    # the count-versus-trace grid at the corner of the rank verb's budget
+    rank = 138585259782657722229379654359704325031179817185539542336969
+    assert count_spine_colorings(12, 211) == verlinde_rank(CycContext(211), 12) == rank
 
 
 def test_a_fractional_verlinde_trace_is_refuted(monkeypatch):
