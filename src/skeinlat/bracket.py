@@ -9,12 +9,14 @@ The evaluator is a frontier state sum: crossings are resolved one at a time
 and partial resolutions are merged whenever they induce the same planar
 matching on the dangling arc ends.  Arc ends are ints (end k of the i-th arc
 met is 2i + k, so an end's partner is end ^ 1), and a matching is a byte
-string with one entry per end.  The coefficient adapter decides how a term,
-a state value times a weight A^(+-1) delta^closed, enters the state it
-reaches and how the final value is read out: a few shifts of one packed int
-over Z[A, A^-1], or one ctx.dot per merged state at a root of unity in the
-oracle RootCoeffs.  Loop closures contribute delta = -A^2 - A^-2, and the
-empty diagram evaluates to 1.
+string with one entry per end.  In both coefficient adapters a state's
+value is one packed int, and each term, a state value times a weight
+A^(+-1) delta^closed, is added into the state it reaches in place.  The
+adapter decides how a term is formed and how the final value is read out:
+a few shifts over Z[A, A^-1], or one product folded negacyclically in
+Z[x]/(x^(n/2) + 1) at a root of unity in the oracle RootCoeffs, reduced mod
+Phi_n once at read-out.  Loop closures contribute delta = -A^2 - A^-2, and
+the empty diagram evaluates to 1.
 
 Divisibility certificates color every component z + c for each coloring in
 COLORINGS.  One pass over the 2^mu sublinks, grouped by how many components
@@ -30,8 +32,16 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycContext, _unpack
+from .cyclotomic import CycContext, CycNum, _pack, _slot_bias, _unpack
 from .laurent import IntLaurent, ONE_PLUS_A, ZERO, RefutationError
+
+
+def _slot_width(n: int) -> int:
+    """Slot width of a packed state value over n crossings: every
+    coefficient is below 8^n (see LaurentCoeffs), so 3n + 2 bits hold it
+    with its sign, rounded up to a multiple of 32 for the struct read-out."""
+    w = 3 * n + 2
+    return w + -w % 32
 
 
 class LaurentCoeffs:
@@ -42,16 +52,15 @@ class LaurentCoeffs:
     A^5 A^(+-1) delta^closed are polynomials in A^2 of degree at most 5 with
     coefficients +-1 and 2, so a term enters by at most three shifts.  Each
     of the 2^n resolutions adds at most 4^n to a coefficient in size, so all
-    are below 8^n, and w = 3n + 2 bits rounded up to a multiple of 32 hold
-    them with their signs; the sum is unpacked once."""
+    are below 8^n, and w = _slot_width(n) holds them; the sum is unpacked
+    once."""
 
     delta = IntLaurent({2: -1, -2: -1})
 
     @staticmethod
     def state_sum(n: int):
-        """(start value, weights, merge, read-out) of a state sum over n crossings."""
-        w = 3 * n + 2
-        w += -w % 32
+        """(weights, read-out) of a state sum over n crossings; a state starts at 1."""
+        w = _slot_width(n)
         w2, w3, w4, w5 = 2 * w, 3 * w, 4 * w, 5 * w
         weights = (
             # A^6, -A^8 - A^4, A^10 + 2 A^6 + A^2
@@ -66,28 +75,62 @@ class LaurentCoeffs:
             coeffs = _unpack(total, w, 5 * n + 1)
             return IntLaurent({2 * j - 5 * n: c for j, c in enumerate(coeffs)})
 
-        return 1, weights, sum, read
+        return weights, read
 
 
 class RootCoeffs:
     """Oracle for kauffman_bracket: evaluation with A specialized to a root
     of unity, the benchmark's root check of the Laurent bracket.
 
-    A state's value is a CycNum, and the terms reaching a state are merged
-    by one ctx.dot, which reduces their sum mod Phi_n."""
+    A state's value is its image in Z[x]/(x^m + 1), m = n/2, which maps
+    onto Z[zeta_n] by x -> zeta_n since zeta_n^m = -1, packed as one int at
+    x = 2^w.  A term is one product by the packed image of its weight
+    A^(+-1) delta^closed, with the m high slots folded onto the low ones,
+    negated; the value is reduced mod Phi_n once, at read-out (the delayed
+    reduction of Dumas, Giorgi & Pernet, ACM TOMS 35, 2008, on the
+    Kronecker-packed ints of the cyclotomic module docstring).  Each zeta^k
+    maps to +-x^(k mod m), so no slot exceeds the l1 norm of the Laurent
+    value, and LaurentCoeffs' width holds every slot."""
 
     def __init__(self, ctx: CycContext):
         self.ctx = ctx
         self.delta = -(ctx.A_pow(2) + ctx.A_pow(-2))
-        # weights[0 or 1][closed] pairs a value with A^(+1 or -1) delta^closed
-        self.weights = tuple(
-            tuple(lambda v, c=ctx.dot([(a,) + (self.delta,) * k]): (v, c) for k in range(3))
-            for a in (ctx.A, ctx.A_pow(-1))
+        # images[0 or 1][closed] is that of A^(+1 or -1) delta^closed
+        self.images = tuple(
+            tuple(self._image(IntLaurent({a: 1}) * LaurentCoeffs.delta ** k) for k in range(3))
+            for a in (1, -1)
         )
 
+    def _image(self, f: IntLaurent) -> list[int]:
+        """f(A) in Z[x]/(x^m + 1): zeta^k is x^k below m and -x^(k-m) from m on."""
+        n, m = self.ctx.n, self.ctx.n // 2
+        slots = [0] * m
+        for e, c in f.c.items():
+            k = self.ctx.a_exp * e % n
+            slots[k % m] += c if k < m else -c
+        return slots
+
     def state_sum(self, n: int):
-        """(start value, weights, merge, read-out) of a state sum over n crossings."""
-        return self.ctx.one, self.weights, self.ctx.dot, lambda value: value
+        """(weights, read-out) of a state sum over n crossings; a state starts at 1."""
+        ctx, m, w = self.ctx, self.ctx.n // 2, _slot_width(n)
+        top = m * w
+        mask = (1 << top) - 1
+        bias = _slot_bias(w, m)
+
+        def fold(c: int):
+            # v * c has 2m - 1 signed slots; the bias makes the m low ones
+            # one nonnegative field, so a mask and a shift split them off
+            def term(v: int) -> int:
+                t = v * c + bias
+                return (t & mask) - (t >> top) - bias
+            return term
+
+        weights = tuple(tuple(fold(_pack(image, w)) for image in row) for row in self.images)
+
+        def read(total: int) -> CycNum:
+            return CycNum(ctx, ctx._reduce(_unpack(total, w, m)))
+
+        return weights, read
 
 
 def _slot_walks(pd: Sequence[tuple[int, int, int, int]]) -> list[list[int]]:
@@ -215,7 +258,7 @@ def _join(m, u: int, v: int) -> int:
 def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
     """Evaluate the bracket; <empty> = 1 and each loop closure contributes delta."""
     pd = diagram.pd
-    one, weights, merge, read = coeffs.state_sum(len(pd))
+    weights, read = coeffs.state_sum(len(pd))
 
     # End k of the i-th arc met is 2i + k, so its partner is end ^ 1.
     first: dict[int, int] = {}
@@ -227,12 +270,12 @@ def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
 
     # A state is a matching of the dangling ends, one entry per end (bytes
     # while every partner + 1 fits in one, wider words past 255 ends), with
-    # its value.  Each step groups the resolutions by the matching they
-    # produce and merges the terms reaching a matching at once.
+    # its value, an int.  Each step groups the resolutions by the matching
+    # they produce, adding each term into its matching's entry in place.
     size = 2 * len(first)
-    states = [(bytearray(size) if size < 256 else array("L", [0]) * size, one)]
+    states = [[bytearray(size) if size < 256 else array("L", [0]) * size, 1]]
     for pairs in resolutions:
-        grouped: dict[bytes, tuple] = {}
+        grouped: dict[bytes, list] = {}
         for m, val in states:
             for u, v, x, y, w in pairs:
                 m2 = m[:]
@@ -240,10 +283,10 @@ def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
                 key = bytes(m2)
                 got = grouped.get(key)
                 if got is None:
-                    grouped[key] = (m2, [term])
+                    grouped[key] = [m2, term]
                 else:
-                    got[1].append(term)
-        states = [(m, merge(terms)) for m, terms in grouped.values()]
+                    got[1] += term
+        states = list(grouped.values())
     if len(states) != 1 or any(states[0][0]):
         raise RefutationError("state sum did not close up to the empty state")
     out = read(states[0][1])

@@ -146,9 +146,8 @@ def _slot_words(w: int, slots: int) -> struct.Struct | None:
     """A struct reading all the slots as machine words when w is 32 or 64.
 
     Reading them slot by slot with int.from_bytes instead, which works at
-    every width, made benchmark rounds about 5% slower on genus2 --p 11 and
-    about 8% slower on the bracket corpus with its p = 7 root check (2-core
-    Xeon, CPython 3.11), where most dots are narrow."""
+    every width, made benchmark rounds about 5% slower on genus2 --p 11
+    (2-core Xeon, CPython 3.11), where most dots are narrow."""
     code = {32: "I", 64: "Q"}.get(w)
     return None if code is None else struct.Struct(f"<{slots}{code}")
 

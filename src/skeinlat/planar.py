@@ -32,13 +32,16 @@ z+2, so every lead coefficient is 1, and the closed form is memoized per
 count pair: each pair of cable counts gives one folded annulus product,
 kept in the ring context's memo, so an entry costs only its sum over the
 channels below d.  The expansion's fused loops are kept there too.  A
-v-colored arrangement is its (z+2)-colored one times the unit (1+A)^-n, n
-its curve count, so the v-colored Gram is factored on the (z+2) rows and
-takes the units back in its determinant.  At p = 5 the honest state sum
-over necklace diagrams arbitrates both.  Genus 3 factors integral rows too:
-its colored arrangements are units times unit-triangular integral rows over
-the plain ones.  Determinants are reported as associate certificates
-against powers of 1-q, never as bare booleans.
+v-colored arrangement is its (z+2)-colored one times the row scaling
+(1+A)^-n, n its curve count, so the v-colored Gram is factored on the (z+2)
+rows and takes the scalings back in its determinant.  A scaling is not a
+unit: (1+A)^-n has (1-q)-valuation -n, which base_change_valuation counts
+on each side.  At p = 5 the honest state sum over necklace diagrams
+arbitrates both.  Genus 3 factors integral rows too: its colored
+arrangements are row scalings, again of valuation -1 per curve, times
+unit-triangular integral rows over the plain ones.  Determinants are
+reported as associate certificates against powers of 1-q, never as bare
+booleans.
 """
 
 from __future__ import annotations
@@ -405,7 +408,8 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     (z+2)-colored curves alike.  Componentwise dominance implies lex
     dominance, so the matrix over the shared order is triangular with unit
     diagonal.  A v-colored arrangement is its (z+2)-colored one times the
-    unit (1+A)^-n (n = curve count), so its lead coefficient is that unit.
+    scaling (1+A)^-n (n = curve count), of (1-q)-valuation -n and so not a
+    unit, and its lead coefficient is that scaling.
     """
     one = params.ctx.one
     support_ok = True
@@ -545,7 +549,7 @@ def _certified_report(
     gram: Matrix,
     pivots: list[CycNum],
     plus_subring: bool | None = None,
-    units: list[CycNum] | None = None,
+    scales: list[CycNum] | None = None,
     lower: Matrix | None = None,
 ) -> dict:
     """The certificate for gram, its determinant from factored_determinant.
@@ -560,7 +564,7 @@ def _certified_report(
     curve_total = sum(arr.curve_count for arr in arrs)
     rank_term = (params.d - 1) * genus * len(arrs)
     base_change_valuation = -2 * curve_total if color in ("v", "omega") else 0
-    det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, units)
+    det = factored_determinant(params, f"genus-{genus} {basis} gram", gram, pivots, lower, scales)
     expected = rank_term + base_change_valuation
     cert = associate_certificate(params, det, f"genus-{genus} gram determinant", basis, expected)
     return {
@@ -593,7 +597,7 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     (z+2)-colored arrangements, each a v-row times (1+A)^n, n its curve
     count, are unit-triangular over G, and both routes build their Gram
     from the same integral cables (the closed form memoized per count
-    pair).  Its determinant then takes the units back,
+    pair).  Its determinant then takes the row scalings (1+A)^-n back,
     prod N * |1+A|^(-2 curve_total).
     """
     params = TQFTParams.for_prime(p)
@@ -609,15 +613,15 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     lower = expansion_matrix_genus2(params, cable)
     if basis == "A":
         return _certified_report(params, 2, basis, "z", arrs, gram, pivots, lower=lower)
-    units = [params.inv1a ** arr.curve_count for arr in arrs]
-    return _certified_report(params, 2, basis, "v", arrs, gram, pivots, units=units, lower=lower)
+    scales = [params.inv1a ** arr.curve_count for arr in arrs]
+    return _certified_report(params, 2, basis, "v", arrs, gram, pivots, scales=scales, lower=lower)
 
 
 def _subset_transform(
     params: TQFTParams, arrs: list[CurveArrangement], color: str
 ) -> tuple[Matrix, CycNum]:
     """Integral rows R of colored arrangements over plain ones and the curve
-    unit kept, for multiplicity-free families closed under removing curves.
+    scaling kept, for multiplicity-free families closed under removing curves.
 
     A curve keeps or drops its core with the z-degree 1 and 0 weights of
     _curve_z_terms: a v-curve is ((curve) + 2) / (1+A); an omega-curve needs
@@ -660,7 +664,9 @@ def genus3_p5_report(color: str = "v") -> dict:
     the 22 recolored curves on each side.  The recolor is kept^n times the
     integral rows R of _subset_transform and the plain Gram is L diag(N) L*
     over the wheel norms N, so i R G R* must have the LDL pivots i N_k; the
-    units kept^n come back in the determinant.
+    row scalings kept^n come back in the determinant.  They are not units:
+    kept has (1-q)-valuation -1, so each curve on each side gives the -1 that
+    base_change_valuation counts.
     """
     if color not in ("v", "omega"):
         raise ValueError(f"recoloring needs v or omega, got {color!r}")
@@ -675,11 +681,11 @@ def genus3_p5_report(color: str = "v") -> dict:
         ctx.zero,
     )
     gram = map_entries(lambda v: v * tw, gram)
-    units = [kept ** arr.curve_count for arr in arrs]
+    scales = [kept ** arr.curve_count for arr in arrs]
     plus_ok = all((u * x * w.conj()).in_plus_subring()
-                  for u, row in zip(units, gram) for w, x in zip(units, row))
+                  for u, row in zip(scales, gram) for w, x in zip(scales, row))
     pivots = [tw * graph_norm_genus3(params, *arr.lead_coloring()) for arr in arrs]
-    return _certified_report(params, 3, "A" + color, color, arrs, gram, pivots, plus_ok, units)
+    return _certified_report(params, 3, "A" + color, color, arrs, gram, pivots, plus_ok, scales)
 
 
 def non_unimodular_witness(report: dict) -> dict | None:

@@ -250,8 +250,8 @@ def z_plus2_rows(params: TQFTParams) -> list[Vector]:
 def basis_v(params: TQFTParams) -> list[Vector]:
     """Powers of v = (z+2)/(1+A): v^j is the integral row (z+2)^j times
     (1+A)^-j, triangular with diagonal (1+A)^-j."""
-    units = (params.inv1a**j for j in range(params.d))
-    return [tuple(x * u if x else x for x in row) for row, u in zip(z_plus2_rows(params), units)]
+    scales = (params.inv1a**j for j in range(params.d))
+    return [tuple(x * u if x else x for x in row) for row, u in zip(z_plus2_rows(params), scales)]
 
 
 def w_matrix(params: TQFTParams) -> Matrix:
@@ -412,11 +412,12 @@ def _det(params: TQFTParams, mat: Matrix) -> CycNum:
 
 
 def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivots: list[CycNum],
-                         lower: Matrix | None = None, units=None) -> CycNum:
+                         lower: Matrix | None = None, scales=None) -> CycNum:
     """The determinant of gram_mat by one LDL factorization, refuted unless
     its pivots are pivots and its factor is lower, if given: the factor is
-    unique, so gram_mat = lower diag(pivots) lower*.  units rescale it to
-    units[i] gram_mat[i][j] conj(units[j]).  The factor is summed with
+    unique, so gram_mat = lower diag(pivots) lower*.  The row scalings
+    scales rescale it to scales[i] gram_mat[i][j] conj(scales[j]); they need
+    not be units ((1+A)^-n has (1-q)-valuation -n).  The factor is summed with
     ctx.dot, so a denominator in it refutes the triangularity of the rows."""
     ctx = params.ctx
     try:
@@ -427,7 +428,7 @@ def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivot
         raise RefutationError(f"{label}: LDL pivots are not the closed form")
     if lower is not None and not mat_eq(factor, lower):
         raise RefutationError(f"{label}: LDL factor is not the expansion matrix")
-    return math.prod([*pivots, *(u * u.conj() for u in units or ())], start=ctx.one)
+    return math.prod([*pivots, *(u * u.conj() for u in scales or ())], start=ctx.one)
 
 
 def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
@@ -443,9 +444,9 @@ def genus1_determinant(params: TQFTParams, basis: str) -> CycNum:
         det_w = det_w_product(params)
         return params.D**d * det_w * det_w.conj()
     rows = basis_e(params) if basis == "e" else z_plus2_rows(params)
-    units = [params.inv1a**j for j in range(d)] if basis == "v" else None
+    scales = [params.inv1a**j for j in range(d)] if basis == "v" else None
     return factored_determinant(params, f"genus-1 {basis} gram", gram(params, rows),
-                                [params.D] * d, rows, units)
+                                [params.D] * d, rows, scales)
 
 
 def vandermonde_product(params: TQFTParams) -> CycNum:

@@ -220,11 +220,24 @@ def random_closure(rng, longest):
     return braid_pd(_word(rng, strands, longest), strands)
 
 
-RINGS = ("laurent", 5, 7)
+# Brute force runs in the first three rings; the primes after them bring
+# the other sizes of Z[x]/(x^(n/2) + 1) that RootCoeffs folds into, n = 2p
+# (p = 3, 11) and n = 4p (p = 13), at no brute-force cost
+BRUTE_RINGS = ("laurent", 5, 7)
+RINGS = BRUTE_RINGS + (3, 11, 13)
+ROOT_PRIMES = (3, 5, 7, 11, 13)
 
 
 def ring_coeffs(ring):
     return LaurentCoeffs if ring == "laurent" else RootCoeffs(CycContext(ring))
+
+
+def reference_bracket(diagram, ring):
+    """brute_force_bracket in BRUTE_RINGS; at the other primes the Laurent
+    state sum specialized at the root of unity."""
+    if ring in BRUTE_RINGS:
+        return brute_force_bracket(diagram, ring)
+    return CycContext(ring).from_A_laurent(kauffman_bracket(diagram))
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -234,7 +247,7 @@ def test_state_sum_matches_brute_force_seeded(ring):
     for _ in range(25):
         diagram = random_closure(rng, 10)
         assert diagram.crossings <= 10
-        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, ring), diagram
+        assert kauffman_bracket(diagram, coeffs) == reference_bracket(diagram, ring), diagram
 
 
 def split_kinks(signs):
@@ -253,7 +266,7 @@ def test_split_kinks_match_brute_force(ring):
     rng = random.Random(2110)
     for n in range(1, 10):
         diagram = split_kinks([rng.choice((1, -1)) for _ in range(n)])
-        assert kauffman_bracket(diagram, coeffs) == brute_force_bracket(diagram, ring)
+        assert kauffman_bracket(diagram, coeffs) == reference_bracket(diagram, ring)
 
 
 def test_many_split_kinks_match_their_product():
@@ -267,6 +280,17 @@ def test_many_split_kinks_match_their_product():
     assert kauffman_bracket(split_kinks(signs)) == expected
 
 
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_many_split_kinks_at_every_root(p):
+    # the same 48 kinks at each root: the folded slots of the packed
+    # negacyclic values are bounded by the l1 norm, 2^48 here, not by the
+    # largest Laurent coefficient
+    ctx = CycContext(p)
+    diagram = split_kinks([1, -1, -1] * 16)
+    expected = ctx.from_A_laurent(kauffman_bracket(diagram))
+    assert kauffman_bracket(diagram, RootCoeffs(ctx)) == expected
+
+
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("pairs", [30, 31, 70])
 def test_reidemeister_two_padding_past_the_byte_matchings(ring, pairs):
@@ -277,7 +301,10 @@ def test_reidemeister_two_padding_past_the_byte_matchings(ring, pairs):
     word = [1, -2, 1]
     padded = braid_pd([1, -1] * pairs + word, 3)
     assert padded.crossings == 2 * pairs + 3
-    assert kauffman_bracket(padded, coeffs) == kauffman_bracket(braid_pd(word, 3), coeffs)
+    got = kauffman_bracket(padded, coeffs)
+    assert got == kauffman_bracket(braid_pd(word, 3), coeffs)
+    if ring != "laurent":
+        assert got == CycContext(ring).from_A_laurent(kauffman_bracket(padded))
 
 
 def test_matchings_either_side_of_the_byte_width(monkeypatch):
@@ -302,15 +329,16 @@ def test_matchings_either_side_of_the_byte_width(monkeypatch):
     assert kauffman_bracket(wide) == kauffman_bracket(LinkDiagram((), 2))
     assert kauffman_bracket(wide) == IntLaurent({4: 1, 0: 2, -4: 1})
     assert len(wide_matchings) == 2
-    # a seeded word with nothing to cancel, on the wide path in both rings
+    # a seeded word with nothing to cancel, on the wide path over Z[A, A^-1]
+    # and at every root
     rng = random.Random(6470)
     diagram = braid_pd([rng.choice((1, -1)) * rng.randrange(1, 3) for _ in range(70)], 3)
     assert diagram.crossings == 70
-    ctx = CycContext(7)
-    assert kauffman_bracket(diagram, RootCoeffs(ctx)) == ctx.from_A_laurent(
-        kauffman_bracket(diagram)
-    )
-    assert len(wide_matchings) == 4
+    laurent = kauffman_bracket(diagram)
+    for p in ROOT_PRIMES:
+        ctx = CycContext(p)
+        assert kauffman_bracket(diagram, RootCoeffs(ctx)) == ctx.from_A_laurent(laurent), p
+    assert len(wide_matchings) == 3 + len(ROOT_PRIMES)
 
 
 class UncheckedDiagram(LinkDiagram):

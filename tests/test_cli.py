@@ -488,14 +488,15 @@ def test_corpus_certs_cost_one_state_sum_per_sublink(monkeypatch) -> None:
     assert max(sizes) <= cap
 
 
-def seeded_braid_corpus(seed: int, links: int) -> dict:
-    """Closures of random braids on 6 or 7 strands with 20-32 crossings and
-    2-4 components, in the corpus format `bracket --corpus` reads."""
+def seeded_braid_corpus(seed: int, links: int, strands_from=(6, 7), fewest: int = 20) -> dict:
+    """Closures of random braids on strands_from strands with fewest to 32
+    crossings and 2-4 components, in the corpus format `bracket --corpus`
+    reads."""
     rng = random.Random(seed)
     entries = []
     while len(entries) < links:
-        strands = rng.choice((6, 7))
-        crossings = rng.randrange(20, 33)
+        strands = rng.choice(strands_from)
+        crossings = rng.randrange(fewest, 33)
         word = [rng.choice((-1, 1)) * rng.randrange(1, strands) for _ in range(crossings)]
         if not 2 <= len(bracket.braid_components(word, strands)) <= 4:
             continue
@@ -520,6 +521,23 @@ def test_bracket_on_a_seeded_braid_corpus_pinned(capsys, tmp_path) -> None:
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a47e39d9a9f3b2aa6952ab0dff555b6fd1b56810ce2dacd454b7119c9701e2f9"
     )
+
+
+def test_root_state_sum_at_benchmark_size_makes_no_dot(monkeypatch) -> None:
+    # closures the size of the benchmark's (7 strands, 24-32 crossings): the
+    # root-of-unity state sum agrees with the specialized Laurent bracket at
+    # p = 5 (n = 4p) and p = 7 (n = 2p) without a single CycContext.dot
+    def refused(*args):
+        raise AssertionError("the root state sum called CycContext.dot")
+
+    monkeypatch.setattr(CycContext, "dot", refused)
+    rings = [(ctx, bracket.RootCoeffs(ctx)) for ctx in map(CycContext, (5, 7))]
+    for entry in seeded_braid_corpus(3030, 20, strands_from=(7,), fewest=24)["links"]:
+        diagram = bracket.LinkDiagram.from_json(entry)
+        assert 24 <= diagram.crossings <= 32 and 2 <= diagram.mu <= 4
+        laurent = bracket.kauffman_bracket(diagram)
+        for ctx, coeffs in rings:
+            assert bracket.kauffman_bracket(diagram, coeffs) == ctx.from_A_laurent(laurent)
 
 
 @pytest.mark.parametrize("cap", ["-3", "0"])

@@ -63,12 +63,12 @@ CABLE = {"z": "z", "v": "z+2"}
 
 def arrangement_gram(params, color):
     """The Gram of the color-colored genus-2 arrangements; for v, the (z+2)
-    closed form with the units (1+A)^-n taken back on both sides."""
+    closed form with the row scalings (1+A)^-n taken back on both sides."""
     gram = gram_closed_genus2(params, CABLE.get(color, color))
     if color != "v":
         return gram
-    units = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params)]
-    return [[ui * g * uj.conj() for g, uj in zip(row, units)] for ui, row in zip(units, gram)]
+    scales = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params)]
+    return [[ui * g * uj.conj() for g, uj in zip(row, scales)] for ui, row in zip(scales, gram)]
 
 
 def genus2_gram(p: int, basis: str):
@@ -291,7 +291,7 @@ def test_fusion_route_equals_projection_route(p, color):
 @pytest.mark.parametrize("color", ("z", "z+2", "v"))
 def test_gram_bracket_oracle_p5(color):
     # the state sum of the v-colored arrangements against the (z+2) closed
-    # form with the units applied here
+    # form with the row scalings applied here
     params = TQFTParams.for_prime(5)
     arrs = arrangement_set_genus2(params)
     assert mat_eq(gram_bracket(params, arrs, color), arrangement_gram(params, color))
@@ -519,7 +519,7 @@ def test_expansion_fuses_each_loop_once(monkeypatch, color):
 def test_av_report_factors_an_integral_gram(monkeypatch):
     # the Av report hands LDL the Gram of the v rows times (1+A)^n, the
     # (z+2)-colored arrangements: integral, with the graph norms as its
-    # pivots; the units come back in the det
+    # pivots; the row scalings come back in the det
     factored = []
     inner = torus.ldl_decomposition
 
@@ -682,7 +682,7 @@ GENUS3_DET = (9227465, 0, -18454930, 0, 14930352, 0, -3524578, 0)
 @pytest.mark.parametrize("color", ("v", "omega"))
 def test_genus3_report_factors_integral_rows_on_ctx_dot(monkeypatch, color):
     # like every other Gram certificate, genus 3 hands LDL an integral Gram
-    # and the integral ctx.dot; the units come back in the determinant
+    # and the integral ctx.dot; the row scalings come back in the determinant
     factored = []
     inner = torus.ldl_decomposition
 
