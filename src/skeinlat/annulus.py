@@ -47,20 +47,6 @@ def z_power_in_e(k: int) -> tuple[int, ...]:
     return tuple(c(j - 1) + c(j + 1) for j in range(k + 1))
 
 
-def z_poly_to_e(coeffs: dict[int, object], zero: object) -> list[object]:
-    """Expand a z-polynomial with arbitrary ring coefficients in the e-basis."""
-    if not coeffs:
-        return []
-    top = max(coeffs)
-    out = [zero] * (top + 1)
-    for deg, c in coeffs.items():
-        row = z_power_in_e(deg)
-        for j, m in enumerate(row):
-            if m:
-                out[j] = out[j] + m * c
-    return out
-
-
 def e_to_z_poly(coeffs: list[object]) -> dict[int, object]:
     out: dict[int, object] = {}
     for j, c in enumerate(coeffs):
@@ -94,12 +80,6 @@ def z_plus2_pow_in_e(n: int) -> list[int]:
     return out
 
 
-def e_in_z_plus2(n: int) -> list[int]:
-    """Oracle for z_plus2_pow_in_e, the inverse change of basis:
-    e_{n-1} = sum_{i=1}^n (-1)^(n-i) C(n+i-1, n-i) (z+2)^(i-1)."""
-    return [(-1) ** (n - i) * math.comb(n + i - 1, n - i) for i in range(1, n + 1)]
-
-
 def _s_sum(m: int, i: int, n: int, sign: int) -> IntLaurent:
     """S_{m,i,n} with (-1)^(k sign) in the sum, assembled term by term with
     exact integer coefficients."""
@@ -128,25 +108,6 @@ def s_tilde_poly(m: int, i: int, n: int) -> IntLaurent:
 def twist_eigenvalue(i: int) -> IntLaurent:
     """mu_i = (-1)^i A^(i^2 + 2i)."""
     return IntLaurent.monomial((-1) ** i, i * i + 2 * i)
-
-
-def twist_sq_eigenvalue(i: int) -> IntLaurent:
-    """Oracle for twist_sq_matrix_vtilde, which it must diagonalize to:
-    the eigenvalue of the squared twist on e_i, in the variable q."""
-    return IntLaurent.monomial(1, (i * i + 2 * i))
-
-
-def v_in_e_matrix(size: int) -> Matrix:
-    """Oracle for twist_matrix_v, the change of basis that diagonalizes it.
-
-    Column j holds the integral e-coordinates of (z+2)^j, so v^j is column j
-    over (1+A)^j.  Upper triangular with unit diagonal.
-    """
-    cols = [z_plus2_pow_in_e(j + 1) for j in range(size)]
-    return [
-        [IntLaurent(cols[j][k]) if k <= j else IntLaurent() for j in range(size)]
-        for k in range(size)
-    ]
 
 
 def _twist_in_powers(size: int, poly, divisor: IntLaurent, what: str, parity: int) -> Matrix:

@@ -355,34 +355,6 @@ def braid_components(word: Sequence[int], strands: int) -> list[tuple[int, ...]]
     return sorted(comps)
 
 
-def cable_braid(word: Sequence[int], strands: int, widths: Sequence[int]) -> tuple[list[int], int]:
-    """Oracle for necklace_pd: cabled links built from braid closures instead.
-
-    Replace each strand by parallel copies; widths are per starting strand.
-    All strands of a closure component must share a width.  A width may be 0,
-    which deletes the strand (used nowhere for colors, but harmless).
-    """
-    _check_word(word, strands)
-    if len(widths) != strands or any(w < 0 for w in widths):
-        raise ValueError("need one nonnegative width per strand")
-    for cyc in braid_components(word, strands):
-        if len({widths[s] for s in cyc}) != 1:
-            raise ValueError("cable widths must be constant on components")
-    cur = [widths[s] for s in range(strands)]
-    out: list[int] = []
-    for g in word:
-        i = abs(g)
-        u, v = cur[i - 1], cur[i]
-        base = 1 + sum(cur[: i - 1])
-        block = [base + u - 1 - k + l for k in range(u) for l in range(v)]
-        if g > 0:
-            out.extend(block)
-        else:
-            out.extend(-b for b in reversed(block))
-        cur[i - 1], cur[i] = v, u
-    return out, sum(widths)
-
-
 # ---------------------------------------------------------------------------
 # component deletion and sublink sums
 
@@ -481,32 +453,6 @@ def _power_certificate(claim: str, f: IntLaurent, mu: int) -> dict:
         refutation = {"value": f.to_json(), "attained_valuation": val}
         return {**head, "ok": False, "refutation": refutation}
     return {**head, "ok": True, "value": f.to_json(), "quotient": quotient.to_json()}
-
-
-def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:
-    """Oracle for divisibility_certificate, mod p: True iff f^(k)(-1) = 0
-    mod p for all 0 <= k < mu; requires mu < p."""
-    if not 0 <= mu < p:
-        raise ValueError("need 0 <= mu < p")
-    g = f
-    for _ in range(mu):
-        val = g.evaluate(-1)
-        if val.denominator != 1:
-            raise RefutationError(f"a Laurent polynomial took the value {val} at A = -1")
-        if val.numerator % p:
-            return False
-        g = g.derivative()
-    return True
-
-
-def root_divisibility(f: IntLaurent, mu: int, ctx: CycContext) -> bool:
-    """Oracle for divisibility_certificate at a root of unity: True iff
-    (1+A)^mu divides f(A) at the root of unity of ctx."""
-    value = ctx.from_A_laurent(f)
-    if value == ctx.zero:
-        return True
-    val, _ = value.valuation_one_minus_q()
-    return val >= mu
 
 
 # ---------------------------------------------------------------------------

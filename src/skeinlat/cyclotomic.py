@@ -27,13 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .laurent import IntLaurent, RefutationError
-
-
-def _poly_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+from .laurent import IntLaurent
 
 
 @lru_cache(maxsize=None)
@@ -44,44 +38,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             f = f.exact_div(IntLaurent(dict(enumerate(cyclotomic_poly(d)))))
     return tuple(f.coeff(e) for e in range(f.max_exp() + 1))
-
-
-def poly_resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of integer polynomials by the subresultant PRS."""
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    if not f or not g:
-        return 0
-    s = 1
-    if len(f) < len(g):
-        if (len(f) - 1) % 2 and (len(g) - 1) % 2:
-            s = -s
-        f, g = g, f
-    gg = 1
-    h = 1
-    while len(g) - 1 > 0:
-        da, db = len(f) - 1, len(g) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            s = -s
-        # pseudo-remainder of lc(g)^(delta+1) * f by g
-        r = [c * g[-1] ** (delta + 1) for c in f]
-        for k in range(len(r) - db - 1, -1, -1):
-            q, rem = divmod(r[k + db], g[-1])
-            if rem:
-                raise RefutationError("resultant: pseudo-division left a remainder")
-            if q:
-                for j, b in enumerate(g):
-                    r[k + j] -= q * b
-        r = _poly_trim(r[:db])
-        if not r:
-            return 0
-        f, g = g, [c // (gg * h ** delta) for c in r]
-        gg = f[-1]
-        if delta:
-            h = gg ** delta // h ** (delta - 1)
-    da = len(f) - 1
-    return s * g[0] ** da // h ** (da - 1) if da else s * 1
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -99,9 +55,12 @@ class NotIntegralError(ValueError):
     """An operand of an integral-only operation has a denominator."""
 
 
-def mixed_rings(a: "CycContext", b: "CycContext") -> ValueError:
-    """The error for an operation whose operands live in different rings."""
-    return ValueError(f"cannot mix elements of {a} and {b}")
+def same_ring(a: "CycContext", b: "CycContext") -> None:
+    """Refuse to combine elements of two rings.  Two contexts are the same
+    ring when they are one object or share n; the hot paths test the first
+    inline and call this only when the objects differ."""
+    if a is not b and a.n != b.n:
+        raise ValueError(f"cannot mix elements of {a} and {b}")
 
 
 def _pack(vec: tuple[int, ...], w: int) -> int:
@@ -185,7 +144,6 @@ class CycContext:
         self._red = red
         # the nonzero (index, coefficient) pairs of each row of red
         self._red_support = [[(i, v) for i, v in enumerate(row) if v] for row in red]
-        self._phi_poly = phi_poly
         self.memo: dict[tuple, object] = {}
         # exponent of the Galois element cutting out the real-over-q subring:
         # identity when n = 2p, else fixes q and negates the fourth root
@@ -267,13 +225,12 @@ class CycContext:
         terms = list(terms)
         if not terms:
             return self.zero
-        n = self.n
         most_bits = most_factors = 0
         for term in terms:
             bits = 0
             for z in term:
-                if z.ctx is not self and z.ctx.n != n:
-                    raise mixed_rings(self, z.ctx)
+                if z.ctx is not self:
+                    same_ring(self, z.ctx)
                 if z.den != 1:
                     raise NotIntegralError(f"dot needs integral operands, got denominator {z.den}")
                 b = z._bits
@@ -308,8 +265,8 @@ class CycContext:
 
     def inv(self, x: "CycNum") -> "CycNum":
         """Cached field inverse via the product of Galois conjugates."""
-        if x.ctx is not self and x.ctx.n != self.n:
-            raise mixed_rings(self, x.ctx)
+        if x.ctx is not self:
+            same_ring(self, x.ctx)
         return self.cached(("inv", x), x.inverse)
 
     def __repr__(self) -> str:
@@ -362,8 +319,8 @@ class CycNum:
             other = self.ctx.from_int(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
-            raise mixed_rings(self.ctx, other.ctx)
+        if other.ctx is not self.ctx:
+            same_ring(self.ctx, other.ctx)
         return self.den == other.den and self.vec == other.vec
 
     def __hash__(self) -> int:
@@ -374,8 +331,8 @@ class CycNum:
             other = self.ctx.from_int(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
-            raise mixed_rings(self.ctx, other.ctx)
+        if other.ctx is not self.ctx:
+            same_ring(self.ctx, other.ctx)
         da, db = self.den, other.den
         vec = tuple(a * db + b * da for a, b in zip(self.vec, other.vec))
         return CycNum(self.ctx, vec, da * db)
@@ -398,8 +355,8 @@ class CycNum:
             return CycNum(self.ctx, tuple(v * other for v in self.vec), self.den)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.ctx is not self.ctx and other.ctx.n != self.ctx.n:
-            raise mixed_rings(self.ctx, other.ctx)
+        if other.ctx is not self.ctx:
+            same_ring(self.ctx, other.ctx)
         phi = self.ctx.phi
         conv = [0] * (2 * phi - 1)
         support = [(j, b) for j, b in enumerate(other.vec) if b]
@@ -465,13 +422,6 @@ class CycNum:
         if any(self.vec[1:]):
             raise ArithmeticError(f"{what} did not land in Q")
         return Fraction(self.vec[0], self.den)
-
-    def norm_resultant(self) -> Fraction:
-        """Oracle for norm: the same norm by the subresultant PRS."""
-        if self.is_zero():
-            return Fraction(0)
-        res = poly_resultant(list(self.ctx._phi_poly), list(self.vec))
-        return Fraction(res, self.den ** self.ctx.phi)
 
     def inverse(self) -> "CycNum":
         if self.is_zero():

@@ -4,8 +4,7 @@ A module vector here is a tuple of cyclotomic numbers.  Restricting scalars
 to the rational integers turns a ring-span of such vectors into a Z-lattice
 of rank at most width * phi; the lattice is stored as one denominator plus
 the row Hermite normal form of the scaled integer coordinates, so equality
-is structural, membership is back-substitution, and a containment index is
-a determinant ratio.  Spans are closed under multiplication by the root of
+is structural.  Spans are closed under multiplication by the root of
 unity before reduction, which is what makes the Z-span a module over the
 whole ring of integers rather than a bare abelian group.
 
@@ -18,8 +17,9 @@ one integer matrix on the Z-basis zeta^k e_j (column j of the operator and
 its zeta-shifts, over a common denominator); a saturation round applies it
 to the previous normal form as one Kronecker-packed product-sum per row,
 with the packing of CycContext.dot.  No CycNum product is on that path.
-The CycNum route, matrices.mat_vec on vectors() and then from_vectors, is
-the oracle for it.
+Its oracle, the CycNum route of one ring product per entry and then
+from_vectors, runs in the tests (mat_vec and vectors in tests/oracles.py),
+as do membership by back-substitution and the containment index.
 
 The saturation loop grows a seed lattice by a set of operators until the
 normal form stops moving.  There is no a priori termination bound, so the
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .cyclotomic import CycContext, CycNum, _pack, _unpack, mixed_rings
-from .matrices import Matrix, determinant
+from .cyclotomic import CycContext, _pack, _unpack, same_ring
+from .matrices import Matrix
 
 IntRows = list[list[int]]
 
@@ -107,23 +106,6 @@ def _lead(row) -> int:
     raise ValueError("a zero row has no leading column")
 
 
-def _reduce_row(row, basis, pivots) -> tuple[list[int], list[int]]:
-    """Back-substitute over an echelon basis with the given pivot columns;
-    (coefficients, remainder).  The basis is only read."""
-    rem = list(row)
-    coeffs = []
-    for b, col in zip(basis, pivots):
-        q, r = divmod(rem[col], b[col])
-        if r:
-            # not an integer combination along this pivot
-            coeffs.append(q)
-            return coeffs, rem
-        if q:
-            rem[col:] = [a - q * x for a, x in zip(rem[col:], b[col:])]
-        coeffs.append(q)
-    return coeffs, rem
-
-
 def _zeta_shift(ctx: CycContext, row) -> list[int]:
     """zeta times a row of phi-blocks: in each block every slot moves up
     one, and the top slot c comes back as c * zeta^phi, whose power-basis
@@ -163,8 +145,7 @@ def _scaled_rows(ctx: CycContext, vecs) -> tuple[int, IntRows]:
     den = 1
     for vec in vecs:
         for c in vec:
-            if c.ctx is not ctx and c.ctx.n != ctx.n:
-                raise mixed_rings(ctx, c.ctx)
+            same_ring(ctx, c.ctx)
             den = den * c.den // math.gcd(den, c.den)
     rows = []
     for vec in vecs:
@@ -232,82 +213,11 @@ class OLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row, found once per lattice."""
-        return tuple(_lead(r) for r in self.basis)
-
-    def vectors(self) -> list[list[CycNum]]:
-        """Oracle for saturate's integer rounds: the basis rows as vectors."""
-        phi = self.ctx.phi
-        out = []
-        for row in self.basis:
-            out.append(
-                [
-                    CycNum(self.ctx, tuple(row[j * phi : (j + 1) * phi]), self.den)
-                    for j in range(self.width)
-                ]
-            )
-        return out
-
-    def _contains_row(self, row) -> bool:
-        """Whether (1/den) times the integer row lies in the lattice."""
-        _, rem = _reduce_row(row, self.basis, self.pivots)
-        return not any(rem)
-
-    def contains_vector(self, vec) -> bool:
-        """Certificate of membership, run by ROADMAP item 2's containment and
-        volume check on every v generator in place of building the v lattice."""
-        vec = list(vec)
-        if len(vec) != self.width:
-            raise ValueError("vector length does not match the lattice")
-        row: list[int] = []
-        for c in vec:
-            if c.ctx is not self.ctx and c.ctx.n != self.ctx.n:
-                raise mixed_rings(self.ctx, c.ctx)
-            # c * den is integral iff c's reduced denominator divides den
-            if self.den % c.den:
-                return False
-            scale = self.den // c.den
-            row.extend(x * scale for x in c.vec)
-        return self._contains_row(row)
-
-    def zeta_stable(self) -> bool:
-        """Certificate of the module property, which ROADMAP item 1 runs in
-        saturate: zeta times every basis row stays inside."""
-        return all(self._contains_row(_zeta_shift(self.ctx, r)) for r in self.basis)
-
 
 def lattice_equal(a: OLattice, b: OLattice) -> bool:
     if a.ctx.n != b.ctx.n or a.width != b.width:
         raise ValueError("lattices live in different ambient spaces")
     return a.den == b.den and a.basis == b.basis
-
-
-def lattice_index(inner: OLattice, outer: OLattice) -> int:
-    """Oracle for lattice_equal: equal lattices are those of index 1.
-
-    Group index [outer : inner] for a full-rank containment.  Both lattices
-    are rescaled to one common denominator; every inner basis row must then
-    reduce to zero over the outer form, and the index is the determinant of
-    the coefficient matrix.  Non-containment or a rank drop raises instead
-    of returning a number.
-    """
-    if inner.ctx.n != outer.ctx.n or inner.width != outer.width:
-        raise ValueError("lattices live in different ambient spaces")
-    if inner.rank != outer.rank:
-        raise ValueError("index needs equal ranks")
-    common = inner.den * outer.den // math.gcd(inner.den, outer.den)
-    si, so = common // inner.den, common // outer.den
-    out_rows = [[x * so for x in r] for r in outer.basis]
-    coeff_rows = []
-    for row in inner.basis:
-        coeffs, rem = _reduce_row([x * si for x in row], out_rows, outer.pivots)
-        if any(rem):
-            raise ValueError("inner lattice is not contained in the outer one")
-        coeff_rows.append(coeffs)
-    det = determinant(coeff_rows, 0, lambda u, w: u // w)
-    return abs(det)
 
 
 def _integer_operators(ctx: CycContext, width: int, ops: list[Matrix]) -> tuple[int, list[IntRows]]:

@@ -8,9 +8,6 @@ remainder refutes it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _igcd
-
 
 class RefutationError(ArithmeticError):
     """A mandated cross-check failed: two routes to the same object disagree."""
@@ -125,28 +122,11 @@ class IntLaurent:
         """Multiply by A^k."""
         return IntLaurent({e + k: v for e, v in self.c.items()})
 
-    def content(self) -> int:
-        """Gcd of the coefficients; 0 for the zero polynomial."""
-        g = 0
-        for v in self.c.values():
-            g = _igcd(g, v)
-        return g
-
     def substitute_power(self, k: int) -> "IntLaurent":
         """Ring map A -> A^k.  k = -1 is the mirror/conjugation on Z[A, A^-1]."""
         if k == 0:
             raise ValueError("substitution must keep A invertible")
         return IntLaurent({e * k: v for e, v in self.c.items()})
-
-    def derivative(self) -> "IntLaurent":
-        return IntLaurent({e - 1: v * e for e, v in self.c.items() if e})
-
-    def evaluate(self, x: "int | Fraction") -> Fraction:
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, v in self.c.items():
-            total += v * x ** e
-        return total
 
     def exact_div(self, divisor: "IntLaurent") -> "IntLaurent":
         """Exact division in Z[A, A^-1]; raises ValueError when not divisible.
@@ -195,11 +175,6 @@ class IntLaurent:
     def to_json(self) -> dict:
         return {"var": "A", "coeffs": {str(e): str(v) for e, v in sorted(self.c.items())}}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntLaurent":
-        """Oracle for to_json: a printed value read back, for tests to check."""
-        return cls({int(e): int(v) for e, v in obj["coeffs"].items()})
-
     def __repr__(self) -> str:
         if not self.c:
             return "0"
@@ -221,52 +196,3 @@ ONE = IntLaurent(1)
 ZERO = IntLaurent()
 A = IntLaurent.monomial(1, 1)
 ONE_PLUS_A = IntLaurent({0: 1, 1: 1})
-
-
-def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """Primitive gcd of two Laurent polynomials, as an honest polynomial.
-
-    Monomial units A^k and integer contents are stripped, so the result has
-    lowest exponent 0, coprime coefficients, and positive leading sign.
-    Computed by a primitive pseudo-remainder sequence; all intermediate
-    arithmetic stays in Z.
-    """
-
-    def shift0(c: dict[int, int]) -> dict[int, int]:
-        m = min(c)
-        return {e - m: v for e, v in c.items()}
-
-    def primitive(c: dict[int, int]) -> dict[int, int]:
-        g0 = 0
-        for v in c.values():
-            g0 = _igcd(g0, v)
-        if c[max(c)] < 0:
-            g0 = -g0
-        return {e: v // g0 for e, v in c.items()}
-
-    def prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        db, lb = max(b), b[max(b)]
-        a = dict(a)
-        while a and max(a) >= db:
-            da, ca = max(a), a[max(a)]
-            nxt = {e: v * lb for e, v in a.items()}
-            for e, v in b.items():
-                t = e + da - db
-                w = nxt.get(t, 0) - ca * v
-                if w:
-                    nxt[t] = w
-                else:
-                    nxt.pop(t, None)
-            a = nxt
-        return a
-
-    a = primitive(shift0(f.c)) if f.c else {}
-    b = primitive(shift0(g.c)) if g.c else {}
-    if not a:
-        a, b = b, a
-    if not a:
-        return IntLaurent()
-    while b:
-        r = prem(a, b)
-        a, b = b, primitive(shift0(r)) if r else {}
-    return IntLaurent(a)

@@ -35,18 +35,6 @@ def mat_mul(a: Matrix, b: Matrix, zero: Any) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[Any], zero: Any) -> list[Any]:
-    """Oracle for saturate: a matrix times a coordinate vector, one ring
-    product per entry, the route the tests run against its integer rows."""
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def identity(n: int, one: Any, zero: Any) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

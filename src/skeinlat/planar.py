@@ -210,24 +210,6 @@ def graph_colorings_genus2(params: TQFTParams) -> list[Coloring2]:
     ]
 
 
-def graph_colorings_genus3(params: TQFTParams) -> list[Coloring3]:
-    """Oracle for arrangement_set_genus3: its lead colorings, the wheel
-    colorings ((a1,a2,a3), (c1,c2,c3)).  Loops a_i below d; arm c_i even with
-    (a_i, a_i, c_i) admissible; the three arms meet a central vertex, so
-    (c1, c2, c3) must be admissible too.  Ordered loops first."""
-    p, d = params.p, params.d
-    arms: dict[int, list[int]] = {}
-    for a in range(d):
-        arms[a] = [c for c in range(0, p - 2, 2) if p_admissible(p, a, a, c)]
-    out = []
-    for a in itertools.product(range(d), repeat=3):
-        for c in itertools.product(arms[a[0]], arms[a[1]], arms[a[2]]):
-            if p_admissible(p, *c):
-                out.append((a, c))
-    out.sort()
-    return out
-
-
 def graph_norm_genus2(params: TQFTParams, i: int, j: int, k: int) -> CycNum:
     """(G(i,j,k), G(i,j,k)) = D^2 theta(i,i,k) theta(j,j,k) / (<i><j><k>).
 
@@ -399,40 +381,6 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     return mat
 
 
-def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
-    """Oracle for the LDL factor and pivots of gram_genus2.
-
-    Support bound and lead coefficient of the expansion.  Claim: every
-    coloring in the support of an arrangement is componentwise at most its
-    lead coloring, and the lead coefficient is 1, for z- and for
-    (z+2)-colored curves alike.  Componentwise dominance implies lex
-    dominance, so the matrix over the shared order is triangular with unit
-    diagonal.  A v-colored arrangement is its (z+2)-colored one times the
-    scaling (1+A)^-n (n = curve count), of (1-q)-valuation -n and so not a
-    unit, and its lead coefficient is that scaling.
-    """
-    one = params.ctx.one
-    support_ok = True
-    diagonal_ok = True
-    for arr in arrangement_set_genus2(params):
-        li, lj, lk = arr.lead_coloring()
-        coords = expand_arrangement(params, arr, color)
-        for (i, j, k) in coords:
-            if i > li or j > lj or k > lk:
-                support_ok = False
-        if coords.get((li, lj, lk)) != one:
-            diagonal_ok = False
-    ok = support_ok and diagonal_ok
-    return {
-        "claim": "arrangement expansion is unit-triangular over the graph basis",
-        "p": params.p,
-        "color": color,
-        "support_ok": support_ok,
-        "diagonal_ok": diagonal_ok,
-        "ok": ok,
-    }
-
-
 # ---------------------------------------------------------------------------
 # the pairing: projection closed form and state-sum oracle
 
@@ -455,16 +403,6 @@ def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
         len(counts),
         lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
     )
-
-
-def pairing_closed_genus2(
-    params: TQFTParams, x: CurveArrangement, y: CurveArrangement, color: str = "z"
-) -> CycNum:
-    """Oracle for gram_closed_genus2: its entry (X, Y) for any two genus-2
-    arrangements."""
-    if x.genus != 2 or y.genus != 2:
-        raise ValueError("this closed form is the genus-2 pairing")
-    return _pairing_from_counts(params, _counts(x), _counts(y), color, _meridian_weights(params))
 
 
 def _counts(arr: CurveArrangement) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import CycContext, CycNum
-from .laurent import IntLaurent, RefutationError, poly_gcd
+from .laurent import IntLaurent, RefutationError
 
 
 @lru_cache(maxsize=None)
@@ -48,19 +48,15 @@ def quantum_dim(i: int) -> IntLaurent:
     return f if i % 2 == 0 else -f
 
 
-def delta_loop() -> IntLaurent:
-    """Value of a 1-colored unknot, -q - q^-1 (equals -A^2 - A^-2)."""
-    return quantum_dim(1)
-
-
 class QFrac:
-    """Fraction of Laurent polynomials in q; reduced only on demand.
+    """Fraction of Laurent polynomials in q, never reduced.
 
     Theta and tetrahedron values are rational (projector coefficients bring
     in quantum-integer denominators), so fractions are the honest type here.
-    Root specialization divides numerator by denominator in the cyclotomic
-    field and insists the denominator does not vanish there; for admissible
-    colorings below the level it never does.
+    The claim path only specializes them: at_root divides numerator by
+    denominator in the cyclotomic field and insists the denominator does not
+    vanish there; for admissible colorings below the level it never does.
+    The field arithmetic and equality live with the test-side oracles.
     """
 
     __slots__ = ("num", "den")
@@ -74,66 +70,6 @@ class QFrac:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def _lift(cls, x: "QFrac | IntLaurent | int") -> "QFrac":
-        return x if isinstance(x, QFrac) else cls(x)
-
-    def __add__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
-        other = self._lift(other)
-        return QFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
-        other = self._lift(other)
-        return QFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
-        return self + (-self._lift(other))
-
-    def __truediv__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
-        other = self._lift(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError
-        return QFrac(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "QFrac":
-        return QFrac(-self.num, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, IntLaurent)):
-            other = QFrac(other)
-        if not isinstance(other, QFrac):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        return hash(self.num) ^ hash(self.den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def reduced(self) -> "QFrac":
-        """Cancel common factors; denominator gets lowest exponent 0, lead > 0."""
-        if self.num.is_zero():
-            return QFrac(IntLaurent(), IntLaurent(1))
-        num, den = self.num, self.den
-        g = poly_gcd(num, den)
-        if g != IntLaurent(1):
-            num, den = num.exact_div(g), den.exact_div(g)
-        c = math.gcd(num.content(), den.content())
-        if c > 1:
-            cc = IntLaurent(c)
-            num, den = num.exact_div(cc), den.exact_div(cc)
-        k = den.min_exp()
-        if k:
-            num, den = num.shift(-k), den.shift(-k)
-        if den.coeff(den.max_exp()) < 0:
-            num, den = -num, -den
-        return QFrac(num, den)
 
     def at_root(self, ctx: CycContext) -> CycNum:
         den = ctx.from_q_laurent(self.den)
@@ -272,33 +208,3 @@ def verlinde_rank(ctx: CycContext, genus: int) -> int:
     if rank.denominator != 1:
         raise RefutationError(f"genus-{genus} Verlinde trace at p = {ctx.p} is {rank}")
     return rank.numerator
-
-
-_RANK_NUM_G3 = (0, 3, 32, 120, 200, 192, 128)
-_RANK_NUM_G5 = (
-    0, 45, 864, 6892, 30184, 83760, 172512,
-    304896, 458112, 542720, 487424, 294912, 98304,
-)
-
-
-def rank_polynomial_genus3(k: int) -> int:
-    """Oracle for count_spine_colorings: the genus-3 count at p = 4k+1,
-    in closed form.  The numerator polynomial is divisible by 45 at every
-    integer; the division below is checked exact.  Odd for odd k."""
-    return _rank_polynomial(_RANK_NUM_G3, 45, k)
-
-
-def rank_polynomial_genus5(k: int) -> int:
-    """Oracle for count_spine_colorings: the genus-5 count at p = 4k+1,
-    in closed form."""
-    return _rank_polynomial(_RANK_NUM_G5, 14175, k)
-
-
-def _rank_polynomial(coeffs: tuple[int, ...], den: int, k: int) -> int:
-    if k < 1:
-        raise ValueError("the closed forms need k >= 1")
-    num = sum(c * k ** e for e, c in enumerate(coeffs))
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"rank numerator {num} not divisible by {den}")
-    return q

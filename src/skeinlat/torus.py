@@ -15,8 +15,8 @@ zero-framed meridian around them, then take the bracket of the whole link.
 An omega-colored meridian kills every e_c with 0 < c <= 2d-2 threading it
 and scales e_0 by D, so the definition collapses to D times the
 e_0-coefficient of the product x conj(y); the closed forms here all come
-from that projection rule, and pairing_bracket runs the honest state sum so
-the two routes can be compared.
+from that projection rule.  omega_pairing runs the honest state sum, which
+the tests compare with them (pairing_bracket in tests/oracles.py).
 
 Certificates report a determinant together with its (1-q)-valuation and the
 unit cofactor test, never a bare boolean.
@@ -28,10 +28,10 @@ import functools
 import itertools
 import math
 
-from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, z_poly_to_e, e_to_z_poly
+from .annulus import twist_eigenvalue, twist_matrix_v, z_plus2_pow_in_e, e_to_z_poly
 from .bracket import kauffman_bracket, necklace_pd
 from .cyclotomic import CycContext, CycNum, NotIntegralError
-from .laurent import IntLaurent, RefutationError
+from .laurent import RefutationError
 from .matrices import (
     Matrix,
     determinant,
@@ -191,22 +191,6 @@ def reduce_e(params: TQFTParams, raw) -> Vector:
     return tuple(fold_transparent(params, fold_raw(params, raw)))
 
 
-def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> Vector:
-    """Oracle for z_action: the image of an annulus element in powers of z.
-
-    Coefficients may be ints, A-Laurent polynomials, or CycNum.
-    """
-    ctx = params.ctx
-    conv: dict[int, CycNum] = {}
-    for k, c in z_coeffs.items():
-        if isinstance(c, int):
-            c = ctx.from_int(c)
-        elif isinstance(c, IntLaurent):
-            c = ctx.from_A_laurent(c)
-        conv[k] = c
-    return reduce_e(params, z_poly_to_e(conv, ctx.zero))
-
-
 def basis_e(params: TQFTParams) -> list[Vector]:
     ctx, d = params.ctx, params.d
     return [tuple(ctx.one if j == i else ctx.zero for j in range(d)) for i in range(d)]
@@ -306,21 +290,6 @@ def omega_pairing(params: TQFTParams, genus: int, terms_x, terms_y) -> CycNum:
     return total
 
 
-def pairing_bracket(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
-    """Oracle for hermitian_pairing: the form as an honest bracket state sum.
-
-    x and conj(y), expanded in z-powers, ride parallel zero-framed cores of
-    the solid torus; one omega-cabled meridian encircles them all.  The cost
-    is exponential in the z-degrees, so this is the small-p oracle against
-    which hermitian_pairing is checked.
-    """
-
-    def terms(v: Vector):
-        return [(((0,),) * k, c) for k, c in coords_z(_coords(params, v)).items()]
-
-    return omega_pairing(params, 1, terms(x), terms(y))
-
-
 def hopf_pairing_closed(params: TQFTParams, i: int, j: int) -> CycNum:
     """H_ij = (-1)^(i+j) [(i+1)(j+1)]: the zero-framed Hopf link with its
     components colored e_i and e_j."""
@@ -331,16 +300,6 @@ def hopf_pairing_closed(params: TQFTParams, i: int, j: int) -> CycNum:
 def hopf_matrix(params: TQFTParams) -> Matrix:
     d = params.d
     return [[hopf_pairing_closed(params, i, j) for j in range(d)] for i in range(d)]
-
-
-def hopf_bracket(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
-    """Oracle for hopf_pairing_closed: the bilinear bracket of the Hopf link
-    cabled by the z-expansions of x and y, no conjugation anywhere."""
-    total = params.ctx.zero
-    for a, ca in coords_z(_coords(params, x)).items():
-        for b, cb in coords_z(_coords(params, y)).items():
-            total = total + ca * cb * params.necklace([a], [[0]] * b)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +509,6 @@ def twist_matrix_v_at(params: TQFTParams) -> Matrix:
 def twist_matrix(params: TQFTParams) -> Matrix:
     """The twist t in the e-basis: diagonal with eigenvalues mu_i."""
     return diagonal([params.mu(i) for i in range(params.d)], params.ctx.zero)
-
-
-def form_preserved(gram_mat: Matrix, op: Matrix, zero) -> bool:
-    """Certificate that op^T G conj(op) == G, an isometry of the Hermitian
-    form; ROADMAP item 9 promotes it to verify-all."""
-    right = mat_mul(gram_mat, map_entries(lambda x: x.conj(), op), zero)
-    return mat_eq(mat_mul(transpose(op), right, zero), gram_mat)
 
 
 def modular_relation_scalar(params: TQFTParams) -> dict:

@@ -4,7 +4,6 @@ import pytest
 
 from skeinlat.annulus import (
     ONE_MINUS_Q,
-    e_in_z_plus2,
     e_poly,
     e_product_in_e,
     e_to_z_poly,
@@ -12,15 +11,21 @@ from skeinlat.annulus import (
     s_tilde_poly,
     twist_eigenvalue,
     twist_matrix_v,
-    twist_sq_eigenvalue,
     twist_sq_matrix_vtilde,
-    v_in_e_matrix,
     z_plus2_pow_in_e,
-    z_poly_to_e,
     z_power_in_e,
 )
 from skeinlat.laurent import ONE_PLUS_A, IntLaurent
 from skeinlat.matrices import diagonal, mat_eq, mat_mul
+
+from oracles import (
+    derivative,
+    e_in_z_plus2,
+    evaluate,
+    twist_sq_eigenvalue,
+    v_in_e_matrix,
+    z_poly_to_e,
+)
 
 
 def test_e_polys():
@@ -81,7 +86,7 @@ def test_s_poly_frozen():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_s_poly_at_minus_one(n):
     for i in range(1, n + 1):
-        val = s_poly(1, i, n).evaluate(-1)
+        val = evaluate(s_poly(1, i, n), -1)
         assert val == ((-1) ** n if i == n else 0)
 
 
@@ -105,7 +110,7 @@ def test_s_poly_derivative_identity():
     for n in range(1, 7):
         for i in range(1, n + 1):
             for m in (1, 3):
-                lhs = s_poly(m, i, n).derivative().shift(1)
+                lhs = derivative(s_poly(m, i, n)).shift(1)
                 assert lhs == s_poly(m + 2, i, n)
 
 

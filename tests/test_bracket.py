@@ -12,19 +12,18 @@ from skeinlat.bracket import (
     RootCoeffs,
     braid_components,
     braid_pd,
-    cable_braid,
     delete_components,
-    derivative_congruences,
     divisibility_certificate,
     kauffman_bracket,
     load_corpus,
     necklace_pd,
-    root_divisibility,
     sublink_sums,
 )
 from skeinlat.cyclotomic import CycContext
 from skeinlat.laurent import A, ONE, ZERO, IntLaurent, RefutationError
 from skeinlat.recoupling import qint
+
+from oracles import cable_braid, derivative_congruences, laurent_from_json, root_divisibility
 
 DELTA = IntLaurent({2: -1, -2: -1})
 
@@ -40,7 +39,7 @@ def bracket(word, strands):
 def colored(diagram):
     """<L(z+c)> for each coloring, read back from its divisibility certificate."""
     certs = divisibility_certificate(diagram)
-    return {name: IntLaurent.from_json(cert["value"]) for name, cert in zip(COLORINGS, certs)}
+    return {name: laurent_from_json(cert["value"]) for name, cert in zip(COLORINGS, certs)}
 
 
 # ---------------------------------------------------------------- anchors
@@ -519,8 +518,8 @@ def test_divisibility_certificates_corpus():
 def test_divisibility_quotient_exact():
     hopf = braid_pd([1, 1], 2)
     cert = divisibility_certificate(hopf)[0]
-    quotient = IntLaurent.from_json(cert["quotient"])
-    value = IntLaurent.from_json(cert["value"])
+    quotient = laurent_from_json(cert["quotient"])
+    value = laurent_from_json(cert["value"])
     one_plus = IntLaurent({0: 1, 1: 1})
     assert quotient * one_plus * one_plus == value
 
@@ -531,7 +530,7 @@ def test_unknot_loops_attain_double_valuation():
     diag = LinkDiagram((), 2)
     cert = divisibility_certificate(diag)[0]
     assert cert["ok"] and cert["mu"] == 2
-    f = IntLaurent.from_json(cert["value"])
+    f = laurent_from_json(cert["value"])
     assert f.val_one_plus_var()[0] == 4
     # beyond the true valuation both detection routes say no
     assert not derivative_congruences(f, 5, 7)
@@ -543,7 +542,7 @@ def test_divisibility_certificate_refutation_shape():
     # payload; honest diagrams never reach this branch, since the
     # certificate reads mu off its own sublink pass
     z2, zq2 = (
-        bracket_module._power_certificate(c["claim"], IntLaurent.from_json(c["value"]), 5)
+        bracket_module._power_certificate(c["claim"], laurent_from_json(c["value"]), 5)
         for c in divisibility_certificate(LinkDiagram((), 2))
     )
     assert not z2["ok"]

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -882,11 +883,13 @@ def own_names(scope) -> set:
 
 def bare_uses(trees) -> dict[str, set]:
     """Every use of a name in the (where, tree) pairs, as name -> {(*where,
-    line)}: a bare name, an attribute or an imported name.  A bare name that
-    a parameter, local variable or nested def of an enclosing scope shadows
-    is not a use.  An attribute read off a class of the trees, or off self or
-    cls inside one, is a use of "Class.attr"; one read off any other receiver
-    is pooled under its bare name."""
+    line)}: a bare name, an attribute, an imported name or the last part of
+    the module it is imported from.  A bare name that a parameter, local
+    variable or nested def of an enclosing scope shadows is not a use.  An
+    attribute read off a class of the trees (bare, as in Cls.m, or as the
+    last attribute, as in mod.Cls.m), or off self or cls inside one, is a use
+    of "Class.attr"; one read off any other receiver is pooled under its
+    bare name."""
     trees = list(trees)
     classes = {n.name for _, tree in trees
                for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
@@ -900,12 +903,14 @@ def bare_uses(trees) -> dict[str, set]:
         if isinstance(node, ast.Name):
             words = [] if node.id in shadowed else [node.id]
         elif isinstance(node, ast.Attribute):
-            receiver = getattr(node.value, "id", None)
+            receiver = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
             if receiver in ("self", "cls"):
                 receiver = owner
             words = [f"{receiver}.{node.attr}" if receiver in classes else node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             words = [a.name.split(".")[-1] for a in node.names]
+            if getattr(node, "module", None):
+                words.append(node.module.split(".")[-1])
         else:
             words = []
         for word in words:
@@ -945,54 +950,169 @@ def test_name_guard_resolves_methods_to_their_class() -> None:
         "    def m(self):\n"
         "        return self.k(), C.j, other.m\n"
         "def f(x, cls):\n"
-        "    return x.m(), C.m, cls.k\n"
+        "    return x.m(), C.m, cls.k, mod.C.n, x.y.m\n"
     )
     uses = bare_uses([(("m",), tree)])
     assert uses["C.k"] == uses["C.j"] == {("m", 3)}
-    assert uses["C.m"] == {("m", 5)}
+    assert uses["C.m"] == uses["C.n"] == {("m", 5)}
     assert uses["m"] == {("m", 3), ("m", 5)}
     assert uses["k"] == {("m", 5)}
+    assert "n" not in uses
+
+
+BENCH = os.path.join(ROOT, "perfbench")
+ROOT_FOLDERS = (DEMOS, BENCH, os.path.join(BENCH, "tests"))
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+@lru_cache(maxsize=None)
+def program_trees() -> tuple:
+    """((folder, file name), tree) for the library and for every file the
+    library is reached from: the demos and everything under perfbench/."""
+    return tuple(
+        ((folder, name), ast.parse(text, name))
+        for folder in (PKG, *ROOT_FOLDERS) for name, text in sources(folder)
+    )
 
 
 @lru_cache(maxsize=None)
 def library_uses() -> dict[str, set]:
-    """bare_uses over the library and the demos."""
-    return bare_uses(
-        ((folder, name), ast.parse(text, name))
-        for folder in (PKG, DEMOS) for name, text in sources(folder)
+    """bare_uses over the library and the files it is reached from."""
+    return bare_uses(program_trees())
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached(trees, library: str = PKG, entry: str = "cli.py") -> list[str]:
+    """The library modules and definitions that no root reaches.
+
+    The roots are every tree outside the library folder and the module-level
+    code of the entry module.  A module is reached when reached code imports
+    it or imports from it; then its module-level code runs, and its
+    module-level imports reach modules but use no name.  A function or class
+    is reached when reached code uses its name (bare_uses: shadowed names
+    are not uses, Cls.m and self.m count for their class alone), and then its
+    body is reached; a class's reached body is its statements that are not
+    methods.  A method of a reached class is reached by a use of Cls.m or
+    of its pooled bare name.  A dunder method runs through syntax the walk
+    cannot type (an operator, a call of the class), so it is reached with
+    its class."""
+    uses = bare_uses(trees)
+    lib = {name: tree for (folder, name), tree in trees if folder == library}
+    defs = []  # (module, key, node, key of its class or None)
+    for name, tree in lib.items():
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defs.append((name, node.name, node, None))
+            if isinstance(node, ast.ClassDef):
+                defs += [(name, f"{node.name}.{m.name}", m, node.name)
+                         for m in node.body if isinstance(m, ast.FunctionDef)]
+    live, imports, modules, reached = set(), set(), set(), set()
+
+    def lines(name, nodes):
+        return {(library, name, no) for n in nodes for no in range(n.lineno, n.end_lineno + 1)}
+
+    def hit(word, also=frozenset()):
+        return any(u[0] != library or u in live or u in also for u in uses.get(word, ()))
+
+    grew = True
+    while grew:
+        grew = False
+        for name, tree in lib.items():
+            if name in modules or not (
+                name == entry or name == "__init__.py" and modules or hit(name[:-3], imports)
+            ):
+                continue
+            modules.add(name)
+            grew = True
+            top = [n for n in tree.body if not isinstance(n, DEFS)]
+            imports |= lines(name, [n for n in top if isinstance(n, (ast.Import, ast.ImportFrom))])
+            live |= lines(name, [n for n in top if not isinstance(n, (ast.Import, ast.ImportFrom))])
+        for name, key, node, owner in defs:
+            if (name, key) in reached or name not in modules:
+                continue
+            if owner is None:
+                ok = hit(key)
+            else:
+                ok = (name, owner) in reached and (
+                    _is_dunder(node.name) or hit(key) or hit(node.name))
+            if ok:
+                reached.add((name, key))
+                grew = True
+                if isinstance(node, ast.ClassDef):
+                    live |= lines(name, [n for n in node.body if not isinstance(n, ast.FunctionDef)])
+                else:
+                    live |= lines(name, [node])
+    return sorted(
+        [f"{name} (module)" for name in lib if name not in modules]
+        + [f"{name}:{node.lineno} {key}" for name, key, node, _ in defs if (name, key) not in reached]
     )
 
 
-def test_every_library_name_is_used_or_labeled() -> None:
-    # a name that no code of the library or the demos uses outside its own
-    # def is reached only from tests, so its docstring must say why it stays:
-    # an oracle for a claim-path name, or a certificate a ROADMAP item
-    # promotes; words in docstrings, comments and strings are not uses.
-    # Conversely a name so labeled must have no such use: once the claim
-    # path reaches it, the label is stale.
-    # A method's uses through Cls, self or cls count for its class alone;
-    # uses through any other receiver are pooled by bare name, so a method
-    # counts as used when any method of that name is reached that way, and
-    # same-named methods are checked by hand (the reviewed set below).
-    # Shadowed bare names are not uses (bare_uses)
-    uses = library_uses()
-    unlabeled, stale = [], []
-    for name, text in sources(PKG):
-        tree = ast.parse(text, name)
-        defs = [(n, n.name) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-        defs += [
-            (m, f"{c.name}.{m.name}") for c in tree.body if isinstance(c, ast.ClassDef)
-            for m in c.body
-            if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
-        ]
-        for node, key in defs:
-            own = {(PKG, name, no) for no in range(node.lineno, node.end_lineno + 1)}
-            used = bool((uses.get(key, set()) | uses.get(node.name, set())) - own)
-            first = (ast.get_docstring(node) or "").split("\n")[0]
-            labeled = first.startswith(("Oracle", "Certificate"))
-            if used == labeled:
-                (stale if used else unlabeled).append(f"{name}:{node.lineno} {node.name}")
-    assert unlabeled == [] and stale == []
+def test_reachability_walk_finds_what_no_root_reaches() -> None:
+    # a module nothing imports, a method nothing calls, a function only a
+    # comprehension variable of its name mentions, and a function that only
+    # a test would call are each reported; what the entry module reaches,
+    # through imports, calls, a class and self, is not
+    lib = {
+        "cli.py": "from .core import run\nrun()\n",
+        "core.py": (
+            "from .util import helper, spare\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.fill()\n"
+            "    def fill(self):\n"
+            "        return helper()\n"
+            "    def vecs(self):\n"
+            "        return 1\n"
+            "def run():\n"
+            "    return Box(), [spare for spare in range(3)]\n"
+        ),
+        "util.py": "def helper():\n    return 1\ndef spare():\n    return 2\ndef tested():\n    return 3\n",
+        "orphan.py": "def alone():\n    return alone()\n",
+    }
+    trees = [(("lib", name), ast.parse(text)) for name, text in lib.items()]
+    assert unreached(trees, "lib") == [
+        "core.py:7 Box.vecs", "orphan.py (module)", "orphan.py:1 alone",
+        "util.py:3 spare", "util.py:5 tested",
+    ]
+    demo = (("demos", "demo.py"), ast.parse("from lib.util import tested\ntested()\n"))
+    assert "util.py:5 tested" not in unreached(trees + [demo], "lib")
+
+
+def test_every_library_module_and_name_is_reached() -> None:
+    # the library is the claim path: every module and every function, class
+    # and method in it is reached from skeinlat.cli, a demo or a file under
+    # perfbench/ (unreached above).  Code that only the tests run lives on
+    # the test side: tests/oracles.py and tests/tl_oracle.py.  Words in
+    # docstrings, comments and strings are not uses.  A method reached
+    # through a receiver that is not its class counts as used when any
+    # method of its name is, so same-named methods are checked by hand (the
+    # reviewed set below)
+    assert unreached(program_trees()) == []
+
+
+ORACLE_FILES = ("oracles.py", "tl_oracle.py")
+
+
+def test_every_oracle_label_names_a_library_definition() -> None:
+    # an oracle's docstring opens with "Oracle for <name>", the library
+    # definition it checks; renaming that definition breaks this test until
+    # the label follows it
+    names = {n.name for _, text in sources(PKG)
+             for n in ast.walk(ast.parse(text)) if isinstance(n, DEFS)}
+    here = os.path.dirname(os.path.abspath(__file__))
+    files = sources(PKG) + [(n, t) for n, t in sources(here) if n in ORACLE_FILES]
+    labels = [
+        (f"{name}:{node.lineno} {node.name}", label[1])
+        for name, text in files for node in ast.walk(ast.parse(text, name))
+        if isinstance(node, DEFS)
+        and (label := re.match(r"Oracle for (\w+)", ast.get_docstring(node) or ""))
+    ]
+    assert len(labels) > 20
+    assert [f"{where} -> {target}" for where, target in labels if target not in names] == []
 
 
 def test_shared_method_names_are_the_reviewed_set() -> None:
@@ -1005,15 +1125,11 @@ def test_shared_method_names_are_the_reviewed_set() -> None:
         for c in ast.parse(text, name).body:
             if isinstance(c, ast.ClassDef):
                 for m in c.body:
-                    if isinstance(m, ast.FunctionDef) and not (
-                        m.name.startswith("__") and m.name.endswith("__")
-                    ):
+                    if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name):
                         owners.setdefault(m.name, set()).add(c.name)
     pooled = library_uses()
     shared = {m for m, classes in owners.items() if len(classes) > 1 and m in pooled}
-    # trace, checked by hand: verlinde_rank reads CycNum.trace, and the
-    # theta_net and tet_net oracles read TLElement.trace
-    assert shared == {"is_zero", "mu", "state_sum", "to_json", "trace"}
+    assert shared == {"is_zero", "mu", "state_sum", "to_json"}
 
 
 def test_every_library_import_is_used() -> None:

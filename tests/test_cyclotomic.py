@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from skeinlat.cyclotomic import (CycContext, CycNum, NotIntegralError, _unpack, cyclotomic_poly,
-                                 poly_resultant)
+from skeinlat.cyclotomic import CycContext, CycNum, NotIntegralError, _unpack, cyclotomic_poly
 from skeinlat.laurent import IntLaurent
+
+from oracles import norm_resultant, poly_resultant
 
 
 def test_cyclotomic_polys():
@@ -197,7 +198,7 @@ def test_norm_dual_route(p):
         vec = tuple(rng.randrange(-9, 10) for _ in range(ctx.phi))
         den = rng.randrange(1, 5)
         x = CycNum(ctx, vec, den)
-        assert x.norm() == x.norm_resultant()
+        assert x.norm() == norm_resultant(x)
 
 
 def mobius(m):

@@ -20,22 +20,25 @@ from skeinlat.planar import (
     gram_genus2,
     genus3_p5_report,
     graph_colorings_genus2,
-    graph_colorings_genus3,
     graph_norm_genus2,
     graph_norm_genus3,
     monomial_arrangement,
     non_unimodular_witness,
-    pairing_closed_genus2,
-    triangular_certificate_genus2,
 )
 from skeinlat.recoupling import (
     count_spine_colorings,
     quantum_dim_at,
-    rank_polynomial_genus3,
-    rank_polynomial_genus5,
     verlinde_rank,
 )
 from skeinlat.torus import TQFTParams
+
+from oracles import (
+    graph_colorings_genus3,
+    pairing_closed_genus2,
+    rank_polynomial_genus3,
+    rank_polynomial_genus5,
+    triangular_certificate_genus2,
+)
 
 PRIMES = (5, 7, 11)
 

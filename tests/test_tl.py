@@ -6,15 +6,15 @@ import pytest
 
 from skeinlat.laurent import IntLaurent
 from skeinlat.recoupling import (
-    QFrac,
     admissible,
-    delta_loop,
     qint,
     quantum_dim,
     tet,
     theta,
 )
-from skeinlat.tl import (
+
+from oracles import QFrac, delta_loop
+from tl_oracle import (
     TLElement,
     cup_cap,
     identity,

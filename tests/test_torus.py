@@ -10,7 +10,6 @@ from skeinlat.matrices import (
     mat_eq,
     mat_inverse,
     mat_mul,
-    mat_vec,
     transpose,
 )
 from skeinlat.recoupling import qint
@@ -24,19 +23,15 @@ from skeinlat.torus import (
     basis_v,
     det_w_certificate,
     e_gram_closed,
-    form_preserved,
     genus1_determinant,
     gram,
     hermitian_pairing,
-    hopf_bracket,
     hopf_matrix,
     hopf_pairing_closed,
     modular_relation_scalar,
     omega,
     omega_product,
-    pairing_bracket,
     reduce_e,
-    reduce_skein,
     s_matrix,
     twist_matrix,
     twist_matrix_v_at,
@@ -47,6 +42,8 @@ from skeinlat.torus import (
     w_matrix,
     z_action,
 )
+
+from oracles import form_preserved, hopf_bracket, mat_vec, pairing_bracket, reduce_skein
 
 PRIMES = (3, 5, 7, 11, 13)
 

@@ -18,8 +18,10 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
-from .laurent import IntLaurent, poly_gcd
-from .recoupling import QFrac, admissible, delta_loop, qint
+from skeinlat.laurent import IntLaurent
+from skeinlat.recoupling import admissible, qint
+
+from oracles import QFrac, content, delta_loop, poly_gcd
 
 Matching = frozenset
 
@@ -140,7 +142,7 @@ class TLElement:
                 break
         cont = 0
         for c in self.terms.values():
-            cont = math.gcd(cont, c.content())
+            cont = math.gcd(cont, content(c))
         common = g * cont
         shift = min(c.min_exp() for c in self.terms.values())
         common = common.shift(shift)
