@@ -12,6 +12,7 @@ written to disk.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .torus import (
     omega,
     omega_product,
     s_matrix,
+    s_matrix_v,
     twist_matrix,
     twist_matrix_v_at,
     v_gram_closed,
@@ -50,15 +52,16 @@ BASES_G1 = {"e": basis_e, "omega": basis_omega, "v": basis_v}
 BASES_G2 = ("G", "A", "Av")
 
 # The largest inputs each verb accepts: the largest at which its cost is
-# measured (single runs on a 2-core Xeon).  Beyond them a verb would run
-# without a stated bound, so larger inputs are refused as bad input.
-# In one process genus2 --p 13 takes 0.19 / 0.62 / 0.81 s for G / A / Av and
-# stabilize --p 13 6.5-7.3 s on integer rows (34.6-35.0 s for CycNum rounds,
-# measured alternately).  Both verbs share the limit, so it stays at 13 until
-# the p = 17 lattices are cheap.
+# measured (in one process on a 2-core Xeon, three runs each, the verbs
+# alternating).  Beyond them a verb would run without a stated bound, so
+# larger inputs are refused as bad input.  genus2 --p 13 takes 0.05-0.09 /
+# 0.30-0.36 / 0.58-0.78 s for G / A / Av and stabilize --p 13 4.5-5.0 s.
+# Both verbs share the limit, so it stays at 13 until the p = 17 lattices
+# are cheap.
 MAX_P_HEAVY = 13
-# genus1 --p 59 takes at most 3.4 s for any basis and --emit; at --p 61 and
-# 67 --basis v takes 7.4-9.7 s, over stabilize --p 13, most of it in is_unit.
+# genus1 --p 59 takes at most 3.1 s for any basis and --emit; at --p 61 and
+# 67 --basis v takes 7.1-8.5 and 7.4-10.2 s, over stabilize --p 13 in the
+# same runs, most of it in is_unit.
 MAX_P_GENUS1 = 59
 # rank --p 211 --genus 12 takes 0.21-0.27 s in a fresh interpreter, 0.02 s
 # of it the count and 0.07 s the Verlinde trace.  At p = 211 the count takes
@@ -138,9 +141,14 @@ def _guarded(claim: str, p: int, fn):
         return {"claim": claim, "p": p, "ok": False, "error": str(exc)}
 
 
+def _entry(claim: str, p: int, build) -> dict:
+    """The entry for claim at p with the keys build() returns, ok among them."""
+    return _guarded(claim, p, lambda: {"claim": claim, "p": p, **build()})
+
+
 def _holds(claim: str, p: int, check) -> dict:
     """A yes/no claim: ok is the truth of check(), and a refutation fails it."""
-    return _guarded(claim, p, lambda: {"claim": claim, "p": p, "ok": bool(check())})
+    return _entry(claim, p, lambda: {"ok": bool(check())})
 
 
 # --- per-family certificate builders -------------------------------------
@@ -191,30 +199,32 @@ def genus1_certs(params: TQFTParams) -> list[dict]:
         _holds("v-powers and twist orbit related by integral change of basis", p,
                lambda: v_in_omega_span(params)),
         _holds("regluing involution has integral matrix in the v-basis", p,
-               lambda: s_matrix(params, basis="v")),
+               lambda: s_matrix_v(params)),
         _holds("twist matrix in the v-basis specializes integrally at the root", p,
                lambda: twist_matrix_v_at(params)),
-        modular_relation_scalar(params),
+        _guarded("(S T)^3 is a unit scalar times S^2", p, lambda: modular_relation_scalar(params)),
     ]
     return certs
 
 
 def lattice_certs(params: TQFTParams) -> list[dict]:
     ctx, p = params.ctx, params.p
-    w_lat = OLattice.from_vectors(ctx, basis_omega(params))
-    v_lat = _v_lattice(params)
-    certs = [
-        {"claim": "twist-orbit lattice equals the v-power lattice", "p": p,
-         "rank": w_lat.rank, "ok": lattice_equal(w_lat, v_lat)}
+    v_lat = functools.cache(lambda: _v_lattice(params))  # both claims compare with it
+
+    def orbit() -> dict:
+        w_lat = OLattice.from_vectors(ctx, basis_omega(params))
+        return {"rank": w_lat.rank, "ok": lattice_equal(w_lat, v_lat())}
+
+    def saturation() -> dict:
+        rep = saturate(ctx, basis_e(params), [twist_matrix(params), s_matrix(params)])
+        return {"iterations": rep.iterations,
+                "ok": rep.stabilized and rep.iterations <= 5
+                      and lattice_equal(rep.lattice, v_lat())}
+
+    return [
+        _entry("twist-orbit lattice equals the v-power lattice", p, orbit),
+        _entry("e-basis seed saturates to the v-power lattice within five rounds", p, saturation),
     ]
-    rep = saturate(ctx, basis_e(params), [twist_matrix(params), s_matrix(params)])
-    certs.append(
-        {"claim": "e-basis seed saturates to the v-power lattice within five rounds",
-         "p": p, "iterations": rep.iterations,
-         "ok": rep.stabilized and rep.iterations <= 5
-               and lattice_equal(rep.lattice, v_lat)}
-    )
-    return certs
 
 
 def rank_cert(ctx: CycContext, genus: int) -> dict:

@@ -90,7 +90,6 @@ def p_admissible(p: int, a: int, b: int, c: int) -> bool:
     return admissible(a, b, c) and a + b + c <= 2 * (p - 2)
 
 
-@lru_cache(maxsize=None)
 def theta(a: int, b: int, c: int) -> QFrac:
     """Theta-graph value with edge colors a, b, c."""
     if not admissible(a, b, c):
@@ -103,8 +102,12 @@ def theta(a: int, b: int, c: int) -> QFrac:
     return QFrac(num if (m + n + r) % 2 == 0 else -num, den)
 
 
-@lru_cache(maxsize=None)
-def _tet_value(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
+def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
+    """Tetrahedron coefficient with vertex triples (a,b,e), (c,d,e),
+    (a,d,f), (b,c,f)."""
+    for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
+        if not admissible(*tri):
+            raise ValueError(f"inadmissible vertex {tri}")
     verts = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
     squares = [(a + c + e + f) // 2, (b + d + e + f) // 2, (a + b + c + d) // 2]
     zlo, zhi = max(verts), min(squares)
@@ -135,15 +138,6 @@ def _tet_value(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
     for x in (a, b, c, d, e, f):
         pre_den = pre_den * qfact(x)
     return QFrac(num * pre_num, den * pre_den)
-
-
-def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
-    """Tetrahedron coefficient with vertex triples (a,b,e), (c,d,e),
-    (a,d,f), (b,c,f)."""
-    for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
-        if not admissible(*tri):
-            raise ValueError(f"inadmissible vertex {tri}")
-    return _tet_value(a, b, e, c, d, f)
 
 
 def theta_at(ctx: CycContext, a: int, b: int, c: int) -> CycNum:

@@ -67,7 +67,8 @@ class TQFTParams:
     p.  The parameters keep no table of their own: the necklace brackets and
     the genus-2 annulus products and fused loops go into ctx.memo, next to
     the inverses and recoupling values, so each is built once per ring.
-    inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).
+    inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).  kappa is the
+    framing anomaly, the scalar in (ST)^3 = kappa S^2.
     """
 
     @classmethod
@@ -238,16 +239,6 @@ def basis_v(params: TQFTParams) -> list[Vector]:
     return [tuple(x * u if x else x for x in row) for row, u in zip(z_plus2_rows(params), scales)]
 
 
-def w_matrix(params: TQFTParams) -> Matrix:
-    """Row j holds the e-coordinates of t^j(omega)."""
-    return [list(v) for v in basis_omega(params)]
-
-
-def v_matrix(params: TQFTParams) -> Matrix:
-    """Column j holds the e-coordinates of v^j."""
-    return transpose([list(v) for v in basis_v(params)])
-
-
 # ---------------------------------------------------------------------------
 # pairings
 
@@ -365,11 +356,6 @@ def associate_certificate(
     }
 
 
-def _det(params: TQFTParams, mat: Matrix) -> CycNum:
-    ctx = params.ctx
-    return determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
-
-
 def factored_determinant(params: TQFTParams, label: str, gram_mat: Matrix, pivots: list[CycNum],
                          lower: Matrix | None = None, scales=None) -> CycNum:
     """The determinant of gram_mat by one LDL factorization, refuted unless
@@ -419,27 +405,36 @@ def det_w_product(params: TQFTParams) -> CycNum:
     return math.prod(omega(params), start=params.ctx.one) * vandermonde_product(params)
 
 
+def _elimination_certificate(params: TQFTParams, mat: Matrix, product: CycNum, claim: str,
+                             disagrees: str, expect: int) -> dict:
+    """det mat by Bareiss elimination, refuted unless it equals product, then
+    the claim that it is associate to (1-q)^expect."""
+    ctx = params.ctx
+    det = determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
+    if det != product:
+        raise RefutationError(disagrees)
+    return associate_certificate(params, det, claim, "omega", expect)
+
+
 def det_w_certificate(params: TQFTParams) -> dict:
     """det W by elimination, equal to det_w_product and associate to (1-q)^(-d(d-1)/2)."""
     d = params.d
     expect = -(d * (d - 1) // 2)
-    det = _det(params, w_matrix(params))
-    if det != det_w_product(params):
-        raise RefutationError("det W disagrees with the omega-Vandermonde product")
-    claim = f"det W associate to (1-q)^({expect})"
-    return associate_certificate(params, det, claim, "omega", expect)
+    return _elimination_certificate(
+        params, [list(v) for v in basis_omega(params)], det_w_product(params),
+        f"det W associate to (1-q)^({expect})",
+        "det W disagrees with the omega-Vandermonde product", expect)
 
 
 def vandermonde_certificate(params: TQFTParams) -> dict:
     """The Vandermonde factor [mu_i^j] of W: its determinant equals
     prod_{i<j} (mu_j - mu_i) and is associate to (1-q)^(d(d-1)/2)."""
     d = params.d
-    det = _det(params, [[mu**j for j in range(d)] for mu in map(params.mu, range(d))])
-    if det != vandermonde_product(params):
-        raise RefutationError("vandermonde determinant disagrees with the product")
     expect = d * (d - 1) // 2
-    claim = f"vandermonde determinant associate to (1-q)^{expect}"
-    return associate_certificate(params, det, claim, "omega", expect)
+    return _elimination_certificate(
+        params, [[mu**j for j in range(d)] for mu in map(params.mu, range(d))],
+        vandermonde_product(params), f"vandermonde determinant associate to (1-q)^{expect}",
+        "vandermonde determinant disagrees with the product", expect)
 
 
 def v_in_omega_span(params: TQFTParams) -> Matrix:
@@ -449,15 +444,13 @@ def v_in_omega_span(params: TQFTParams) -> Matrix:
     integral: that is the equality of the two lattices.
     """
     ctx = params.ctx
-    winv = mat_inverse(w_matrix(params), ctx.one, ctx.zero, ctx.inv)
+    winv = mat_inverse([list(v) for v in basis_omega(params)], ctx.one, ctx.zero, ctx.inv)
     rows_v = [list(v) for v in basis_v(params)]
     c = mat_mul(rows_v, winv, ctx.zero)
     cinv = mat_inverse(c, ctx.one, ctx.zero, ctx.inv)
     for mat in (c, cinv):
         if any(not x.is_integral() for row in mat for x in row):
-            raise RefutationError(
-                "v and omega spans differ: non-integral change of basis"
-            )
+            raise RefutationError("v and omega spans differ: non-integral change of basis")
     return c
 
 
@@ -465,32 +458,30 @@ def v_in_omega_span(params: TQFTParams) -> Matrix:
 # mapping class action
 
 
-def s_matrix(params: TQFTParams, basis: str = "e") -> Matrix:
-    """Matrix of the regluing involution S in the chosen basis.
-
-    In the e-basis S = eta H: S(e_j) = eta sum_i H_ij e_i, and S^2 = 1
-    exactly.  The v-basis matrix is the conjugated operator V^-1 S V, and
-    every entry must be an algebraic integer; that is the statement that S
-    preserves the v-lattice, and it is invisible entrywise (eta H(v^i, v^j)
-    alone is not integral).
-    """
-    se = map_entries(lambda h: params.eta * h, hopf_matrix(params))
-    if basis == "e":
-        return se
-    if basis != "v":
-        raise ValueError(f"unknown basis {basis!r}")
-    sv = _in_v_basis(params, se)
-    if any(not x.is_integral() for row in sv for x in row):
-        raise RefutationError("S-matrix entries in the v-basis are not integral")
-    return sv
+def s_matrix(params: TQFTParams) -> Matrix:
+    """Matrix of the regluing involution S in the e-basis: S = eta H, so
+    S(e_j) = eta sum_i H_ij e_i, and S^2 = 1 exactly."""
+    return map_entries(lambda h: params.eta * h, hopf_matrix(params))
 
 
 def _in_v_basis(params: TQFTParams, op: Matrix) -> Matrix:
-    """V^-1 op V: the e-basis operator op written in the v-basis."""
+    """V^-1 op V: the e-basis operator op written in the v-basis, column j
+    of V holding the e-coordinates of v^j."""
     ctx = params.ctx
-    vm = v_matrix(params)
+    vm = transpose([list(v) for v in basis_v(params)])
     vinv = mat_inverse(vm, ctx.one, ctx.zero, ctx.inv)
     return mat_mul(vinv, mat_mul(op, vm, ctx.zero), ctx.zero)
+
+
+def s_matrix_v(params: TQFTParams) -> Matrix:
+    """S in the v-basis, V^-1 S V, refuted unless every entry is an
+    algebraic integer.  That is the statement that S preserves the
+    v-lattice, and it is invisible entrywise (eta H(v^i, v^j) alone is not
+    integral)."""
+    sv = _in_v_basis(params, s_matrix(params))
+    if any(not x.is_integral() for row in sv for x in row):
+        raise RefutationError("S-matrix entries in the v-basis are not integral")
+    return sv
 
 
 def twist_matrix_v_at(params: TQFTParams) -> Matrix:
@@ -512,14 +503,14 @@ def twist_matrix(params: TQFTParams) -> Matrix:
 
 
 def modular_relation_scalar(params: TQFTParams) -> dict:
-    """(ST)^3 against S^2 = 1: the quotient is a unit scalar, recorded here
-    rather than normalized away."""
+    """(ST)^3 against S^2 = 1: the quotient is the scalar kappa of the
+    framing anomaly, recorded here rather than normalized away."""
     ctx, d = params.ctx, params.d
     st = mat_mul(s_matrix(params), twist_matrix(params), ctx.zero)
     cube = mat_mul(st, mat_mul(st, st, ctx.zero), ctx.zero)
     lam = cube[0][0]
     scalar_matrix = map_entries(lambda x: x * lam, identity(d, ctx.one, ctx.zero))
-    ok = mat_eq(cube, scalar_matrix) and lam.is_unit()
+    ok = mat_eq(cube, scalar_matrix) and lam == params.kappa
     return {
         "claim": "(S T)^3 is a unit scalar times S^2",
         "p": params.p,

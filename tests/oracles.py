@@ -445,6 +445,13 @@ def reduce_skein(params: TQFTParams, z_coeffs: dict[int, object]) -> Vector:
     return reduce_e(params, z_poly_to_e(conv, ctx.zero))
 
 
+def elimination_det(params: TQFTParams, mat: Matrix) -> CycNum:
+    """Oracle for factored_determinant: the determinant of mat by Bareiss
+    elimination over the field, with no factor to check."""
+    ctx = params.ctx
+    return determinant(mat, ctx.zero, lambda u, w: u * ctx.inv(w))
+
+
 def pairing_bracket(params: TQFTParams, x: Vector, y: Vector) -> CycNum:
     """Oracle for hermitian_pairing: the form as an honest bracket state sum.
 

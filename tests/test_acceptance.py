@@ -6,7 +6,6 @@ stated wall-clock budget where one exists.  Everything is exact arithmetic.
 
 import time
 
-from skeinlat import torus
 from skeinlat.annulus import (
     ONE_MINUS_Q,
     s_poly,
@@ -57,11 +56,13 @@ from skeinlat.torus import (
     omega,
     omega_product,
     s_matrix,
+    s_matrix_v,
     v_in_omega_span,
 )
 
 from oracles import (
     derivative_congruences,
+    elimination_det,
     evaluate,
     hopf_bracket,
     laurent_from_json,
@@ -125,7 +126,7 @@ def test_criterion_03_genus1_determinants() -> None:
         d = params.d
         for name, builder in (("e", basis_e), ("omega", basis_omega), ("v", basis_v)):
             det = genus1_determinant(params, name)
-            assert det == torus._det(params, gram(params, builder(params))), (p, name)
+            assert det == elimination_det(params, gram(params, builder(params))), (p, name)
             expect = d * (d - 1) if name == "e" else 0
             cert = associate_certificate(params, det, "gram determinant", name, expect)
             assert cert["ok"] and cert["associate_exponent"] == expect
@@ -143,7 +144,7 @@ def test_criterion_04_basis_equivalences() -> None:
         assert lattice_equal(w_lat, v_lat), p
         assert omega_product(params) == omega(params), p
         v_in_omega_span(params)  # raises unless integral both ways
-        s_matrix(params, basis="v")  # raises unless entrywise integral
+        s_matrix_v(params)  # raises unless entrywise integral
 
 
 def test_criterion_05_stabilization() -> None:

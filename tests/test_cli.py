@@ -377,6 +377,39 @@ def test_omega_orbit_off_the_det_w_product_is_refuted(capsys, monkeypatch) -> No
     assert "det W disagrees" in failing[0]["error"]
 
 
+ORBIT_CLAIM = "twist-orbit lattice equals the v-power lattice"
+SATURATION_CLAIM = "e-basis seed saturates to the v-power lattice within five rounds"
+
+
+@pytest.mark.parametrize(
+    "target, refuted_claims",
+    [
+        ("saturate", [SATURATION_CLAIM]),
+        ("_v_lattice", [ORBIT_CLAIM, SATURATION_CLAIM]),
+        ("modular_relation_scalar", ["(S T)^3 is a unit scalar times S^2"]),
+    ],
+)
+def test_a_refuted_family_keeps_every_verify_all_entry(capsys, monkeypatch, target,
+                                                        refuted_claims) -> None:
+    # a refutation in the lattice or modular family fails the entries that
+    # read it and prints the rest of the bundle; the saturation and the v
+    # lattice refute only the claims that compare with them
+    _, good, _ = run(capsys, "verify-all", "--p", "5")
+
+    def refuted(*args):
+        raise RefutationError(f"{target} refuted")
+
+    monkeypatch.setattr(cli, target, refuted)
+    code, out, err = run(capsys, "verify-all", "--p", "5")
+    certs = json.loads(out)
+    assert code == 1 and err == ""
+    assert [c["claim"] for c in certs] == [c["claim"] for c in json.loads(good)]
+    failing = [c for c in certs if not c["ok"]]
+    assert [c["claim"] for c in failing] == refuted_claims
+    assert all(c == {"claim": c["claim"], "p": 5, "ok": False, "error": f"{target} refuted"}
+               for c in failing)
+
+
 TWIST_CLAIM = "twist matrix in the v-basis specializes integrally at the root"
 
 
@@ -738,6 +771,9 @@ VERB_PINS = {
         "23ebdc903f0d1dd6adbc102784372035d2548fbc29fd756c569af92fa48df8e5",
     "genus1 --p 59 --basis e":
         "a762a5ff9321b01d5910055aebff135560ca4decff7cbe92ace1915ecec50b57",
+    # the largest lattice the CLI saturates, and the lattice path's slowest pin
+    "stabilize --p 13":
+        "50f24317eec0235a2bb7a16f4f2c097b5acc6e84a1695832e51d7b47ec30e119",
 }
 
 

@@ -326,7 +326,7 @@ def test_index_requires_containment() -> None:
 def test_stable_lattice_is_mapping_class_invariant(p: int) -> None:
     params = TQFTParams.for_prime(p)
     lat = lattice_for(p, "v")
-    for op in (twist_op(params), s_matrix(params, basis="e")):
+    for op in (twist_op(params), s_matrix(params)):
         for vec in vectors(lat):
             assert contains_vector(lat, mat_vec(op, vec, params.ctx.zero))
 
@@ -338,7 +338,7 @@ def test_stable_lattice_is_mapping_class_invariant(p: int) -> None:
 def test_e_seed_saturates_to_v_lattice(p: int) -> None:
     params = TQFTParams.for_prime(p)
     seed = basis_e(params)
-    report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
+    report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params)])
     assert report.stabilized
     assert report.iterations <= 5
     assert lattice_equal(report.lattice, lattice_for(p, "v"))
@@ -361,7 +361,7 @@ def test_omega_seed_twist_orbit() -> None:
 def test_saturation_is_monotone() -> None:
     params = TQFTParams.for_prime(7)
     seed = basis_e(params)
-    report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params, basis="e")])
+    report = saturate(params.ctx, seed, [twist_op(params), s_matrix(params)])
     for vec in seed:
         assert contains_vector(report.lattice, vec)
 
@@ -382,7 +382,7 @@ def test_cap_keeps_the_lattice_after_exactly_cap_enlargements() -> None:
     # at p = 7 the e seed needs two enlargements, so cap=1 stops after the first
     params = TQFTParams.for_prime(7)
     ctx = params.ctx
-    ops = [twist_op(params), s_matrix(params, basis="e")]
+    ops = [twist_op(params), s_matrix(params)]
     seed = basis_e(params)
     gens = vectors(OLattice.from_vectors(ctx, seed))
     step = [mat_vec(op, g, ctx.zero) for op in ops for g in gens]
@@ -431,7 +431,7 @@ def test_integer_rounds_match_the_cycnum_route(p: int, n: int, kind: str) -> Non
     rng = random.Random(2500 + 10 * p + len(kind))
     if kind == "t and S":
         seeds = [basis_e(params)]
-        op_sets = [[twist_op(params), s_matrix(params, basis="e")]]
+        op_sets = [[twist_op(params), s_matrix(params)]]
     else:
         op_dens = (1,) if kind == "integral" else (1, 1, 2, 3)
         seeds = [[tuple(random_operator(ctx, d, rng)[0])] for _ in range(3)]

@@ -109,8 +109,9 @@ def test_tet_symmetry():
     assert tet(2, 1, 1, 2, 1, 1) == base2
     assert tet(1, 2, 1, 1, 2, 1) == base2
     assert not (base == tet(2, 2, 2, 2, 2, 2))
-    # seeded vertex relabelings of admissible colorings <= 4; tet caches by
-    # the colors as given, so the equalities come from the formula itself
+    # seeded vertex relabelings of admissible colorings <= 4; tet sums its
+    # formula over the colors as given, so the equalities come from the
+    # formula itself
     edges = ((1, 3), (1, 4), (1, 2), (2, 4), (2, 3), (3, 4))  # a, b, e, c, d, f
     colorings = [
         (a, b, e, c, d, f)

@@ -33,17 +33,23 @@ from skeinlat.torus import (
     omega_product,
     reduce_e,
     s_matrix,
+    s_matrix_v,
     twist_matrix,
     twist_matrix_v_at,
     v_gram_closed,
     v_in_omega_span,
-    v_matrix,
     vandermonde_certificate,
-    w_matrix,
     z_action,
 )
 
-from oracles import form_preserved, hopf_bracket, mat_vec, pairing_bracket, reduce_skein
+from oracles import (
+    elimination_det,
+    form_preserved,
+    hopf_bracket,
+    mat_vec,
+    pairing_bracket,
+    reduce_skein,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -58,6 +64,11 @@ def add(x, y) -> tuple:
 
 def scale(x, c) -> tuple:
     return tuple(a * c for a in x)
+
+
+def v_columns(params) -> list:
+    """V: column j holds the e-coordinates of v^j."""
+    return transpose([list(v) for v in basis_v(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +329,7 @@ def test_hopf_is_symmetric_and_real():
 def genus1_cert(params, basis, gram_mat, expect):
     # the claim-path determinant, which must equal the elimination oracle's
     det = genus1_determinant(params, basis)
-    assert det == torus._det(params, gram_mat)
+    assert det == elimination_det(params, gram_mat)
     return associate_certificate(params, det, "gram determinant", basis, expect)
 
 
@@ -400,7 +411,7 @@ def test_v_in_e_determinant_valuation(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
     det = ctx.one
-    vm = v_matrix(params)
+    vm = v_columns(params)
     for j in range(params.d):
         det = det * vm[j][j]
     expect = -(params.d * (params.d - 1) // 2)
@@ -413,8 +424,8 @@ def test_gram_of_dependent_vectors_degenerates():
     params = TQFTParams.for_prime(5)
     e0 = basis_e(params)[0]
     with pytest.raises(DegeneracyError):
-        associate_certificate(params, torus._det(params, gram(params, [e0, scale(e0, 2)])), "bogus",
-                              None, 0)
+        associate_certificate(params, elimination_det(params, gram(params, [e0, scale(e0, 2)])),
+                              "bogus", None, 0)
 
 
 def test_associate_certificate_rejects_stray_prime():
@@ -450,7 +461,7 @@ def test_v_in_omega_span_integral_both_ways(p):
     c = v_in_omega_span(params)
     ctx = params.ctx
     # reconstruct v^j from the coordinates
-    w = w_matrix(params)
+    w = [list(v) for v in basis_omega(params)]
     back = mat_mul(c, w, ctx.zero)
     assert mat_eq(back, [list(v) for v in basis_v(params)])
 
@@ -459,7 +470,7 @@ def test_omega_in_v_coordinates_integral():
     for p in (5, 7, 11, 13):
         params = TQFTParams.for_prime(p)
         ctx = params.ctx
-        vinv = mat_inverse(v_matrix(params), ctx.one, ctx.zero, ctx.inv)
+        vinv = mat_inverse(v_columns(params), ctx.one, ctx.zero, ctx.inv)
         coords = mat_vec(vinv, list(omega(params)), ctx.zero)
         assert all(x.is_integral() for x in coords)
 
@@ -489,16 +500,11 @@ def test_s_matrix_anchor_entries():
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_s_matrix_v_basis_integral(p):
     params = TQFTParams.for_prime(p)
-    sv = s_matrix(params, "v")
+    sv = s_matrix_v(params)
     assert all(x.is_integral() for row in sv for x in row)
     # conjugation, not the form push-forward: eta H(v^0, v^0) alone is eta,
     # which is not integral for d > 1
     assert not (params.eta * hopf_pairing_closed(params, 0, 0)).is_integral()
-
-
-def test_s_matrix_rejects_unknown_basis():
-    with pytest.raises(ValueError):
-        s_matrix(TQFTParams.for_prime(5), "w")
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
@@ -516,14 +522,14 @@ def test_s_preserves_form(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
     assert form_preserved(gram(params, basis_e(params)), s_matrix(params), ctx.zero)
-    assert form_preserved(gram(params, basis_v(params)), s_matrix(params, "v"), ctx.zero)
+    assert form_preserved(gram(params, basis_v(params)), s_matrix_v(params), ctx.zero)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_twist_matrix_v_is_conjugated_eigenvalue_matrix(p):
     params = TQFTParams.for_prime(p)
     ctx = params.ctx
-    vm = v_matrix(params)
+    vm = v_columns(params)
     vinv = mat_inverse(vm, ctx.one, ctx.zero, ctx.inv)
     diag = diagonal([params.mu(i) for i in range(params.d)], ctx.zero)
     conj = mat_mul(vinv, mat_mul(diag, vm, ctx.zero), ctx.zero)
@@ -532,6 +538,35 @@ def test_twist_matrix_v_is_conjugated_eigenvalue_matrix(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_modular_relation_scalar(p):
-    cert = modular_relation_scalar(TQFTParams.for_prime(p))
+    params = TQFTParams.for_prime(p)
+    cert = modular_relation_scalar(params)
     assert cert["ok"]
+    assert cert["scalar"] == params.kappa
     assert cert["scalar"].is_unit()
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_modular_relation_scalar_is_kappa(p):
+    # (ST)^3 stays a scalar times S^2 whatever kappa reads, so only the
+    # comparison with kappa fails a kappa of the wrong sign; -kappa still
+    # squares to the value TQFTParams checks
+    params = TQFTParams(p)
+    params.kappa = -params.kappa
+    cert = modular_relation_scalar(params)
+    assert cert["ok"] is False
+    assert cert["scalar"] == -params.kappa
+
+
+@pytest.mark.parametrize(
+    "certificate, disagrees",
+    [(det_w_certificate, "det W disagrees with the omega-Vandermonde product"),
+     (vandermonde_certificate, "vandermonde determinant disagrees with the product")],
+    ids=["det-W", "vandermonde"],
+)
+def test_elimination_certificates_refute_a_wrong_product(monkeypatch, certificate, disagrees):
+    # both eliminations compare with a product built on vandermonde_product,
+    # so moving it by the unit -1 refutes each with its own message
+    real = torus.vandermonde_product
+    monkeypatch.setattr(torus, "vandermonde_product", lambda params: -real(params))
+    with pytest.raises(RefutationError, match=f"^{disagrees}$"):
+        certificate(TQFTParams.for_prime(7))
