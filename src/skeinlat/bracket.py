@@ -5,13 +5,21 @@ counterclockwise starting from the inbound under-strand, so the under-strand
 occupies slots 0 and 2.  Crossing-free unknot components are carried in a
 separate counter since they never touch an arc label.
 
-The evaluator is a frontier state sum: crossings are resolved one at a time
-and partial resolutions are merged whenever they induce the same planar
-matching on the dangling arc ends.  Arc ends are ints (end k of the i-th arc
-met is 2i + k, so an end's partner is end ^ 1), and a matching is a byte
-string with one entry per end.  In both coefficient adapters a state's
-value is one packed int, and each term, a state value times a weight
-A^(+-1) delta^closed, is added into the state it reaches in place.  The
+The evaluator first cancels every Reidemeister-II pair (_cancel_pairs), on
+which the bracket is exactly invariant (Kauffman, "State models and the
+Jones polynomial", Topology 26, 1987): two crossings, each with four
+distinct arcs, that share an arc at the same over slot and an under arc
+leaving one and entering the other.  The same-slot condition is needed,
+since a clasp sharing slot 1 of one crossing and slot 3 of the other does
+not cancel.  What is left goes to a frontier state sum: crossings are
+resolved one at a time and partial resolutions are merged whenever they
+induce the same planar matching on the dangling arc ends.  Arc ends are
+ints (end k of the i-th arc met is 2i + k, so an end's partner is
+end ^ 1), and a matching is a byte string with one entry per end.  In
+both coefficient adapters a state's value is one packed int, and each
+term, a state value times a weight A^(+-1) delta^closed, is added into the
+state it reaches in place.  Both adapters share the pair cancellation, the
+crossing order and the frontier.  The
 adapter decides how a term is formed and how the final value is read out:
 a few shifts over Z[A, A^-1], or one product folded negacyclically in
 Z[x]/(x^(n/2) + 1) at a root of unity in the oracle RootCoeffs, reduced mod
@@ -255,9 +263,75 @@ def _join(m, u: int, v: int) -> int:
     return 0
 
 
+def _cancel_pairs(pd: Sequence[tuple[int, int, int, int]]) -> tuple[tuple, int]:
+    """(crossings, loops) left once every Reidemeister-II pair is cancelled.
+
+    A pair is two crossings, each with four distinct arcs, that share an arc
+    at the same over slot s (1 or 3) and an under arc leaving one and
+    entering the other: ci = (c, x, y, a) and cj = (y, x, d, b) for s = 1.
+    Of their four smoothings, AA, BA and BB leave c-a, d-b with weight
+    A^2 + delta + A^-2 = 0 and AB leaves c-d, a-b with weight 1, so both
+    go, c joins d and a joins b, and a joined strand left with no crossing
+    is a loop.  Shared arcs at slot 1 of one and slot 3 of the other do not
+    cancel: their smoothings leave A^2 (c-d, a-b) + (1 - A^-4) (c-a, b-d).
+    The crossings left keep their order.  A crossing with an arc that does
+    not have two ends is never part of a pair, so a diagram that does not
+    close up reaches the state sum, which refutes it."""
+    cr = [list(c) for c in pd]
+    ends: dict[int, list[int]] = {}  # arc -> its slots 4i + k
+    for t, a in enumerate(x for c in cr for x in c):
+        ends.setdefault(a, []).append(t)
+    alive = [True] * len(cr)
+    loops = 0
+    work = list(range(len(cr)))
+    while work:
+        i = work.pop()
+        ci = cr[i]
+        if not alive[i] or len(set(ci)) < 4:
+            continue
+        for s in (1, 3):
+            at = ends[ci[s]]
+            if len(at) != 2:
+                continue
+            t = at[0] if at[1] == 4 * i + s else at[1]
+            j = t >> 2
+            cj = cr[j]
+            if t & 3 != s or len(set(cj)) < 4:
+                continue
+            if ci[2] == cj[0]:
+                under = ci[0], cj[2]
+            elif ci[0] == cj[2]:
+                under = cj[0], ci[2]
+            else:
+                continue
+            if any(len(ends[a]) != 2 for a in ci + cj):
+                continue
+            alive[i] = alive[j] = False
+            for k in (i, j):
+                for slot, a in enumerate(cr[k]):
+                    ends[a].remove(4 * k + slot)
+            # join each pair of ends, v's arc taking u's label, so the
+            # second pair reads v1 as u1
+            (u1, v1), (u2, v2) = (ci[s ^ 2], cj[s ^ 2]), under
+            for u, v in ((u1, v1), (u2 if u2 != v1 else u1, v2 if v2 != v1 else u1)):
+                if u == v:
+                    loops += 1
+                    continue
+                moved = ends.pop(v)
+                for e in moved:
+                    cr[e >> 2][e & 3] = u
+                ends[u] += moved
+                work += [e >> 2 for e in ends[u]]
+            break
+    return tuple(tuple(c) for c, keep in zip(cr, alive) if keep), loops
+
+
 def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
-    """Evaluate the bracket; <empty> = 1 and each loop closure contributes delta."""
-    pd = diagram.pd
+    """Evaluate the bracket; <empty> = 1 and each loop closure contributes delta.
+
+    Reidemeister-II pairs cancel first (_cancel_pairs); the frontier state
+    sum runs on the crossings left."""
+    pd, loops = _cancel_pairs(diagram.pd)
     weights, read = coeffs.state_sum(len(pd))
 
     # End k of the i-th arc met is 2i + k, so its partner is end ^ 1.
@@ -290,7 +364,7 @@ def kauffman_bracket(diagram: LinkDiagram, coeffs=LaurentCoeffs):
     if len(states) != 1 or any(states[0][0]):
         raise RefutationError("state sum did not close up to the empty state")
     out = read(states[0][1])
-    for _ in range(diagram.loops):
+    for _ in range(diagram.loops + loops):
         out = out * coeffs.delta
     return out
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from skeinlat import recoupling
 from skeinlat.annulus import z_plus2_pow_in_e, z_power_in_e
-from skeinlat.bracket import _check_word, braid_components
+from skeinlat.bracket import _check_word, braid_components, braid_pd
 from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, same_ring
 from skeinlat.laurent import IntLaurent, RefutationError
 from skeinlat.lattice import OLattice, _lead, _zeta_shift
@@ -580,6 +581,27 @@ def cable_braid(word, strands: int, widths) -> tuple[list[int], int]:
             out.extend(-b for b in reversed(block))
         cur[i - 1], cur[i] = v, u
     return out, sum(widths)
+
+
+def seeded_braid_corpus(seed: int, links: int, strands_from=(6, 7), fewest: int = 20) -> dict:
+    """Closures of random braids on strands_from strands with fewest to 32
+    crossings and 2-4 components, in the corpus format `bracket --corpus`
+    reads."""
+    rng = random.Random(seed)
+    entries = []
+    while len(entries) < links:
+        strands = rng.choice(strands_from)
+        crossings = rng.randrange(fewest, 33)
+        word = [rng.choice((-1, 1)) * rng.randrange(1, strands) for _ in range(crossings)]
+        if not 2 <= len(braid_components(word, strands)) <= 4:
+            continue
+        diagram = braid_pd(word, strands)
+        entries.append({
+            "name": f"braid{len(entries):02d}", "braid": word, "strands": strands,
+            "pd": [list(cr) for cr in diagram.pd], "loops": diagram.loops,
+            "mu": diagram.mu, "crossings": diagram.crossings,
+        })
+    return {"links": entries}
 
 
 def derivative_congruences(f: IntLaurent, mu: int, p: int) -> bool:

@@ -23,7 +23,8 @@ from skeinlat.cyclotomic import CycContext
 from skeinlat.laurent import A, ONE, ZERO, IntLaurent, RefutationError
 from skeinlat.recoupling import qint
 
-from oracles import cable_braid, derivative_congruences, laurent_from_json, root_divisibility
+from oracles import (cable_braid, derivative_congruences, laurent_from_json, root_divisibility,
+                     seeded_braid_corpus)
 
 DELTA = IntLaurent({2: -1, -2: -1})
 
@@ -249,6 +250,55 @@ def test_state_sum_matches_brute_force_seeded(ring):
         assert kauffman_bracket(diagram, coeffs) == reference_bracket(diagram, ring), diagram
 
 
+def unreduced_bracket(diagram, coeffs=LaurentCoeffs):
+    """Oracle for _cancel_pairs: kauffman_bracket with the reducer replaced
+    by the identity, so the frontier sum runs over every crossing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bracket_module, "_cancel_pairs", lambda pd: (pd, 0))
+        return kauffman_bracket(diagram, coeffs)
+
+
+@pytest.mark.parametrize("ring", ("laurent", 5, 7))
+def test_cancelled_pairs_keep_the_bracket_at_benchmark_size(ring):
+    # closures the size of the benchmark's (7 strands, 24-32 crossings) and
+    # every one of their sublinks, with and without the Reidemeister-II pairs
+    coeffs = ring_coeffs(ring)
+    crossings = left = 0
+    for entry in seeded_braid_corpus(3311, 8, strands_from=(7,), fewest=24)["links"]:
+        diagram = LinkDiagram.from_json(entry)
+        assert 24 <= diagram.crossings <= 32
+        for mask in range(1 << diagram.mu):
+            sub = delete_components(diagram, [k for k in range(diagram.mu) if mask >> k & 1])
+            crossings += sub.crossings
+            left += len(bracket_module._cancel_pairs(sub.pd)[0])
+            assert kauffman_bracket(sub, coeffs) == unreduced_bracket(sub, coeffs), sub
+    assert left < crossings
+
+
+@pytest.mark.parametrize("pd", [
+    ((1, 2, 3, 4), (3, 4, 1, 2)), ((1, 2, 3, 4), (3, 1, 4, 2)),
+], ids=["c=d,a=b", "c=b,a=d"])
+def test_clasp_is_not_a_pair(pd):
+    # ci = (c, x, y, a) and cj = (y, b, d, x) share x at slot 1 of one and
+    # slot 3 of the other; their smoothings leave A^2 (c-d, a-b) +
+    # (1 - A^-4) (c-a, b-d), so the two crossings stay
+    diagram = LinkDiagram(pd)
+    assert bracket_module._cancel_pairs(pd) == (pd, 0)
+    for ring in BRUTE_RINGS:
+        assert kauffman_bracket(diagram, ring_coeffs(ring)) == brute_force_bracket(diagram, ring)
+
+
+@pytest.mark.parametrize("word, strands", [([1, 2, -2, -1], 3), ([1, -1], 2)])
+def test_pairs_cancel_down_to_bare_loops(word, strands):
+    # in sigma_1 sigma_2 sigma_2^-1 sigma_1^-1, cancelling the sigma_2 pair
+    # brings the sigma_1 pair together; every strand closes into a loop
+    diagram = braid_pd(word, strands)
+    assert bracket_module._cancel_pairs(diagram.pd) == ((), strands)
+    assert kauffman_bracket(diagram) == DELTA ** strands
+    for ring in BRUTE_RINGS:
+        assert kauffman_bracket(diagram, ring_coeffs(ring)) == brute_force_bracket(diagram, ring)
+
+
 def split_kinks(signs):
     """Disjoint one-crossing unknots, kinked by the signs, as one diagram."""
     pd = []
@@ -290,26 +340,42 @@ def test_many_split_kinks_at_every_root(p):
     assert kauffman_bracket(diagram, RootCoeffs(ctx)) == expected
 
 
+def two_strand_torus_bracket(n):
+    """Oracle for kauffman_bracket on the closure of sigma_1^n: at one
+    crossing the A-smoothing leaves the closure of sigma_1^(n-1) and the
+    B-smoothing an unknot with n - 1 kinks, each -A^-3."""
+    value = DELTA * DELTA
+    for k in range(n):
+        value = A * value + A ** -1 * DELTA * (-(A ** -3)) ** k
+    return value
+
+
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("pairs", [30, 31, 70])
 def test_reidemeister_two_padding_past_the_byte_matchings(ring, pairs):
     # n crossings have 4n arc ends; 30 / 31 / 70 sigma_1 sigma_1^-1 pairs
     # bring 3 crossings to 252 / 260 / 572 ends, either side of the largest
-    # matching whose entries fit in a byte, and far past it
+    # matching whose entries fit in a byte, and far past it.  The pairs
+    # cancel before the state sum, down to the word's 3 crossings, and the
+    # unreduced sum runs on every end
     coeffs = ring_coeffs(ring)
     word = [1, -2, 1]
     padded = braid_pd([1, -1] * pairs + word, 3)
     assert padded.crossings == 2 * pairs + 3
+    left, loops = bracket_module._cancel_pairs(padded.pd)
+    assert (len(left), loops) == (3, 0)
     got = kauffman_bracket(padded, coeffs)
     assert got == kauffman_bracket(braid_pd(word, 3), coeffs)
+    assert got == unreduced_bracket(padded, coeffs)
     if ring != "laurent":
         assert got == CycContext(ring).from_A_laurent(kauffman_bracket(padded))
 
 
 def test_matchings_either_side_of_the_byte_width(monkeypatch):
     # 4n arc ends for n crossings: 63 crossings (252 ends) stay on byte
-    # matchings, 64 (256 ends) are the first to take the wide ones, and a
-    # sigma_1 sigma_1^-1 pair cancels on either path
+    # matchings, 64 (256 ends) are the first to take the wide ones.  A
+    # positive word has no Reidemeister-II pair, since a pair needs opposite
+    # signs, so all of its crossings reach the state sum
     wide_matchings = []
     real_array = bracket_module.array
 
@@ -318,26 +384,32 @@ def test_matchings_either_side_of_the_byte_width(monkeypatch):
         return real_array(*args)
 
     monkeypatch.setattr(bracket_module, "array", spy)
-    narrow = braid_pd([1, -1] * 31 + [1], 2)
-    assert narrow.crossings == 63
-    assert kauffman_bracket(narrow) == kauffman_bracket(braid_pd([1], 2))
-    assert kauffman_bracket(narrow) == IntLaurent({1: 1, 5: 1})
+    narrow = braid_pd([1] * 63, 2)
+    assert bracket_module._cancel_pairs(narrow.pd) == (narrow.pd, 0)
+    assert kauffman_bracket(narrow) == two_strand_torus_bracket(63)
     assert wide_matchings == []
-    wide = braid_pd([1, -1] * 32, 2)
-    assert wide.crossings == 64
-    assert kauffman_bracket(wide) == kauffman_bracket(LinkDiagram((), 2))
-    assert kauffman_bracket(wide) == IntLaurent({4: 1, 0: 2, -4: 1})
-    assert len(wide_matchings) == 2
-    # a seeded word with nothing to cancel, on the wide path over Z[A, A^-1]
-    # and at every root
+    wide = braid_pd([1] * 64, 2)
+    assert bracket_module._cancel_pairs(wide.pd) == (wide.pd, 0)
+    assert kauffman_bracket(wide) == two_strand_torus_bracket(64)
+    assert len(wide_matchings) == 1
+    # a seeded positive word, on the wide path over Z[A, A^-1] and at every root
     rng = random.Random(6470)
-    diagram = braid_pd([rng.choice((1, -1)) * rng.randrange(1, 3) for _ in range(70)], 3)
-    assert diagram.crossings == 70
+    diagram = braid_pd([rng.randrange(1, 3) for _ in range(70)], 3)
+    assert bracket_module._cancel_pairs(diagram.pd) == (diagram.pd, 0)
     laurent = kauffman_bracket(diagram)
     for p in ROOT_PRIMES:
         ctx = CycContext(p)
         assert kauffman_bracket(diagram, RootCoeffs(ctx)) == ctx.from_A_laurent(laurent), p
-    assert len(wide_matchings) == 3 + len(ROOT_PRIMES)
+    assert len(wide_matchings) == 2 + len(ROOT_PRIMES)
+    # sigma_1 sigma_1^-1 padding to 63 and 64 crossings cancels down to one
+    # kink and to two bare loops before the sum, on byte matchings
+    padded = braid_pd([1, -1] * 31 + [1], 2)
+    assert len(bracket_module._cancel_pairs(padded.pd)[0]) == 1
+    assert kauffman_bracket(padded) == IntLaurent({1: 1, 5: 1})
+    padded = braid_pd([1, -1] * 32, 2)
+    assert bracket_module._cancel_pairs(padded.pd) == ((), 2)
+    assert kauffman_bracket(padded) == IntLaurent({4: 1, 0: 2, -4: 1})
+    assert len(wide_matchings) == 2 + len(ROOT_PRIMES)
 
 
 class UncheckedDiagram(LinkDiagram):
@@ -346,11 +418,14 @@ class UncheckedDiagram(LinkDiagram):
 
 
 @pytest.mark.parametrize("ring", RINGS)
-@pytest.mark.parametrize("pd", [((1, 2, 3, 4),), ((1, 1, 2, 3),)], ids=["two-states", "one-state"])
+@pytest.mark.parametrize("pd", [
+    ((1, 2, 3, 4),), ((1, 1, 2, 3),), ((1, 2, 3, 4), (3, 2, 5, 6)),
+], ids=["two-states", "one-state", "dangling-pair"])
 def test_state_sum_that_does_not_close_up_is_refuted(ring, pd):
     # arcs that meet the crossing once leave dangling ends: the two
     # resolutions of the first leave two matchings, those of the second
-    # one matching that is not empty
+    # one matching that is not empty; the third is a Reidemeister-II pair
+    # whose outer arcs meet one crossing each, which is not cancelled
     with pytest.raises(RefutationError, match="did not close up"):
         kauffman_bracket(UncheckedDiagram(pd), ring_coeffs(ring))
 

@@ -4,7 +4,6 @@ import importlib
 import importlib.util
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -20,6 +19,8 @@ from skeinlat.cyclotomic import CycContext
 from skeinlat.laurent import RefutationError
 from skeinlat.recoupling import count_spine_colorings
 from skeinlat.torus import TQFTParams
+
+from oracles import seeded_braid_corpus
 
 
 def run(capsys, *argv):
@@ -522,27 +523,6 @@ def test_corpus_certs_cost_one_state_sum_per_sublink(monkeypatch) -> None:
     assert max(sizes) <= cap
 
 
-def seeded_braid_corpus(seed: int, links: int, strands_from=(6, 7), fewest: int = 20) -> dict:
-    """Closures of random braids on strands_from strands with fewest to 32
-    crossings and 2-4 components, in the corpus format `bracket --corpus`
-    reads."""
-    rng = random.Random(seed)
-    entries = []
-    while len(entries) < links:
-        strands = rng.choice(strands_from)
-        crossings = rng.randrange(fewest, 33)
-        word = [rng.choice((-1, 1)) * rng.randrange(1, strands) for _ in range(crossings)]
-        if not 2 <= len(bracket.braid_components(word, strands)) <= 4:
-            continue
-        diagram = bracket.braid_pd(word, strands)
-        entries.append({
-            "name": f"braid{len(entries):02d}", "braid": word, "strands": strands,
-            "pd": [list(cr) for cr in diagram.pd], "loops": diagram.loops,
-            "mu": diagram.mu, "crossings": diagram.crossings,
-        })
-    return {"links": entries}
-
-
 def test_bracket_on_a_seeded_braid_corpus_pinned(capsys, tmp_path) -> None:
     # the bundled corpus stops at 12 crossings; these closures run the state
     # sum on frontiers of up to 32 crossings, and any rewrite of it must
@@ -554,6 +534,20 @@ def test_bracket_on_a_seeded_braid_corpus_pinned(capsys, tmp_path) -> None:
     assert len(json.loads(out)) == 80
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a47e39d9a9f3b2aa6952ab0dff555b6fd1b56810ce2dacd454b7119c9701e2f9"
+    )
+
+
+def test_bracket_at_benchmark_size_pinned(capsys, tmp_path) -> None:
+    # closures the size of the benchmark's (7 strands, 24-32 crossings),
+    # whose Reidemeister-II pairs cancel before the state sum: the digest is
+    # that of the full state sum over every crossing
+    path = tmp_path / "braids.json"
+    path.write_text(json.dumps(seeded_braid_corpus(3303, 30, strands_from=(7,), fewest=24)))
+    code, out, _ = run(capsys, "bracket", "--corpus", str(path), "--cap-crossings", "32")
+    assert code == 0
+    assert len(json.loads(out)) == 60
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6bed4c83d4f92ff88b4702951a776d4880d618a21fc097c2f1b176852c275240"
     )
 
 
