@@ -358,6 +358,8 @@ def cmd_stabilize(args) -> tuple[int, object]:
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     if not names or any(n not in op_table for n in names):
         raise ValueError(f"ops must be a comma list drawn from t, s; got {args.ops!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"each op may be given once, got {names}")
     rep = saturate(ctx, seed, [op_table[n]() for n in names])
     out = {
         "p": args.p,
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stabilize", help="saturate a seed lattice under operators")
     st.add_argument("--p", type=int, required=True)
     st.add_argument("--seed", choices=BASES_G1, default="e")
-    st.add_argument("--ops", default="t,s", help="comma list from {t,s}")
+    st.add_argument("--ops", default="t,s", help="comma list from {t,s}, each at most once")
     emit_flag(st)
     st.set_defaults(func=cmd_stabilize)
 

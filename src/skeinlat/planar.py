@@ -28,8 +28,9 @@ matrix also comes straight from the projection rule once every cable is
 folded over e_r = e_{p-2-r}.  An LDL factorization is unique, so the two
 routes are compared by factoring the closed form once: its factor must be R
 and its pivots N.  Both genus-2 routes build integral cables only, z and
-z+2, so every lead coefficient is 1, and the closed form is memoized per
-count pair: each pair of cable counts gives one folded annulus product,
+z+2, so every lead coefficient is 1 and every cable is real.  A pairing is
+then the single monomial X conj(Y), and the closed form reads each entry
+off the cables of the summed counts: one folded cable per color and count,
 kept in the ring context's memo, so an entry costs only its sum over the
 channels below d.  The expansion's fused loops are kept there too.  A
 v-colored arrangement is its (z+2)-colored one times the row scaling
@@ -239,21 +240,6 @@ def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
 COLORS = ("z", "z+2", "v", "omega")
 
 
-def _annulus_product(params: TQFTParams, f: list[CycNum], g: list[CycNum]) -> list[CycNum]:
-    """Reduced product of two annulus elements given over colors 0..p-2."""
-    raw = [params.ctx.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if not b:
-                continue
-            coeff = a * b
-            for k in e_product_in_e(i, j):
-                raw[k] = raw[k] + coeff
-    return fold_raw(params, raw)
-
-
 def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
     """e-coordinates over colors 0..p-2 of `count` parallel z- or
     (z+2)-colored copies of one curve.  (z+2)^count = (1+A)^count v^count is
@@ -265,21 +251,13 @@ def _class_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
     raise ValueError(f"genus-2 cables are z or z+2, got {color!r}")
 
 
-def _conj_cable(cable: list[CycNum]) -> list[CycNum]:
-    # the e_i are real; conjugation touches coefficients only
-    return [c.conj() for c in cable]
-
-
-def _pair_product(params: TQFTParams, color: str, count_x: int, count_y: int) -> list[CycNum]:
-    """Folded annulus product of count_x cables and conj(count_y cables),
-    over colors 0..d-1; memoized per color and count pair."""
-
-    def build() -> list[CycNum]:
-        fx = _class_cable(params, color, count_x)
-        fy = _conj_cable(_class_cable(params, color, count_y))
-        return fold_transparent(params, _annulus_product(params, fx, fy))
-
-    return params.ctx.cached(("pair", color, count_x, count_y), build)
+def _folded_cable(params: TQFTParams, color: str, count: int) -> list[CycNum]:
+    """The class cable folded over e_r = e_{p-2-r} into colors 0..d-1;
+    memoized per color and count."""
+    return params.ctx.cached(
+        ("cable", color, count),
+        lambda: fold_transparent(params, _class_cable(params, color, count)),
+    )
 
 
 def _arm_split(params: TQFTParams, m: int, c: int) -> CycNum:
@@ -307,9 +285,10 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
     """Fuse `count` parallel color cables onto a loop colored m with arm c,
     channels s < d; memoized per (color, count, m, c).
 
-    Nothing is folded back: the arrangement bounds keep every hole cover
-    below d, so a z or z+2 cable never reaches a channel s >= d, and an
-    expansion that lost a term would be refuted by the LDL factor of the
+    The channels of e_a on the loop are those of e_a e_m admissible at the
+    root.  Nothing is folded back: the arrangement bounds keep every hole
+    cover below d, so a z or z+2 cable never reaches a channel s >= d, and
+    an expansion that lost a term would be refuted by the LDL factor of the
     projection closed form."""
 
     def build() -> dict[int, CycNum]:
@@ -318,8 +297,8 @@ def _fused_loop(params: TQFTParams, color: str, count: int, m: int, c: int) -> d
         for a, xa in enumerate(_class_cable(params, color, count)):
             if not xa:
                 continue
-            for s in range(params.d):
-                if not (p_admissible(p, a, m, s) and p_admissible(p, s, s, c)):
+            for s in e_product_in_e(a, m):
+                if not (s < params.d and p_admissible(p, a, m, s) and p_admissible(p, s, s, c)):
                     continue
                 coeff = xa * _loop_fusion(params, a, m, c, s)
                 acc = out.get(s)
@@ -388,20 +367,22 @@ def expansion_matrix_genus2(params: TQFTParams, color: str = "z") -> Matrix:
 def gram_closed_genus2(params: TQFTParams, color: str = "z") -> Matrix:
     """Gram of the genus-2 arrangements by the projection closed form.
 
-    (X, Y) = D^2 sum_{m<d} P_m Q_m R_m / <m>, conjugate-linear in Y.  P, Q, R
-    are the reduced annulus products of the paired class cables around hole
-    0, hole 1, and both holes, folded into the small range by
-    e_r = e_{p-2-r}: the color p-2 has dimension one and a parallel copy of
-    it is invisible, and e_{p-2} e_r = e_{p-2-r} on the nose (the fold keeps
-    <m> because <p-2-r> = <r>).  A meridian around two small-colored cables
-    keeps only their matching channel, which forces the folded colors equal
-    and leaves D^2/<m> once both meridians have fired.  P, Q, R depend on the
-    two curve counts only, and come from the memo of _pair_product."""
+    (X, Y) = D^2 sum_{m<d} P_m Q_m R_m / <m>, conjugate-linear in Y.  The
+    cables are integral, so real, and X conj(Y) is one monomial: P, Q, R are
+    the cables of the summed counts around hole 0, hole 1, and both holes,
+    folded into the small range by e_r = e_{p-2-r}: the color p-2 has
+    dimension one and a parallel copy of it is invisible, and
+    e_{p-2} e_r = e_{p-2-r} on the nose (the fold keeps <m> because
+    <p-2-r> = <r>).  A meridian around two small-colored cables keeps only
+    their matching channel, which forces the folded colors equal and leaves
+    D^2/<m> once both meridians have fired.  A summed count is at most
+    2d-2 = p-3, so no cable reaches e_{p-1}; each comes from _folded_cable."""
     counts = [_counts(arr) for arr in arrangement_set_genus2(params)]
     weights = _meridian_weights(params)
     return hermitian_fill(
         len(counts),
-        lambda i, j: _pairing_from_counts(params, counts[i], counts[j], color, weights),
+        lambda i, j: _pairing_from_counts(
+            params, [a + b for a, b in zip(counts[i], counts[j])], color, weights),
     )
 
 
@@ -416,14 +397,13 @@ def _meridian_weights(params: TQFTParams) -> list[CycNum]:
 
 
 def _pairing_from_counts(
-    params: TQFTParams, counts_x: tuple[int, int, int], counts_y: tuple[int, int, int],
-    color: str, weights: list[CycNum],
+    params: TQFTParams, counts: list[int], color: str, weights: list[CycNum]
 ) -> CycNum:
-    """One closed-form entry from the two (alpha, beta, gamma) and the
-    weights: one ctx.dot over the channels m of w_m P_m Q_m R_m, so the
-    cables must be integral (z or z+2)."""
-    pq = [_pair_product(params, color, cx, cy) for cx, cy in zip(counts_x, counts_y)]
-    return params.ctx.dot(zip(weights, *pq))
+    """One closed-form entry from the summed (alpha, beta, gamma) of its two
+    arrangements and the weights: one ctx.dot over the channels m of
+    w_m P_m Q_m R_m, so the cables must be integral (z or z+2)."""
+    cables = [_folded_cable(params, color, n) for n in counts]
+    return params.ctx.dot(zip(weights, *cables))
 
 
 def _curve_z_terms(params: TQFTParams, color: str) -> dict[int, CycNum]:
@@ -534,9 +514,9 @@ def gram_genus2(p: int, basis: str = "A") -> dict:
     and its pivots the graph norms.  Av is factored on integral rows: the
     (z+2)-colored arrangements, each a v-row times (1+A)^n, n its curve
     count, are unit-triangular over G, and both routes build their Gram
-    from the same integral cables (the closed form memoized per count
-    pair).  Its determinant then takes the row scalings (1+A)^-n back,
-    prod N * |1+A|^(-2 curve_total).
+    from the same integral cables (a closed-form entry reads the cables of
+    its two arrangements' summed counts).  Its determinant then takes the
+    row scalings (1+A)^-n back, prod N * |1+A|^(-2 curve_total).
     """
     params = TQFTParams.for_prime(p)
     arrs = arrangement_set_genus2(params)

@@ -64,9 +64,10 @@ class TQFTParams:
     can see it: omega carries the compensating eta = D^-1.
 
     for_prime(p) is the canonical instance: its ctx is the library's ring at
-    p.  The parameters keep no table of their own: the necklace brackets and
-    the genus-2 annulus products and fused loops go into ctx.memo, next to
-    the inverses and recoupling values, so each is built once per ring.
+    p.  The parameters keep no table of their own: the necklace brackets,
+    the genus-2 folded cables (one per color and summed count of a
+    closed-form entry) and fused loops go into ctx.memo, next to the
+    inverses and recoupling values, so each is built once per ring.
     inv1a is 1/(1+A), the denominator of v = (z+2)/(1+A).  kappa is the
     framing anomaly, the scalar in (ST)^3 = kappa S^2.
     """

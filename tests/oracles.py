@@ -17,16 +17,17 @@ import random
 from fractions import Fraction
 
 from skeinlat import recoupling
-from skeinlat.annulus import z_plus2_pow_in_e, z_power_in_e
+from skeinlat.annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from skeinlat.bracket import _check_word, braid_components, braid_pd
 from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, same_ring
 from skeinlat.laurent import IntLaurent, RefutationError
 from skeinlat.lattice import OLattice, _lead, _zeta_shift
 from skeinlat.matrices import Matrix, determinant, map_entries, mat_eq, mat_mul, transpose
-from skeinlat.planar import (CurveArrangement, _counts, _meridian_weights, _pairing_from_counts,
-                             arrangement_set_genus2, expand_arrangement)
+from skeinlat.planar import (CurveArrangement, _class_cable, _counts, _meridian_weights,
+                             _pairing_from_counts, arrangement_set_genus2, expand_arrangement)
 from skeinlat.recoupling import p_admissible, quantum_dim
-from skeinlat.torus import TQFTParams, Vector, _coords, coords_z, omega_pairing, reduce_e
+from skeinlat.torus import (TQFTParams, Vector, _coords, coords_z, fold_raw, fold_transparent,
+                            omega_pairing, reduce_e)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +549,24 @@ def pairing_closed_genus2(
     arrangements."""
     if x.genus != 2 or y.genus != 2:
         raise ValueError("this closed form is the genus-2 pairing")
-    return _pairing_from_counts(params, _counts(x), _counts(y), color, _meridian_weights(params))
+    counts = [a + b for a, b in zip(_counts(x), _counts(y))]
+    return _pairing_from_counts(params, counts, color, _meridian_weights(params))
+
+
+def annulus_product(params: TQFTParams, color: str, count_x: int, count_y: int) -> list[CycNum]:
+    """Oracle for _folded_cable: the count_x cable times the conjugated
+    count_y cable, multiplied term by term with the Clebsch-Gordan rule,
+    reduced and folded into colors 0..d-1.  The closed form reads the
+    (count_x + count_y)-cable instead."""
+    fx = _class_cable(params, color, count_x)
+    fy = [c.conj() for c in _class_cable(params, color, count_y)]
+    raw = [params.ctx.zero] * (len(fx) + len(fy) - 1)
+    for i, a in enumerate(fx):
+        for j, b in enumerate(fy):
+            if a and b:
+                for k in e_product_in_e(i, j):
+                    raw[k] = raw[k] + a * b
+    return fold_transparent(params, fold_raw(params, raw))
 
 
 # ---------------------------------------------------------------------------

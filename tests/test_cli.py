@@ -622,6 +622,15 @@ def test_stabilize_rejects_unknown_ops(capsys) -> None:
     assert code == 2 and "ops" in err
 
 
+@pytest.mark.parametrize("ops", ("t,t", "t,s,t"))
+def test_stabilize_refuses_a_repeated_op(capsys, ops) -> None:
+    # a repeat adds one more full operator image to every saturation round
+    # and changes nothing else
+    code, out, err = run(capsys, "stabilize", "--p", "5", "--ops", ops)
+    assert code == 2 and out == ""
+    assert f"each op may be given once, got {ops.split(',')}" in err
+
+
 # --- verify-all ----------------------------------------------------------------
 
 
@@ -1194,6 +1203,41 @@ def test_every_benchmark_wrap_target_resolves(monkeypatch) -> None:
             missing.append(f"{mod_name}.{path}")
     assert spans.TARGETS
     assert missing == []
+
+
+def _resolves(obj, parts, assigned) -> bool:
+    """Whether the attribute path parts leads somewhere from obj; its last
+    part may also be a self.<name> that assigned lists for its class."""
+    for n, part in enumerate(parts):
+        if not hasattr(obj, part):
+            return n == len(parts) - 1 and part in assigned.get(obj, ())
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_readme_library_name_resolves() -> None:
+    # a backticked dotted name in README.md whose head is skeinlat, one of
+    # its modules or a library class names a module attribute, a class
+    # attribute or a self.<name> set in that class; a renamed or deleted
+    # definition breaks this test until the prose follows it.  Other heads,
+    # file names such as verify_all.json, are not library names
+    roots, assigned = {"skeinlat": skeinlat}, {}
+    for name, text in sources(PKG):
+        if name == "__init__.py":
+            continue
+        module = roots[name[:-3]] = importlib.import_module(f"skeinlat.{name[:-3]}")
+        for node in ast.parse(text, name).body:
+            if isinstance(node, ast.ClassDef):
+                cls = roots[node.name] = getattr(module, node.name)
+                assigned[cls] = {n.attr for n in ast.walk(node)
+                                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                                 and getattr(n.value, "id", None) == "self"}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        names = re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`", fh.read())
+    library = [name for name in names if name.split(".")[0] in roots]
+    assert len(library) > 20
+    assert [name for name in library
+            if not _resolves(roots[name.split(".")[0]], name.split(".")[1:], assigned)] == []
 
 
 def _decorator_name(node: ast.expr) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -33,6 +34,7 @@ from skeinlat.recoupling import (
 from skeinlat.torus import TQFTParams
 
 from oracles import (
+    annulus_product,
     elimination_det,
     graph_colorings_genus3,
     pairing_closed_genus2,
@@ -301,6 +303,16 @@ def test_gram_bracket_oracle_p5(color):
     assert mat_eq(gram_bracket(params, arrs, color), arrangement_gram(params, color))
 
 
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+@pytest.mark.parametrize("color", ("z", "z+2"))
+def test_folded_cable_is_the_annulus_product(p, color):
+    # both cables are integral, so real, and the product of the a- and
+    # conj(b)-cables is the (a+b)-cable for every count pair below d
+    params = TQFTParams.for_prime(p)
+    for a, b in itertools.product(range(params.d), repeat=2):
+        assert planar._folded_cable(params, color, a + b) == annulus_product(params, color, a, b)
+
+
 def test_pairing_is_hermitian():
     params = TQFTParams.for_prime(7)
     x = monomial_arrangement(1, 0, 1)
@@ -477,20 +489,23 @@ def test_each_report_runs_one_ldl_and_no_bareiss(monkeypatch, build):
 
 
 @pytest.mark.parametrize("color", ("z", "v"))
-def test_closed_form_memoizes_each_count_pair(monkeypatch, color):
-    # the first Gram builds one annulus product per count pair it meets, a
-    # second Gram on the same parameters builds none
+def test_closed_form_memoizes_each_summed_count(monkeypatch, color):
+    # the first Gram builds one class cable per summed count it meets, at
+    # most the 2d-1 counts 0..2d-2, and a second Gram on the same parameters
+    # builds none
     params = TQFTParams(7)
     calls = []
-    inner = planar._annulus_product
+    inner = planar._class_cable
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(planar, "_annulus_product", counted)
+    monkeypatch.setattr(planar, "_class_cable", counted)
     first = gram_closed_genus2(params, CABLE[color])
-    assert 0 < len(calls) == len(memo_keys(params.ctx, "pair")) <= params.d ** 2
+    keys = memo_keys(params.ctx, "cable")
+    assert sorted(calls) == sorted((params, *key[1:]) for key in keys)
+    assert 0 < len(keys) <= 2 * params.d - 1
     calls.clear()
     assert mat_eq(gram_closed_genus2(params, CABLE[color]), first)
     assert calls == []
