@@ -115,7 +115,8 @@ class CycContext:
     """Shared tables for one ring Z[zeta_n], n = 2p (p = 3 mod 4) or 4p.
 
     memo is the ring's one cache, filled by cached: inverses, recoupling
-    values, fused loops and necklaces, each keyed by (kind, *arguments).
+    values, genus-2 cables, closed-form entries and fused loops, and
+    necklaces, each keyed by (kind, *arguments).
     """
 
     def __init__(self, p: int):

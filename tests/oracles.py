@@ -23,8 +23,8 @@ from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, same_ring
 from skeinlat.laurent import IntLaurent, RefutationError
 from skeinlat.lattice import OLattice, _lead, _zeta_shift
 from skeinlat.matrices import Matrix, determinant, map_entries, mat_eq, mat_mul, transpose
-from skeinlat.planar import (CurveArrangement, _class_cable, _counts, _meridian_weights,
-                             _pairing_from_counts, arrangement_set_genus2, expand_arrangement)
+from skeinlat.planar import (_class_cable, _folded_cable, _meridian_weights, arrangement_set_genus2,
+                             expand_arrangement)
 from skeinlat.recoupling import p_admissible, quantum_dim
 from skeinlat.torus import (TQFTParams, Vector, _coords, coords_z, fold_raw, fold_transparent,
                             omega_pairing, reduce_e)
@@ -508,6 +508,21 @@ def graph_colorings_genus3(params: TQFTParams):
     return out
 
 
+def monomial_lead(monomial) -> tuple[int, int, int]:
+    """The lead coloring (alpha+gamma, beta+gamma, 2 gamma) of the genus-2
+    monomial (alpha, beta, gamma): every pair fused into its top channel."""
+    alpha, beta, gamma = monomial
+    return (alpha + gamma, beta + gamma, 2 * gamma)
+
+
+def monomial_curves(monomial) -> tuple[tuple[int, ...], ...]:
+    """The genus-2 monomial (alpha, beta, gamma) as the sorted hole tuples
+    that gram_bracket pairs: alpha curves around hole 0, gamma around both
+    holes and beta around hole 1."""
+    alpha, beta, gamma = monomial
+    return ((0,),) * alpha + ((0, 1),) * gamma + ((1,),) * beta
+
+
 def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     """Oracle for gram_genus2: its LDL factor and pivots.
 
@@ -523,9 +538,9 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     one = params.ctx.one
     support_ok = True
     diagonal_ok = True
-    for arr in arrangement_set_genus2(params):
-        li, lj, lk = arr.lead_coloring()
-        coords = expand_arrangement(params, arr, color)
+    for monomial in arrangement_set_genus2(params):
+        li, lj, lk = monomial_lead(monomial)
+        coords = expand_arrangement(params, monomial, color)
         for (i, j, k) in coords:
             if i > li or j > lj or k > lk:
                 support_ok = False
@@ -542,15 +557,15 @@ def triangular_certificate_genus2(params: TQFTParams, color: str = "z") -> dict:
     }
 
 
-def pairing_closed_genus2(
-    params: TQFTParams, x: CurveArrangement, y: CurveArrangement, color: str = "z"
-) -> CycNum:
+def pairing_closed_genus2(params: TQFTParams, x, y, color: str = "z") -> CycNum:
     """Oracle for gram_closed_genus2: its entry (X, Y) for any two genus-2
-    arrangements."""
-    if x.genus != 2 or y.genus != 2:
-        raise ValueError("this closed form is the genus-2 pairing")
-    counts = [a + b for a, b in zip(_counts(x), _counts(y))]
-    return _pairing_from_counts(params, counts, color, _meridian_weights(params))
+    monomials, given as exponent triples, computed afresh: one dot of the
+    meridian weights with the cables of the summed exponents, outside the
+    ring memo's "entry" table."""
+    if any(len(m) != 3 or not all(isinstance(n, int) for n in m) for m in (x, y)):
+        raise ValueError("this closed form pairs genus-2 exponent triples")
+    cables = [_folded_cable(params, color, a + b) for a, b in zip(x, y)]
+    return params.ctx.dot(zip(_meridian_weights(params), *cables))
 
 
 def annulus_product(params: TQFTParams, color: str, count_x: int, count_y: int) -> list[CycNum]:

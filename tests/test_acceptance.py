@@ -66,6 +66,8 @@ from oracles import (
     evaluate,
     hopf_bracket,
     laurent_from_json,
+    monomial_curves,
+    monomial_lead,
     rank_polynomial_genus3,
     rank_polynomial_genus5,
     root_divisibility,
@@ -247,16 +249,17 @@ def test_criterion_10_oracle_coherence() -> None:
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
     arrs = arrangement_set_genus2(params)
-    honest = gram_bracket(params, arrs, "z")
+    curves = [monomial_curves(m) for m in arrs]
+    honest = gram_bracket(params, 2, curves, "z")
     # graph norms (theta products) through the triangular expansion
     # the one-by-one field sum is the oracle route of the integral ctx.dot
     field_dot = lambda pairs: sum((x * y for x, y in pairs), ctx.zero)
     _, diag = ldl_decomposition(honest, ctx.one, ctx.zero, ctx.inv, lambda v: v.conj(), field_dot)
-    assert diag == [graph_norm_genus2(params, *arr.lead_coloring()) for arr in arrs]
+    assert diag == [graph_norm_genus2(params, *monomial_lead(m)) for m in arrs]
     colorings = graph_colorings_genus2(params)
-    assert [arr.lead_coloring() for arr in arrs] == colorings
+    assert [monomial_lead(m) for m in arrs] == colorings
     for color in ("z", "z+2"):
         assert mat_eq(gram_closed_genus2(params, color),
-                      gram_bracket(params, arrs, color)), color
+                      gram_bracket(params, 2, curves, color)), color
     # genus 3 runs its own wheel-norm-versus-state-sum refutation check
     genus3_p5_report("v")

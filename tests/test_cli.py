@@ -60,6 +60,9 @@ INPUT_CHECKS = [
     for verb in (["genus1"], ["genus2"], ["rank", "--genus", "2"], ["stabilize"], ["verify-all"])
 ] + [
     (["verify-all", "--p", "5,5"], 2, "each p may be given once"),
+    (["verify-all", "--p", ","], 2, "--p takes a comma list of odd primes, got ','"),
+    (["verify-all", "--p", "5,,7"], 2, "--p takes a comma list of odd primes, got '5,,7'"),
+    (["verify-all", "--p", "x"], 2, "--p takes a comma list of odd primes, got 'x'"),
     (["genus2", "--p", "3"], 2, "genus >= 2 claims need p >= 5"),
     (["verify-all", "--p", "3"], 2, "genus >= 2 claims need p >= 5"),
     (["bracket", "--cap-crossings", "0"], 2, "caps must be positive"),
@@ -305,7 +308,7 @@ def test_genus2_expansion_that_is_not_the_ldl_factor_exits_1(capsys, monkeypatch
     # a refutation that names the factor, and only the A entry fails
     real = planar.expansion_matrix_genus2
 
-    def perturbed(params, color="z"):
+    def perturbed(params, color):
         out = real(params, color)
         if color == "z":
             out[2][0] = out[2][0] + params.ctx.one
@@ -575,6 +578,39 @@ def test_bracket_refuses_a_nonpositive_cap(capsys, cap) -> None:
     assert err == "error: caps must be positive\n"
 
 
+@pytest.mark.parametrize("verb", ["bracket", "verify-all"])
+def test_a_link_over_the_component_limit_is_refused(capsys, tmp_path, monkeypatch, verb) -> None:
+    # a link costs 2^mu state sums whatever its crossings, so a crossing-free
+    # link of MAX_COMPONENTS + 1 loops passes any crossing cap; it is refused
+    # with exit 2 before any certificate runs
+    def refused(*args):
+        raise AssertionError("a certificate ran")
+
+    monkeypatch.setattr(cli, "divisibility_certificate", refused)
+    monkeypatch.setattr(cli, "polynomial_certs", refused)
+    mu = cli.MAX_COMPONENTS + 1
+    loops = {"name": "loops", "braid": [], "strands": mu, "pd": [], "loops": mu,
+             "mu": mu, "crossings": 0}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"links": load_corpus() + [loops]}))
+    code, out, err = run(capsys, verb, "--corpus", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: corpus link 'loops' has {mu} components; "
+                   f"the corpus budget is mu <= {cli.MAX_COMPONENTS}\n")
+
+
+def test_the_shipped_corpora_stay_inside_the_component_limit(monkeypatch) -> None:
+    # the bundled corpus, and every benchmark corpus, whose component counts
+    # follow a schedule that no seed changes
+    assert max(e["mu"] for e in cli.checked_corpus(None)) <= cli.MAX_COMPONENTS
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    assert max(corpus.schedule(i)[1] for i in range(corpus.LINKS)) <= cli.MAX_COMPONENTS
+
+
 def test_corrupt_corpus_fails_fast(capsys, tmp_path) -> None:
     bad = tmp_path / "corpus.json"
     bad.write_text("{\"links\": []}")
@@ -791,6 +827,24 @@ def test_verb_output_pinned(capsys, argv) -> None:
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERB_PINS[argv]
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+with open(os.path.join(PERFBENCH, "expected_stdout.json"), encoding="utf-8") as _fh:
+    BENCH_STDOUT = json.load(_fh)
+
+
+@pytest.mark.parametrize("argv", BENCH_STDOUT, ids=argv_id)
+def test_benchmark_stdout_digests_hold(capsys, argv) -> None:
+    # the benchmark counts a verb correct only when its stdout has the digest
+    # recorded in perfbench/expected_stdout.json; stabilize --p 13, the
+    # slowest, is the VERB_PINS entry of the same command with its defaults
+    if argv == "stabilize --p 13 --seed e --ops t,s":
+        assert BENCH_STDOUT[argv] == VERB_PINS["stabilize --p 13"]
+        return
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_STDOUT[argv]
 
 
 def test_verify_all_builds_one_params_per_prime(capsys, monkeypatch) -> None:

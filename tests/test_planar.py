@@ -10,7 +10,6 @@ from skeinlat.bracket import RootCoeffs, kauffman_bracket, necklace_pd
 from skeinlat.cyclotomic import CycContext, CycNum
 from skeinlat.matrices import diagonal, identity, ldl_decomposition, mat_eq
 from skeinlat.planar import (
-    CurveArrangement,
     RefutationError,
     arrangement_set_genus2,
     arrangement_set_genus3,
@@ -23,7 +22,7 @@ from skeinlat.planar import (
     graph_colorings_genus2,
     graph_norm_genus2,
     graph_norm_genus3,
-    monomial_arrangement,
+    lead_coloring_genus3,
     non_unimodular_witness,
 )
 from skeinlat.recoupling import (
@@ -37,6 +36,8 @@ from oracles import (
     annulus_product,
     elimination_det,
     graph_colorings_genus3,
+    monomial_curves,
+    monomial_lead,
     pairing_closed_genus2,
     rank_polynomial_genus3,
     rank_polynomial_genus5,
@@ -73,7 +74,7 @@ def arrangement_gram(params, color):
     gram = gram_closed_genus2(params, CABLE.get(color, color))
     if color != "v":
         return gram
-    scales = [params.inv1a ** arr.curve_count for arr in arrangement_set_genus2(params)]
+    scales = [params.inv1a ** sum(m) for m in arrangement_set_genus2(params)]
     return [[ui * g * uj.conj() for g, uj in zip(row, scales)] for ui, row in zip(scales, gram)]
 
 
@@ -116,46 +117,12 @@ def fusion_gram(params, color):
 # curve arrangements
 
 
-def test_arrangement_rejects_crossing_curves():
-    with pytest.raises(ValueError):
-        CurveArrangement(3, (frozenset({0, 1}), frozenset({1, 2})))
-
-
-def test_arrangement_rejects_empty_curve():
-    with pytest.raises(ValueError):
-        CurveArrangement(2, (frozenset(),))
-
-
-def test_arrangement_rejects_foreign_holes():
-    with pytest.raises(ValueError):
-        CurveArrangement(2, (frozenset({2}),))
-
-
-def test_arrangement_rejects_unsupported_genus():
-    with pytest.raises(ValueError):
-        CurveArrangement(4, (frozenset({0}),))
-
-
-def test_arrangement_canonical_order_and_hash():
-    a = CurveArrangement(3, (frozenset({2}), frozenset({0, 1}), frozenset({0, 1})))
-    b = CurveArrangement(3, (frozenset({0, 1}), frozenset({2}), frozenset({0, 1})))
-    assert a == b and hash(a) == hash(b)
-    assert a.multiplicity({0, 1}) == 2
-    assert a.hole_cover(1) == 2 and a.hole_cover(2) == 1
-
-
 def test_monomial_arrangement_exponents():
-    arr = monomial_arrangement(2, 3, 1)
-    assert (arr.alpha, arr.beta, arr.gamma) == (2, 3, 1)
-    assert arr.curve_count == 6
-    assert arr.lead_coloring() == (3, 4, 2)
-    with pytest.raises(ValueError):
-        monomial_arrangement(-1, 0, 0)
-
-
-def test_nested_curves_are_laminar():
-    arr = CurveArrangement(2, (frozenset({0}), frozenset({0, 1})))
-    assert arr.genus == 2 and arr.curve_count == 2
+    # x^2 y^3 ztilde is the triple (2, 3, 1): six curves as hole tuples,
+    # lead coloring (3, 4, 2)
+    assert (2, 3, 1) in arrangement_set_genus2(TQFTParams.for_prime(13))
+    assert monomial_curves((2, 3, 1)) == ((0,), (0,), (0, 1), (1,), (1,), (1,))
+    assert monomial_lead((2, 3, 1)) == (3, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +135,7 @@ def test_genus2_counts(p):
     arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
     r = d * (d + 1) * (2 * d + 1) // 6
     assert len(arrs) == r == count_spine_colorings(2, p)
-    assert sum(a.curve_count for a in arrs) == (d - 1) * r
+    assert sum(sum(a) for a in arrs) == (d - 1) * r
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -177,14 +144,13 @@ def test_genus2_curve_count_per_gamma_block(p):
     d = (p - 1) // 2
     arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
     for gamma in range(d):
-        block = [a for a in arrs if a.gamma == gamma]
+        block = [a for a in arrs if a[2] == gamma]
         assert len(block) == (d - gamma) ** 2
-        assert sum(a.curve_count for a in block) == (d - 1) * (d - gamma) ** 2
+        assert sum(sum(a) for a in block) == (d - 1) * (d - gamma) ** 2
 
 
 def test_genus2_p5_index_set_explicit():
-    arrs = arrangement_set_genus2(TQFTParams.for_prime(5))
-    got = [(a.alpha, a.beta, a.gamma) for a in arrs]
+    got = arrangement_set_genus2(TQFTParams.for_prime(5))
     assert got == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
 
 
@@ -193,21 +159,28 @@ def test_genus2_lead_coloring_bijection_in_order(p):
     # arrangement order and coloring order agree under the lead map
     arrs = arrangement_set_genus2(TQFTParams.for_prime(p))
     cols = graph_colorings_genus2(TQFTParams.for_prime(p))
-    assert sorted(a.lead_coloring() for a in arrs) == sorted(cols)
+    assert sorted(monomial_lead(a) for a in arrs) == sorted(cols)
     d = (p - 1) // 2
     for k in range(0, p - 2, 2):
         assert sum(1 for c in cols if c[2] == k) == (d - k // 2) ** 2
 
 
 def test_genus3_arrangements():
-    arrs = arrangement_set_genus3()
-    assert len(arrs) == 15 == count_spine_colorings(3, 5)
-    assert sum(a.curve_count for a in arrs) == 22
-    assert len(set(arrs)) == 15
-    leads = [a.lead_coloring() for a in arrs]
+    # 15 canonical families of 22 curves: each family the sorted tuple of its
+    # curves, each curve the sorted tuple of its holes in the three-holed disk
+    families = arrangement_set_genus3()
+    assert len(families) == len(set(families)) == 15 == count_spine_colorings(3, 5)
+    assert sum(len(f) for f in families) == 22
+    for f in families:
+        assert f == tuple(sorted(f))
+        assert all(c and c == tuple(sorted(set(c))) and set(c) <= {0, 1, 2} for c in f)
+        # the curves are pairwise disjoint, so every hole is covered at most
+        # once and loop colors stay below d = 2
+        assert all(not set(s) & set(t) for s, t in itertools.combinations(f, 2))
+        # every sub-family is in the set too, as _subset_transform needs
+        assert all(sub in families for r in range(len(f)) for sub in itertools.combinations(f, r))
+    leads = [lead_coloring_genus3(f) for f in families]
     assert leads == sorted(graph_colorings_genus3(TQFTParams.for_prime(5)))
-    # every hole is covered at most once, so loop colors stay below d = 2
-    assert all(a.hole_cover(h) <= 1 for a in arrs for h in range(3))
 
 
 def test_genus3_colorings_p7_are_admissible_and_sorted():
@@ -224,14 +197,14 @@ def test_genus3_colorings_p7_are_admissible_and_sorted():
 
 def test_expand_empty_arrangement():
     params = TQFTParams.for_prime(5)
-    coords = expand_arrangement(params, monomial_arrangement(0, 0, 0))
+    coords = expand_arrangement(params, (0, 0, 0), "z")
     assert set(coords) == {(0, 0, 0)}
     assert coords[(0, 0, 0)] == params.ctx.one
 
 
 def test_expand_single_curve_is_exact():
     params = TQFTParams.for_prime(5)
-    coords = expand_arrangement(params, monomial_arrangement(1, 0, 0))
+    coords = expand_arrangement(params, (1, 0, 0), "z")
     assert set(coords) == {(1, 0, 0)}
     assert coords[(1, 0, 0)] == params.ctx.one
 
@@ -239,7 +212,7 @@ def test_expand_single_curve_is_exact():
 def test_expand_c110_support():
     # two curves around different holes never meet: single graph term
     params = TQFTParams.for_prime(5)
-    coords = expand_arrangement(params, monomial_arrangement(1, 1, 0))
+    coords = expand_arrangement(params, (1, 1, 0), "z")
     assert set(coords) == {(1, 1, 0)}
     assert coords[(1, 1, 0)] == params.ctx.one
 
@@ -247,16 +220,10 @@ def test_expand_c110_support():
 def test_expand_two_parallel_curves_split():
     # z^2 = e_2 + e_0 around one hole
     params = TQFTParams.for_prime(7)
-    coords = expand_arrangement(params, monomial_arrangement(2, 0, 0))
+    coords = expand_arrangement(params, (2, 0, 0), "z")
     assert set(coords) == {(0, 0, 0), (2, 0, 0)}
     assert coords[(0, 0, 0)] == params.ctx.one
     assert coords[(2, 0, 0)] == params.ctx.one
-
-
-def test_expand_needs_genus2():
-    params = TQFTParams.for_prime(5)
-    with pytest.raises(ValueError):
-        expand_arrangement(params, arrangement_set_genus3()[0])
 
 
 def test_expand_unknown_color():
@@ -264,7 +231,7 @@ def test_expand_unknown_color():
     params = TQFTParams.for_prime(5)
     for color in ("w", "v", "omega"):
         with pytest.raises(ValueError):
-            expand_arrangement(params, monomial_arrangement(1, 0, 0), color)
+            expand_arrangement(params, (1, 0, 0), color)
     for color in ("v", "omega"):
         with pytest.raises(ValueError, match="genus-2 cables are z or z\\+2"):
             gram_closed_genus2(params, color)
@@ -299,8 +266,8 @@ def test_gram_bracket_oracle_p5(color):
     # the state sum of the v-colored arrangements against the (z+2) closed
     # form with the row scalings applied here
     params = TQFTParams.for_prime(5)
-    arrs = arrangement_set_genus2(params)
-    assert mat_eq(gram_bracket(params, arrs, color), arrangement_gram(params, color))
+    curves = [monomial_curves(m) for m in arrangement_set_genus2(params)]
+    assert mat_eq(gram_bracket(params, 2, curves, color), arrangement_gram(params, color))
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -315,8 +282,7 @@ def test_folded_cable_is_the_annulus_product(p, color):
 
 def test_pairing_is_hermitian():
     params = TQFTParams.for_prime(7)
-    x = monomial_arrangement(1, 0, 1)
-    y = monomial_arrangement(0, 1, 1)
+    x, y = (1, 0, 1), (0, 1, 1)
     fwd = pairing_closed_genus2(params, x, y, "z+2")
     assert fwd.conj() == pairing_closed_genus2(params, y, x, "z+2")
 
@@ -324,7 +290,7 @@ def test_pairing_is_hermitian():
 @pytest.mark.parametrize("p", PRIMES)
 def test_empty_pairing_is_d_squared(p):
     params = TQFTParams.for_prime(p)
-    empty = monomial_arrangement(0, 0, 0)
+    empty = (0, 0, 0)
     assert pairing_closed_genus2(params, empty, empty) == params.D * params.D
 
 
@@ -380,7 +346,7 @@ def test_ldl_diag_v_color_p5():
     arrs = arrangement_set_genus2(params)
     norms = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
     for k, arr in enumerate(arrs):
-        scale = inv1a ** arr.curve_count * inv1a.conj() ** arr.curve_count
+        scale = inv1a ** sum(arr) * inv1a.conj() ** sum(arr)
         assert diag[k] == scale * norms[k]
 
 
@@ -426,7 +392,7 @@ def test_pivot_list_off_by_one_entry_is_refuted():
     rep = genus2_report(5, "A")
     gram = genus2_gram(5, "A")
     pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
-    args = (arrangement_set_genus2(params), gram, pivots)
+    args = ([sum(m) for m in arrangement_set_genus2(params)], gram, pivots)
     assert planar._certified_report(params, 2, "A", "z", *args) == rep
     pivots[2] = pivots[2] + params.ctx.one
     with pytest.raises(RefutationError, match="LDL pivots"):
@@ -442,8 +408,9 @@ def test_a_denominator_in_l_refutes_the_genus2_report():
     assert ctx.inv(pivots[0]).den != 1
     gram = diagonal(pivots, ctx.zero)
     gram[0][1] = gram[1][0] = ctx.one
+    counts = [sum(m) for m in arrangement_set_genus2(params)]
     with pytest.raises(RefutationError, match="not unit-triangular"):
-        planar._certified_report(params, 2, "G", None, arrangement_set_genus2(params), gram, pivots)
+        planar._certified_report(params, 2, "G", None, counts, gram, pivots)
 
 
 def test_a_malformed_genus2_gram_is_an_error_not_a_refutation():
@@ -452,15 +419,15 @@ def test_a_malformed_genus2_gram_is_an_error_not_a_refutation():
     params = TQFTParams.for_prime(5)
     ctx = params.ctx
     pivots = [graph_norm_genus2(params, *c) for c in graph_colorings_genus2(params)]
-    arrs = arrangement_set_genus2(params)
+    counts = [sum(m) for m in arrangement_set_genus2(params)]
     ragged = diagonal(pivots, ctx.zero)
     ragged[1].pop()
     with pytest.raises(ValueError, match="square"):
-        planar._certified_report(params, 2, "G", None, arrs, ragged, pivots)
+        planar._certified_report(params, 2, "G", None, counts, ragged, pivots)
     mixed = diagonal(pivots, ctx.zero)
     mixed[0][1], mixed[1][0] = ctx.one, CycContext(7).one
     with pytest.raises(ValueError, match="cannot mix"):
-        planar._certified_report(params, 2, "G", None, arrs, mixed, pivots)
+        planar._certified_report(params, 2, "G", None, counts, mixed, pivots)
 
 
 def count_eliminations(monkeypatch) -> dict:
@@ -509,6 +476,46 @@ def test_closed_form_memoizes_each_summed_count(monkeypatch, color):
     calls.clear()
     assert mat_eq(gram_closed_genus2(params, CABLE[color]), first)
     assert calls == []
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+@pytest.mark.parametrize("color", ("z", "z+2"))
+def test_closed_form_is_the_pairing_oracle(p, color):
+    # entry by entry against the pairing computed afresh; both colors fill
+    # the one ring memo, so an entry keyed without its color would show here
+    params = TQFTParams.for_prime(p)
+    monomials = arrangement_set_genus2(params)
+    gram = gram_closed_genus2(params, color)
+    for i, x in enumerate(monomials):
+        for j in range(i, len(monomials)):
+            expected = pairing_closed_genus2(params, x, monomials[j], color)
+            assert gram[i][j] == gram[j][i] == expected, (x, monomials[j])
+
+
+@pytest.mark.parametrize("color", ("z", "z+2"))
+def test_closed_form_builds_one_entry_per_summed_triple(monkeypatch, color):
+    # an entry depends only on the summed exponents: the first Gram makes one
+    # "entry" memo key and one ctx.dot per distinct summed triple, 285 for
+    # the 1,540 upper-triangle entries at p = 11, and a second Gram none
+    params = TQFTParams(11)
+    ctx = params.ctx
+    monomials = arrangement_set_genus2(params)
+    summed = {tuple(a + b for a, b in zip(x, y)) for x in monomials for y in monomials}
+    assert len(summed) == 285
+    dots = []
+    inner = ctx.dot
+
+    def counted(terms):
+        dots.append(terms)
+        return inner(terms)
+
+    monkeypatch.setattr(ctx, "dot", counted)
+    first = gram_closed_genus2(params, color)
+    assert len(dots) == len(summed)
+    assert sorted(memo_keys(ctx, "entry")) == sorted(("entry", color, t) for t in summed)
+    dots.clear()
+    assert mat_eq(gram_closed_genus2(params, color), first)
+    assert dots == []
 
 
 @pytest.mark.parametrize("color", ("z", "z+2"), ids=("z", "(1+A)^n v"))
@@ -584,22 +591,22 @@ def test_report_json_round_trip_fields():
 def test_genus3_block_diagonal_by_loop_colors():
     # arrangements with different hole covers pair to zero
     params = TQFTParams.for_prime(5)
-    arrs = arrangement_set_genus3()
-    gram = gram_bracket(params, arrs, "z")
-    for i, x in enumerate(arrs):
-        for j, y in enumerate(arrs):
-            if x.lead_coloring()[0] != y.lead_coloring()[0]:
+    families = arrangement_set_genus3()
+    gram = gram_bracket(params, 3, families, "z")
+    for i, x in enumerate(families):
+        for j, y in enumerate(families):
+            if lead_coloring_genus3(x)[0] != lead_coloring_genus3(y)[0]:
                 assert gram[i][j].is_zero()
 
 
 def test_genus3_singleton_norms_match_closed_form():
     # all-singleton families expand to a single graph term: norms on the nose
     params = TQFTParams.for_prime(5)
-    arrs = arrangement_set_genus3()
-    gram = gram_bracket(params, arrs, "z")
-    for i, arr in enumerate(arrs):
-        if all(len(s) == 1 for s in arr.curves):
-            a, c = arr.lead_coloring()
+    families = arrangement_set_genus3()
+    gram = gram_bracket(params, 3, families, "z")
+    for i, f in enumerate(families):
+        if all(len(s) == 1 for s in f):
+            a, c = lead_coloring_genus3(f)
             assert c == (0, 0, 0)
             assert gram[i][i] == graph_norm_genus3(params, a, c)
 
@@ -620,7 +627,7 @@ def test_genus3_pivot_product_matches_bareiss(color):
     # an independent route: the state sum of the colored arrangements
     params = TQFTParams.for_prime(5)
     tw = params.ctx.i_power(1)
-    gram = gram_bracket(params, arrangement_set_genus3(), color)
+    gram = gram_bracket(params, 3, arrangement_set_genus3(), color)
     twisted = [[v * tw for v in row] for row in gram]
     assert rep["det"] == elimination_det(params, twisted)
 
@@ -635,12 +642,6 @@ def test_genus3_witness(color):
 def test_genus3_report_rejects_other_colors():
     with pytest.raises(ValueError):
         genus3_p5_report(color="z")
-
-
-def test_gram_bracket_rejects_mixed_genus():
-    arrs = [arrangement_set_genus2(TQFTParams.for_prime(5))[0], arrangement_set_genus3()[0]]
-    with pytest.raises(ValueError, match="genus"):
-        gram_bracket(TQFTParams.for_prime(5), arrs)
 
 
 def test_genus3_reports_share_the_necklace_table(monkeypatch):
@@ -680,6 +681,15 @@ def test_necklaces_match_the_root_of_unity_state_sum_seeded(p):
                  for _ in range(rng.randrange(0, 3))]
         expected = kauffman_bracket(necklace_pd(widths, cores), coeffs)
         assert params.necklace(widths, cores) == expected, (widths, cores)
+
+
+def test_subset_transform_refuses_a_repeated_curve():
+    # the rows index each sub-family by its tuple, so a family that repeats
+    # a curve is refused instead of indexed
+    params = TQFTParams.for_prime(5)
+    families = arrangement_set_genus3() + [((0,), (0,))]
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        planar._subset_transform(params, families, "v")
 
 
 @pytest.mark.parametrize("color", ("v", "omega"))
