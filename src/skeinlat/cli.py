@@ -54,8 +54,8 @@ BASES_G2 = ("G", "A", "Av")
 # The largest inputs each verb accepts: the largest at which its cost is
 # measured (in one process on a 2-core Xeon, three runs each, the verbs
 # alternating).  Beyond them a verb would run without a stated bound, so
-# larger inputs are refused as bad input.  genus2 --p 13 takes 0.05-0.09 /
-# 0.30-0.36 / 0.58-0.78 s for G / A / Av and stabilize --p 13 4.5-5.0 s.
+# larger inputs are refused as bad input.  genus2 --p 13 takes 0.03-0.04 /
+# 0.17-0.24 / 0.39-0.60 s for G / A / Av and stabilize --p 13 3.8-4.6 s.
 # Both verbs share the limit, so it stays at 13 until the p = 17 lattices
 # are cheap.
 MAX_P_HEAVY = 13

@@ -114,9 +114,10 @@ def _slot_words(w: int, slots: int) -> struct.Struct | None:
 class CycContext:
     """Shared tables for one ring Z[zeta_n], n = 2p (p = 3 mod 4) or 4p.
 
-    memo is the ring's one cache, filled by cached: inverses, recoupling
-    values, genus-2 cables, closed-form entries and fused loops, and
-    necklaces, each keyed by (kind, *arguments).
+    memo is the ring's one cache, filled by cached: inverses, the
+    quantum-factorial table and recoupling values, genus-2 cables,
+    closed-form entries and fused loops, and necklaces, each keyed by
+    (kind, *arguments).
     """
 
     def __init__(self, p: int):

@@ -136,9 +136,10 @@ def graph_norm_genus2(params: TQFTParams, i: int, j: int, k: int) -> CycNum:
     <k> balance the count.  Genus 1 degenerates to (e_i, e_i) = D.
     """
     ctx = params.ctx
-    num = params.D * params.D * theta_at(ctx, i, i, k) * theta_at(ctx, j, j, k)
-    den = quantum_dim_at(ctx, i) * quantum_dim_at(ctx, j) * quantum_dim_at(ctx, k)
-    return num * ctx.inv(den)
+    out = params.D * params.D * theta_at(ctx, i, i, k) * theta_at(ctx, j, j, k)
+    for x in (i, j, k):
+        out = out * ctx.inv(quantum_dim_at(ctx, x))
+    return out
 
 
 def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
@@ -147,7 +148,7 @@ def graph_norm_genus3(params: TQFTParams, a, c) -> CycNum:
     out = params.D * params.D * params.D * theta_at(ctx, c[0], c[1], c[2])
     for ai, ci in zip(a, c):
         out = out * theta_at(ctx, ai, ai, ci)
-        out = out * ctx.inv(quantum_dim_at(ctx, ai) * quantum_dim_at(ctx, ci))
+        out = out * ctx.inv(quantum_dim_at(ctx, ai)) * ctx.inv(quantum_dim_at(ctx, ci))
     return out
 
 

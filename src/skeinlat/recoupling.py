@@ -1,14 +1,17 @@
-"""Recoupling coefficients for the Temperley-Lieb category, exactly.
+"""Recoupling coefficients for the Temperley-Lieb category at the root, exactly.
 
-Theta and tetrahedron coefficients are assembled from quantum factorials as
-Laurent fractions in q, numerator and denominator kept apart.
-QFrac.at_root specializes both at the root of unity and divides there; the
-fraction is not reduced first, so a denominator that vanishes at the root
-raises ZeroDivisionError even where the reduced fraction would be finite.
-Ratios that are genuinely fractional (bubble collapse, fusion) are likewise
-formed at the root, where the relevant thetas are nonzero for admissible
-colors.  theta_at, tet_at and quantum_dim_at keep each value at the root in
-the ring context's memo, so it is specialized once per ring.
+Theta and tetrahedron coefficients are the quantum-factorial formulas of
+Kauffman & Lins, Temperley-Lieb recoupling theory (Ann. of Math. Studies
+134, 1994) and Masbaum & Vogel, 3-valent graphs and the Kauffman bracket
+(Pacific J. Math. 164, 1994), read from one table per ring: [k]! at the
+root for 0 <= k <= p-1 and its inverse, all from one field inverse of
+[p-1]!.  Each [k] with 0 < k < p is a cyclotomic unit, so every entry is
+integral.  For p-admissible colors theta needs only entries below p.  So
+does tet, whose alternating sum over z stops at z = p-2: q has order p, so
+[p] = 0 and every term whose numerator [z+1]! reaches p vanishes, while
+every denominator argument is at most p-2.  theta_at and tet_at refuse
+colors that are not p-admissible.  theta_at, tet_at and quantum_dim_at
+keep each value in the ring context's memo, so it is built once per ring.
 
 Also here: admissibility tests, rank counts for handlebody spines (a
 caterpillar graph family), and the Verlinde dimension formula as an exact
@@ -33,51 +36,6 @@ def qint(m: int) -> IntLaurent:
     return IntLaurent({m - 1 - 2 * s: 1 for s in range(m)})
 
 
-@lru_cache(maxsize=None)
-def qfact(m: int) -> IntLaurent:
-    if m < 0:
-        raise ValueError("quantum factorial of negative argument")
-    if m == 0:
-        return IntLaurent(1)
-    return qfact(m - 1) * qint(m)
-
-
-def quantum_dim(i: int) -> IntLaurent:
-    """<e_i> = (-1)^i [i+1], the loop value of the i-colored core."""
-    f = qint(i + 1)
-    return f if i % 2 == 0 else -f
-
-
-class QFrac:
-    """Fraction of Laurent polynomials in q, never reduced.
-
-    Theta and tetrahedron values are rational (projector coefficients bring
-    in quantum-integer denominators), so fractions are the honest type here.
-    The claim path only specializes them: at_root divides numerator by
-    denominator in the cyclotomic field and insists the denominator does not
-    vanish there; for admissible colorings below the level it never does.
-    The field arithmetic and equality live with the test-side oracles.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntLaurent | int, den: IntLaurent | int = 1):
-        if isinstance(num, int):
-            num = IntLaurent(num)
-        if isinstance(den, int):
-            den = IntLaurent(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def at_root(self, ctx: CycContext) -> CycNum:
-        den = ctx.from_q_laurent(self.den)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the root")
-        return ctx.from_q_laurent(self.num) / den
-
-
 def admissible(a: int, b: int, c: int) -> bool:
     """Generic admissibility: parity and triangle inequality."""
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
@@ -90,66 +48,73 @@ def p_admissible(p: int, a: int, b: int, c: int) -> bool:
     return admissible(a, b, c) and a + b + c <= 2 * (p - 2)
 
 
-def theta(a: int, b: int, c: int) -> QFrac:
-    """Theta-graph value with edge colors a, b, c."""
-    if not admissible(a, b, c):
-        raise ValueError(f"inadmissible triple {(a, b, c)}")
-    m = (a + b - c) // 2
-    n = (b + c - a) // 2
-    r = (c + a - b) // 2
-    num = qfact(m + n + r + 1) * qfact(m) * qfact(n) * qfact(r)
-    den = qfact(m + n) * qfact(n + r) * qfact(r + m)
-    return QFrac(num if (m + n + r) % 2 == 0 else -num, den)
+def _check_colors(p: int, *triples: tuple[int, int, int]) -> None:
+    for tri in triples:
+        if not p_admissible(p, *tri):
+            raise ValueError(f"colors {tri} are not admissible at p = {p}")
 
 
-def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
-    """Tetrahedron coefficient with vertex triples (a,b,e), (c,d,e),
-    (a,d,f), (b,c,f)."""
-    for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
-        if not admissible(*tri):
-            raise ValueError(f"inadmissible vertex {tri}")
-    verts = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
-    squares = [(a + c + e + f) // 2, (b + d + e + f) // 2, (a + b + c + d) // 2]
-    zlo, zhi = max(verts), min(squares)
-    if zhi < zlo:
-        return QFrac(0)
-    # single sum over one shared denominator: each term's factorial ratios
-    # become rising products relative to the range endpoints
-    num = IntLaurent()
-    for z in range(zlo, zhi + 1):
-        term = qfact(z + 1)
-        for av in verts:
-            for t in range(z + 1, zhi + 1):
-                term = term * qint(t - av)
-        for bs in squares:
-            for t in range(zlo, z):
-                term = term * qint(bs - t)
-        num = num + (term if z % 2 == 0 else -term)
-    den = IntLaurent(1)
-    for av in verts:
-        den = den * qfact(zhi - av)
-    for bs in squares:
-        den = den * qfact(bs - zlo)
-    pre_num = IntLaurent(1)
-    for av in verts:
-        for bs in squares:
-            pre_num = pre_num * qfact(bs - av)
-    pre_den = IntLaurent(1)
-    for x in (a, b, c, d, e, f):
-        pre_den = pre_den * qfact(x)
-    return QFrac(num * pre_num, den * pre_den)
+def _factorials(ctx: CycContext) -> tuple[list[CycNum], list[CycNum]]:
+    """[k]! at the root and its inverse for 0 <= k <= p-1, once per ring.
+
+    One field inverse, of [p-1]!, gives the rest: inv([k-1]!) = inv([k]!) [k]."""
+
+    def build() -> tuple[list[CycNum], list[CycNum]]:
+        ints = [ctx.from_q_laurent(qint(k)) for k in range(ctx.p)]
+        fact = [ctx.one]
+        for k in range(1, ctx.p):
+            fact.append(fact[-1] * ints[k])
+        inv = [ctx.inv(fact[-1])]
+        for k in range(ctx.p - 1, 0, -1):
+            inv.append(inv[-1] * ints[k])
+        return fact, inv[::-1]
+
+    return ctx.cached(("qfact",), build)
 
 
 def theta_at(ctx: CycContext, a: int, b: int, c: int) -> CycNum:
-    return ctx.cached(("theta", a, b, c), lambda: theta(a, b, c).at_root(ctx))
+    """Theta-graph value with edge colors a, b, c at the root."""
+
+    def build() -> CycNum:
+        _check_colors(ctx.p, (a, b, c))
+        fact, inv = _factorials(ctx)
+        m, n, r = (a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2
+        x = ctx.dot([(fact[m + n + r + 1], fact[m], fact[n], fact[r], inv[a], inv[b], inv[c])])
+        return -x if (m + n + r) % 2 else x
+
+    return ctx.cached(("theta", a, b, c), build)
 
 
 def tet_at(ctx: CycContext, a: int, b: int, e: int, c: int, d: int, f: int) -> CycNum:
-    return ctx.cached(("tet", a, b, e, c, d, f), lambda: tet(a, b, e, c, d, f).at_root(ctx))
+    """Tetrahedron coefficient at the root with vertex triples (a,b,e),
+    (c,d,e), (a,d,f), (b,c,f)."""
+
+    def build() -> CycNum:
+        _check_colors(ctx.p, (a, b, e), (c, d, e), (a, d, f), (b, c, f))
+        fact, inv = _factorials(ctx)
+        verts = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
+        squares = [(a + c + e + f) // 2, (b + d + e + f) // 2, (a + b + c + d) // 2]
+        # [z+1]! = 0 once z + 1 reaches p
+        terms = [
+            (fact[z + 1] if z % 2 == 0 else -fact[z + 1],
+             *(inv[z - av] for av in verts), *(inv[bs - z] for bs in squares))
+            for z in range(max(verts), min(*squares, ctx.p - 2) + 1)
+        ]
+        pre = ctx.dot([tuple(fact[bs - av] for av in verts for bs in squares)])
+        edges = ctx.dot([tuple(inv[x] for x in (a, b, e, c, d, f))])
+        return ctx.dot([(pre, edges, ctx.dot(terms))])
+
+    return ctx.cached(("tet", a, b, e, c, d, f), build)
 
 
 def quantum_dim_at(ctx: CycContext, i: int) -> CycNum:
-    return ctx.cached(("dim", i), lambda: ctx.from_q_laurent(quantum_dim(i)))
+    """<e_i> = (-1)^i [i+1] at the root, the loop value of the i-colored core."""
+
+    def build() -> CycNum:
+        x = ctx.from_q_laurent(qint(i + 1))
+        return -x if i % 2 else x
+
+    return ctx.cached(("dim", i), build)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ computes, labeled `Oracle for <name>` with the library definition it is
 compared against, or a certificate labeled `Certificate` that waits here
 for its first claim-path caller (ROADMAP items 1B, 2 and 9).  A library
 method that moved here takes its object as the first argument.  The
-Temperley-Lieb loop-counting oracle for theta and tet is tl_oracle.py.
+Laurent theta and tet here are checked in turn by the Temperley-Lieb
+loop-counting oracle, tl_oracle.py.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-from skeinlat import recoupling
 from skeinlat.annulus import e_product_in_e, z_plus2_pow_in_e, z_power_in_e
 from skeinlat.bracket import _check_word, braid_components, braid_pd
 from skeinlat.cyclotomic import CycContext, CycNum, cyclotomic_poly, same_ring
@@ -25,7 +26,7 @@ from skeinlat.lattice import OLattice, _lead, _zeta_shift
 from skeinlat.matrices import Matrix, determinant, map_entries, mat_eq, mat_mul, transpose
 from skeinlat.planar import (_class_cable, _folded_cable, _meridian_weights, arrangement_set_genus2,
                              expand_arrangement)
-from skeinlat.recoupling import p_admissible, quantum_dim
+from skeinlat.recoupling import admissible, p_admissible, qint
 from skeinlat.torus import (TQFTParams, Vector, _coords, coords_z, fold_raw, fold_transparent,
                             omega_pairing, reduce_e)
 
@@ -168,59 +169,91 @@ def norm_resultant(x: CycNum) -> Fraction:
 # recoupling
 
 
+@lru_cache(maxsize=None)
+def qfact(m: int) -> IntLaurent:
+    if m < 0:
+        raise ValueError("quantum factorial of negative argument")
+    if m == 0:
+        return IntLaurent(1)
+    return qfact(m - 1) * qint(m)
+
+
+def quantum_dim(i: int) -> IntLaurent:
+    """Oracle for quantum_dim_at: <e_i> = (-1)^i [i+1] as a Laurent
+    polynomial, the loop value of the i-colored core."""
+    f = qint(i + 1)
+    return f if i % 2 == 0 else -f
+
+
 def delta_loop() -> IntLaurent:
     """Value of a 1-colored unknot, -q - q^-1 (equals -A^2 - A^-2)."""
     return quantum_dim(1)
 
 
-class QFrac(recoupling.QFrac):
-    """The library's fraction of Laurent polynomials in q, with the field
-    arithmetic the oracles need.  A library QFrac (a theta or tet value)
-    mixes in as an operand, and QFrac.lift turns one into this class.
+def _frac(x: "QFrac | IntLaurent | int") -> "QFrac":
+    return x if isinstance(x, QFrac) else QFrac(x)
+
+
+class QFrac:
+    """Fraction of Laurent polynomials in q, never reduced, with field
+    arithmetic.  Theta and tetrahedron values are rational (projector
+    coefficients bring in quantum-integer denominators), so fractions are
+    the honest type for the generic-q oracles.  at_root divides numerator
+    by denominator in the cyclotomic field and raises ZeroDivisionError if
+    the denominator vanishes there, even where the reduced fraction would
+    be finite.
 
     Equal fractions hash alike: the hash is that of the reduced pair."""
 
-    __slots__ = ()
+    __slots__ = ("num", "den")
 
-    @classmethod
-    def lift(cls, x: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        if isinstance(x, cls):
-            return x
-        if isinstance(x, recoupling.QFrac):
-            return cls(x.num, x.den)
-        return cls(x)
+    def __init__(self, num: IntLaurent | int, den: IntLaurent | int = 1):
+        if isinstance(num, int):
+            num = IntLaurent(num)
+        if isinstance(den, int):
+            den = IntLaurent(den)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        self.num = num
+        self.den = den
 
-    def __add__(self, other: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        other = self.lift(other)
+    def at_root(self, ctx: CycContext) -> CycNum:
+        den = ctx.from_q_laurent(self.den)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator vanishes at the root")
+        return ctx.from_q_laurent(self.num) / den
+
+    def __add__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
+        other = _frac(other)
         return QFrac(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
-    def __mul__(self, other: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        other = self.lift(other)
+    def __mul__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
+        other = _frac(other)
         return QFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        return self + (-self.lift(other))
+    def __sub__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
+        return self + (-_frac(other))
 
-    def __truediv__(self, other: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        other = self.lift(other)
+    def __truediv__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
+        other = _frac(other)
         if other.num.is_zero():
             raise ZeroDivisionError
         return QFrac(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other: "recoupling.QFrac | IntLaurent | int") -> "QFrac":
-        return self.lift(other) / self
+    def __rtruediv__(self, other: "QFrac | IntLaurent | int") -> "QFrac":
+        return _frac(other) / self
 
     def __neg__(self) -> "QFrac":
         return QFrac(-self.num, self.den)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (int, IntLaurent, recoupling.QFrac)):
+        if not isinstance(other, (int, IntLaurent, QFrac)):
             return NotImplemented
-        other = self.lift(other)
+        other = _frac(other)
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
@@ -248,6 +281,58 @@ class QFrac(recoupling.QFrac):
         if den.coeff(den.max_exp()) < 0:
             num, den = -num, -den
         return QFrac(num, den)
+
+
+def theta(a: int, b: int, c: int) -> QFrac:
+    """Oracle for theta_at: the theta-graph value with edge colors a, b, c
+    as a Laurent fraction at generic q."""
+    if not admissible(a, b, c):
+        raise ValueError(f"inadmissible triple {(a, b, c)}")
+    m = (a + b - c) // 2
+    n = (b + c - a) // 2
+    r = (c + a - b) // 2
+    num = qfact(m + n + r + 1) * qfact(m) * qfact(n) * qfact(r)
+    den = qfact(m + n) * qfact(n + r) * qfact(r + m)
+    return QFrac(num if (m + n + r) % 2 == 0 else -num, den)
+
+
+def tet(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
+    """Oracle for tet_at: the tetrahedron coefficient with vertex triples
+    (a,b,e), (c,d,e), (a,d,f), (b,c,f) as a Laurent fraction at generic q,
+    its sum over every z up to the smallest square."""
+    for tri in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
+        if not admissible(*tri):
+            raise ValueError(f"inadmissible vertex {tri}")
+    verts = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
+    squares = [(a + c + e + f) // 2, (b + d + e + f) // 2, (a + b + c + d) // 2]
+    zlo, zhi = max(verts), min(squares)
+    if zhi < zlo:
+        return QFrac(0)
+    # single sum over one shared denominator: each term's factorial ratios
+    # become rising products relative to the range endpoints
+    num = IntLaurent()
+    for z in range(zlo, zhi + 1):
+        term = qfact(z + 1)
+        for av in verts:
+            for t in range(z + 1, zhi + 1):
+                term = term * qint(t - av)
+        for bs in squares:
+            for t in range(zlo, z):
+                term = term * qint(bs - t)
+        num = num + (term if z % 2 == 0 else -term)
+    den = IntLaurent(1)
+    for av in verts:
+        den = den * qfact(zhi - av)
+    for bs in squares:
+        den = den * qfact(bs - zlo)
+    pre_num = IntLaurent(1)
+    for av in verts:
+        for bs in squares:
+            pre_num = pre_num * qfact(bs - av)
+    pre_den = IntLaurent(1)
+    for x in (a, b, e, c, d, f):
+        pre_den = pre_den * qfact(x)
+    return QFrac(num * pre_num, den * pre_den)
 
 
 _RANK_NUM_G3 = (0, 3, 32, 120, 200, 192, 128)

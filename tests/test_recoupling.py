@@ -6,21 +6,21 @@ import pytest
 
 from skeinlat.cyclotomic import CycContext, CycNum
 from skeinlat.laurent import IntLaurent, RefutationError
+from skeinlat.planar import gram_genus2
 from skeinlat.recoupling import (
     admissible,
     arm_weight,
     count_spine_colorings,
     p_admissible,
-    qfact,
     qint,
-    quantum_dim,
-    tet,
-    theta,
+    quantum_dim_at,
+    tet_at,
     theta_at,
     verlinde_rank,
 )
+from skeinlat.torus import TQFTParams
 
-from oracles import QFrac, delta_loop
+from oracles import QFrac, delta_loop, qfact, quantum_dim, tet, theta
 
 
 def test_qint():
@@ -58,16 +58,16 @@ def test_admissibility():
 
 def test_theta_loop_degeneration():
     for i in range(7):
-        assert QFrac.lift(theta(i, i, 0)) == quantum_dim(i)
+        assert theta(i, i, 0) == quantum_dim(i)
     # the other degeneration: a fused pair of strands, theta(a,b,a+b) = <e_{a+b}>
     for a in range(4):
         for b in range(4):
-            assert QFrac.lift(theta(a, b, a + b)) == quantum_dim(a + b)
+            assert theta(a, b, a + b) == quantum_dim(a + b)
 
 
 def test_theta_frozen():
-    assert QFrac.lift(theta(1, 1, 2)) == qint(3)
-    assert QFrac.lift(theta(1, 1, 2)) == quantum_dim(2)
+    assert theta(1, 1, 2) == qint(3)
+    assert theta(1, 1, 2) == quantum_dim(2)
     # hand expansion of the three-projector diagram in powers of the loop
     # value delta: theta(2,2,2) = delta^3 - 3 delta + 2/delta
     delta = delta_loop()
@@ -84,18 +84,111 @@ def test_theta_at_root():
     assert not x.is_zero()
 
 
+def test_colors_that_are_not_p_admissible_are_refused_at_the_root():
+    # over the level or out of range these read 0 from the Laurent fraction,
+    # and a triangle-inadmissible triple would index the factorial table
+    # with a negative offset; each is refused before the table is built
+    ctx5, ctx7 = CycContext(5), CycContext(7)
+    for colors in [(3, 3, 2), (4, 4, 0)]:
+        with pytest.raises(ValueError, match="not admissible at p = 5"):
+            theta_at(ctx5, *colors)
+    with pytest.raises(ValueError, match="not admissible at p = 5"):
+        tet_at(ctx5, 3, 3, 2, 3, 3, 2)
+    with pytest.raises(ValueError, match=r"\(1, 1, 4\) are not admissible at p = 7"):
+        theta_at(ctx7, 1, 1, 4)
+    assert ("qfact",) not in ctx5.memo and ("qfact",) not in ctx7.memo
+
+
+def p_admissible_thetas(p: int) -> list[tuple[int, int, int]]:
+    return [t for t in itertools.product(range(p - 1), repeat=3) if p_admissible(p, *t)]
+
+
+def p_admissible_tets(p: int) -> list[tuple[int, ...]]:
+    """Every coloring (a, b, e, c, d, f) whose vertex triples (a,b,e),
+    (c,d,e), (a,d,f), (b,c,f) are p-admissible."""
+    thetas = p_admissible_thetas(p)
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for c, d, e in thetas:
+        pairs.setdefault(e, []).append((c, d))
+    return [(a, b, e, c, d, f) for a, b, e in thetas for c, d in pairs[e]
+            for f in range(p - 1) if p_admissible(p, a, d, f) and p_admissible(p, b, c, f)]
+
+
+def numerator_reaches_p(p: int, a, b, e, c, d, f) -> bool:
+    """The Laurent sum of tet runs to the smallest square, so its last
+    numerator [z+1]! contains [p], which vanishes at the root."""
+    return min(a + c + e + f, b + d + e + f, a + b + c + d) // 2 + 1 >= p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_theta_at_matches_the_laurent_oracle_at_the_root(p):
+    ctx = CycContext(p)
+    for colors in p_admissible_thetas(p):
+        assert theta_at(ctx, *colors) == theta(*colors).at_root(ctx), colors
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_every_tet_at_matches_the_laurent_oracle_at_the_root(p):
+    ctx = CycContext(p)
+    tets = p_admissible_tets(p)
+    assert (len(tets), sum(numerator_reaches_p(p, *t) for t in tets)) == {5: (120, 1), 7: (784, 28)}[p]
+    for colors in tets:
+        assert tet_at(ctx, *colors) == tet(*colors).at_root(ctx), colors
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_sampled_tet_at_matches_the_laurent_oracle_at_the_root(p):
+    # half the sample has a numerator [z+1]! that reaches p: the table sum
+    # stops at z = p-2, the oracle sums those terms and finds them 0
+    tets = p_admissible_tets(p)
+    reach = [t for t in tets if numerator_reaches_p(p, *t)]
+    assert (len(tets), len(reach)) == {11: (10648, 924), 13: (28392, 3003)}[p]
+    rng = random.Random(p)
+    ctx = CycContext(p)
+    for colors in rng.sample(reach, 12) + rng.sample(tets, 12):
+        assert tet_at(ctx, *colors) == tet(*colors).at_root(ctx), colors
+
+
+def test_quantum_dim_at_matches_the_laurent_oracle():
+    ctx = CycContext(7)
+    for i in range(6):
+        assert quantum_dim_at(ctx, i) == ctx.from_q_laurent(quantum_dim(i))
+
+
+def test_the_recoupling_values_of_a_genus2_gram_cost_one_inverse(monkeypatch):
+    # the table's one field inverse, of [p-1]!, is every inverse that the
+    # theta and tet values read by gram_genus2(13, "Av") cost in a new ring
+    params = TQFTParams(13)
+    monkeypatch.setattr(TQFTParams, "for_prime", lambda p: params)
+    gram_genus2(13, "Av")
+    keys = [key for key in params.ctx.memo if key[0] in ("theta", "tet")]
+    inverses = []
+    inverse = CycNum.inverse
+
+    def counted(x: CycNum) -> CycNum:
+        inverses.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    ctx = CycContext(13)
+    for kind, *colors in keys:
+        got = (theta_at if kind == "theta" else tet_at)(ctx, *colors)
+        assert got.vec == params.ctx.memo[(kind, *colors)].vec
+    assert (len(keys), len(inverses)) == (136, 1)
+
+
 def test_tet_degeneration_matches_theta():
     cases = [
         (1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 2, 0), (3, 3, 2), (2, 3, 3),
         (1, 3, 2), (4, 2, 2),
     ]
     for a, b, e in cases:
-        assert QFrac.lift(tet(a, b, e, b, a, 0)) == theta(a, b, e)
+        assert tet(a, b, e, b, a, 0) == theta(a, b, e)
 
 
 def test_tet_symmetry():
     # one edge colored 4, the rest 2: the 4 may sit on any edge
-    base = QFrac.lift(tet(2, 2, 2, 2, 4, 2))
+    base = tet(2, 2, 2, 2, 4, 2)
     for img in [
         (4, 2, 2, 2, 2, 2),
         (2, 4, 2, 2, 2, 2),
@@ -105,7 +198,7 @@ def test_tet_symmetry():
     ]:
         assert tet(*img) == base
     # two opposite edges colored 2 among 1s: three opposite pairs
-    base2 = QFrac.lift(tet(1, 1, 2, 1, 1, 2))
+    base2 = tet(1, 1, 2, 1, 1, 2)
     assert tet(2, 1, 1, 2, 1, 1) == base2
     assert tet(1, 2, 1, 1, 2, 1) == base2
     assert not (base == tet(2, 2, 2, 2, 2, 2))
@@ -124,7 +217,7 @@ def test_tet_symmetry():
         color_of = dict(zip(edges, cols))
         sig = dict(zip((1, 2, 3, 4), rng.sample((1, 2, 3, 4), 4)))
         img = [color_of[tuple(sorted((sig[i], sig[j])))] for i, j in edges]
-        assert QFrac.lift(tet(*img)) == tet(*cols), (cols, sig)
+        assert tet(*img) == tet(*cols), (cols, sig)
 
 
 def test_tet_inadmissible():

@@ -5,15 +5,9 @@ import itertools
 import pytest
 
 from skeinlat.laurent import IntLaurent
-from skeinlat.recoupling import (
-    admissible,
-    qint,
-    quantum_dim,
-    tet,
-    theta,
-)
+from skeinlat.recoupling import admissible, qint
 
-from oracles import QFrac, delta_loop
+from oracles import QFrac, delta_loop, quantum_dim, tet, theta
 from tl_oracle import (
     TLElement,
     cup_cap,

@@ -1,6 +1,8 @@
 """Temperley-Lieb diagram algebra at small strand counts.
 
-Independent oracle for the closed-form theta and tetrahedron coefficients:
+Independent oracle for the closed-form theta and tetrahedron coefficients
+(the Laurent theta and tet of oracles.py, which stand in for theta_at and
+tet_at at generic q):
 trivalent networks are assembled from Jones-Wenzl boxes by explicit planar
 layers and evaluated by counting closed loops, with no recoupling formulas
 involved.
@@ -274,8 +276,9 @@ def merge(a: int, b: int, c: int) -> TLElement:
 
 
 def theta_net(a: int, b: int, c: int) -> QFrac:
-    """Oracle for theta: the theta network by loop counting, two vertices
-    joined along a, b, c."""
+    """Oracle for theta_at: the theta network by loop counting, two vertices
+    joined along a, b, c, at generic q, against the Laurent theta of
+    oracles.py."""
     w = w_spread(a, b, c)
     cap = w.compose(jones_wenzl(c)).compose(w.transpose())
     fab = jones_wenzl(a).tensor(jones_wenzl(b))
@@ -283,7 +286,8 @@ def theta_net(a: int, b: int, c: int) -> QFrac:
 
 
 def tet_net(a: int, b: int, e: int, c: int, d: int, f: int) -> QFrac:
-    """Oracle for tet: the tetrahedron network by loop counting.
+    """Oracle for tet_at: the tetrahedron network by loop counting, at
+    generic q, against the Laurent tet of oracles.py.
 
     Vertices (a,b,e), (a,d,f), (b,c,f), (c,d,e); built bottom to top as maps
     e -> a|b -> d|f|b -> d|c -> e and closed along e.
